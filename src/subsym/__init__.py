@@ -56,6 +56,7 @@ from .symmetry import (
     SymmetryCandidate,
     SymReport,
     aut_group_description,
+    conjugating_relabelings,
     extended_symmetry_check,
     fracture_normal_witness,
     non_axis_fracture_refuter,

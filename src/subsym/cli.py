@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 verdict-negative (rule violations, refutations,
 SAT counterexamples), 2 usage errors.  All output is deterministic for a
-given spec + flags, independent of the thread count.
+given spec + flags; `--threads` is validated but starts no threads.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import argparse
 import hashlib
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import robinson as rob
@@ -38,39 +37,14 @@ from .symmetry import (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Caps and knobs a CLI invocation runs under."""
-
-    threads: int = 1
-    depth_cap: int = 8
-    cell_cap: int = 2**26
-    output_dir: str | None = None
-    render: str = "txt"
-
-    def __post_init__(self) -> None:
-        if self.threads < 1 or self.depth_cap < 1 or self.cell_cap < 1:
-            raise ValidationError("all run-config caps must be positive")
-
-
-def _config(args) -> RunConfig:
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("SUBSYM_THREADS")
-        try:
-            threads = int(env) if env else 1
-        except ValueError:
-            threads = 1
-    return RunConfig(
-        threads=max(1, threads),
-        depth_cap=getattr(args, "depth", 8) or 8,
-        output_dir=getattr(args, "output", None),
-        render=getattr(args, "render", "txt"),
-    )
-
-
-def _threads(args) -> int:
-    return _config(args).threads
+def _check_threads(flag: int | None) -> None:
+    """--threads, else SUBSYM_THREADS, must be a positive integer; no command starts threads."""
+    if flag is None:
+        source, text = "SUBSYM_THREADS", os.environ.get("SUBSYM_THREADS") or "1"
+    else:
+        source, text = "--threads", str(flag)
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise ValidationError(f"{source} must be a positive integer, got {text!r}")
 
 
 def _load(spec_arg: str) -> tuple[specio.SubstitutionSpec, RectSubstitution]:
@@ -123,6 +97,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_aut(args) -> int:
+    """Relabel group: each tau is fixed by tau(0) and found by propagating through the rules."""
     _, theta = _load(args.spec)
     desc = aut_group_description(theta)
     print(f"relabel_group_order={desc.relabel_order}")
@@ -133,8 +108,9 @@ def cmd_aut(args) -> int:
 
 
 def cmd_sym(args) -> int:
+    """Verdict per signed permutation; ExactYes taus come from tau(0)-propagation as in `aut`."""
     _, theta = _load(args.spec)
-    report = sym_group_report(theta, depth=args.depth, threads=_threads(args))
+    report = sym_group_report(theta, depth=args.depth)
     for cand in report.candidates:
         print(f"{_perm_to_str(cand.a)} -> {cand.describe()}")
     print(report.summary_line())
@@ -285,7 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Substitution subshifts and the Robinson tiling: "
         "analysis, symmetry search, fracture witnesses, renders.",
     )
-    ap.add_argument("--threads", type=int, default=None, help="worker threads (or SUBSYM_THREADS)")
+    ap.add_argument(
+        "--threads", type=int, default=None,
+        help="accepted for compatibility (or SUBSYM_THREADS); starts no threads",
+    )
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     def spec_arg(p):
@@ -302,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sym", help="extended symmetry report over signed permutations")
     spec_arg(p)
-    p.add_argument("--depth", type=int, default=3)
+    p.add_argument("--depth", type=int, default=3, help="language comparison depth, >= 2")
     p.set_defaults(func=cmd_sym)
 
     p = sub.add_parser("patch", help="render an iterated rule patch")
@@ -377,6 +356,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        _check_threads(args.threads)
         return args.func(args)
     except SubsymError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,6 +16,7 @@ rather than a completeness claim.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import CapExceeded, ScopeError, ValidationError
@@ -93,7 +94,7 @@ def patch_language(
     for depth in range(1, max_depth + 1):
         grown = []
         for p in patches:
-            if p.rect().cell_count() * _growth(theta) > cell_cap:
+            if p.rect().cell_count() * math.prod(theta.size) > cell_cap:
                 raise CapExceeded("language generation exceeded the cell cap")
             grown.append(apply(theta, p))
         patches = grown
@@ -104,13 +105,6 @@ def patch_language(
             stabilized = True
             break
     return PatchLanguage(tuple(shape), mode, frozenset(seen), depth, stabilized)
-
-
-def _growth(theta: RectSubstitution) -> int:
-    n = 1
-    for s in theta.size:
-        n *= s
-    return n
 
 
 @dataclass(frozen=True)

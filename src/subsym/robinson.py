@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from importlib import resources
 
 from .errors import CapExceeded, ScopeError, ValidationError
-from .lattice import Rect
+from .lattice import IntMatrix, Rect, mat_inverse_unimodular, mat_mul, mat_vec
+from .specio import ppm_image
 
 # Edge indices.
 N, E, S, W = 0, 1, 2, 3
@@ -510,40 +510,11 @@ def fracture_shift_demo(n: int, k: int, cap: int = 256) -> RobinsonPatch:
 # Dihedral symmetry action on patches
 # ---------------------------------------------------------------------------
 
-_Mat2 = tuple[tuple[int, int], tuple[int, int]]
-
-
-def _mat2_mul(a: _Mat2, b: _Mat2) -> _Mat2:
-    return (
-        (
-            a[0][0] * b[0][0] + a[0][1] * b[1][0],
-            a[0][0] * b[0][1] + a[0][1] * b[1][1],
-        ),
-        (
-            a[1][0] * b[0][0] + a[1][1] * b[1][0],
-            a[1][0] * b[0][1] + a[1][1] * b[1][1],
-        ),
-    )
-
-
-def _mat2_vec(a: _Mat2, v: tuple[int, int]) -> tuple[int, int]:
-    return (a[0][0] * v[0] + a[0][1] * v[1], a[1][0] * v[0] + a[1][1] * v[1])
-
-
-def _mat2_inv(a: _Mat2) -> _Mat2:
-    det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    assert det in (1, -1)
-    return (
-        (a[1][1] * det, -a[0][1] * det),
-        (-a[1][0] * det, a[0][0] * det),
-    )
-
-
 @dataclass(frozen=True)
 class PatchSymmetry:
     """Lattice transform plus cellwise tile relabeling: out(A k) = table[in(k)]."""
 
-    mat: _Mat2
+    mat: IntMatrix
     table: tuple[int, ...]
 
     @classmethod
@@ -560,14 +531,14 @@ class PatchSymmetry:
 
     def compose(self, other: "PatchSymmetry") -> "PatchSymmetry":
         return PatchSymmetry(
-            _mat2_mul(self.mat, other.mat),
+            mat_mul(self.mat, other.mat),
             tuple(self.table[other.table[i]] for i in range(28)),
         )
 
     def apply(self, patch: RobinsonPatch) -> RobinsonPatch:
-        inv = _mat2_inv(self.mat)
+        inv = mat_inverse_unimodular(self.mat)
         corners = [
-            _mat2_vec(self.mat, c)
+            mat_vec(self.mat, c)
             for c in (
                 patch.rect.lo,
                 patch.rect.hi,
@@ -579,14 +550,10 @@ class PatchSymmetry:
         hi = (max(c[0] for c in corners), max(c[1] for c in corners))
         rect = Rect(lo, hi)
         tiles = tuple(
-            self.table[patch.get(*_mat2_vec(inv, (x, y)))] for (x, y) in rect.cells()
+            self.table[patch.get(*mat_vec(inv, (x, y)))] for (x, y) in rect.cells()
         )
-        parity = tuple(c % 2 for c in _mat2_vec(self.mat, patch.parity))
+        parity = tuple(c % 2 for c in mat_vec(self.mat, patch.parity))
         return RobinsonPatch(rect, tiles, parity)  # type: ignore[arg-type]
-
-
-def apply_symmetry(sym: PatchSymmetry, patch: RobinsonPatch) -> RobinsonPatch:
-    return sym.apply(patch)
 
 
 def dihedral_group() -> list[PatchSymmetry]:
@@ -762,32 +729,9 @@ def load_patch_text(text: str) -> RobinsonPatch:
     return RobinsonPatch(rect, tuple(tiles), (p1, p2))
 
 
-def _load_palette() -> list[tuple[int, int, int]]:
-    text = resources.files("subsym.data").joinpath("palette256.txt").read_text()
-    out = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        r, g, b = (int(v) for v in line.split())
-        out.append((r, g, b))
-    if len(out) < 256:
-        raise ValidationError("palette file must provide 256 entries")
-    return out
-
-
 def render_ppm(patch: RobinsonPatch, scale: int = 8) -> bytes:
     """P6 image, one palette color per tile id."""
-    palette = _load_palette()
-    w, h = patch.width * scale, patch.height * scale
-    (x0, y0), (x1, y1) = patch.rect.lo, patch.rect.hi
-    rows = []
-    for y in range(y1, y0 - 1, -1):
-        row = bytearray()
-        for x in range(x0, x1 + 1):
-            row += bytes(palette[patch.get(x, y)]) * scale
-        rows.extend([bytes(row)] * scale)
-    return b"P6\n%d %d\n255\n" % (w, h) + b"".join(rows)
+    return ppm_image(patch.rect, patch.get, scale)
 
 
 _SVG_COLORS = {BLACK: "#202020", RED: "#c0342b"}

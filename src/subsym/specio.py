@@ -15,8 +15,10 @@ import json
 import math
 from dataclasses import dataclass
 from importlib import resources
+from typing import Callable
 
 from .errors import ValidationError
+from .lattice import Rect
 from .substitution import Alphabet, Pattern, RectSubstitution
 
 _REQUIRED_KEYS = {"name", "dim", "size", "alphabet", "rules"}
@@ -223,16 +225,30 @@ def render_pattern_ppm(p: Pattern, scale: int = 8) -> bytes:
     """P6 image of a 2d pattern using the shared palette."""
     if p.dim != 2:
         raise ValidationError("ppm rendering requires a 2d pattern")
-    from .robinson import _load_palette
+    return ppm_image(p.rect(), lambda x, y: p.get((x, y)), scale)
 
+
+def _load_palette() -> list[bytes]:
+    text = resources.files("subsym.data").joinpath("palette256.txt").read_text()
+    out = []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        r, g, b = (int(v) for v in line.split())
+        out.append(bytes((r, g, b)))
+    if len(out) < 256:
+        raise ValidationError("palette file must provide 256 entries")
+    return out
+
+
+def ppm_image(rect: Rect, color_of: Callable[[int, int], int], scale: int) -> bytes:
+    """P6 image of a 2d box, top row first; color_of(x, y) is a palette index."""
     palette = _load_palette()
-    r = p.rect()
-    ext = r.extent()
-    w, h = ext[0] * scale, ext[1] * scale
+    (x0, y0), (x1, y1) = rect.lo, rect.hi
     rows = []
-    for y in range(r.hi[1], r.lo[1] - 1, -1):
-        row = bytearray()
-        for x in range(r.lo[0], r.hi[0] + 1):
-            row += bytes(palette[p.get((x, y))]) * scale
-        rows.extend([bytes(row)] * scale)
+    for y in range(y1, y0 - 1, -1):
+        row = b"".join(palette[color_of(x, y)] * scale for x in range(x0, x1 + 1))
+        rows.extend([row] * scale)
+    w, h = (x1 - x0 + 1) * scale, (y1 - y0 + 1) * scale
     return b"P6\n%d %d\n255\n" % (w, h) + b"".join(rows)

@@ -7,14 +7,16 @@ them up to shifts).  Extended-symmetry candidates range over the signed
 permutations of the axes; the checker first looks for an exact rule-table
 equality at some alignment power and only then falls back to bounded
 language comparison, whose positive outcome is reported as evidence, not
-proof.
+proof.  Both the automorphisms and the exact path share one relabeling
+solver, `conjugating_relabelings`: for a primitive substitution a
+conjugating relabeling is fixed by the image of symbol 0, so n candidates
+replace the n! permutations.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import CapExceeded, ScopeError, ValidationError
@@ -43,25 +45,12 @@ def _require_primitive_bijective(theta: RectSubstitution, what: str) -> None:
 def relabel_automorphisms(theta: RectSubstitution) -> list[Relabeling]:
     """All symbol permutations tau with tau(theta(a)_k) = theta(tau(a))_k.
 
-    The commutation criterion is checked position by position; candidates
-    failing already at position 0 are pruned before the full scan.
+    This is `conjugating_relabelings` at A = I: each tau is fixed by tau(0)
+    and found by propagating the commutation through every position.
     """
     _require_primitive_bijective(theta, "relabel_automorphisms")
-    n = len(theta.alphabet)
-    support = list(theta.support().cells())
-    first = support[0]
-    pm0 = tuple(theta.rule(a).get(first) for a in range(n))
-    out = []
-    for perm in itertools.permutations(range(n)):
-        if any(perm[pm0[a]] != pm0[perm[a]] for a in range(n)):
-            continue
-        if all(
-            perm[theta.rule(a).get(k)] == theta.rule(perm[a]).get(k)
-            for a in range(n)
-            for k in support
-        ):
-            out.append(perm)
-    _assert_subgroup(out, n)
+    out = conjugating_relabelings(theta, SignedPerm.identity(theta.dim))
+    _assert_subgroup(out, len(theta.alphabet))
     return out
 
 
@@ -143,6 +132,25 @@ class SizeMismatch:
     permuted: Vec
 
 
+def _size_mismatch(size: Vec, a: SignedPerm) -> SizeMismatch | None:
+    if a.dim != len(size):
+        raise ValidationError("matrix dimension mismatch")
+    permuted = tuple(size[i] for i in a.inverse_perm())
+    return SizeMismatch(size, permuted) if permuted != size else None
+
+
+def _re_anchoring(size: Vec, a: SignedPerm) -> list[int]:
+    """r as flat cell indices: cell k of [0, s-1] goes to A k re-anchored into [0, s-1].
+
+    Requires A to fix the size vector (see `_size_mismatch`).
+    """
+    axes = [(i, math.prod(size[:j]), size[j] - 1) for j, i in enumerate(a.inverse_perm())]
+    return [
+        sum((top - k[i] if a.signs[i] else k[i]) * stride for i, stride, top in axes)
+        for k in Rect.box(size).cells()
+    ]
+
+
 def transformed_substitution(
     theta: RectSubstitution, a: SignedPerm, tau: Relabeling
 ) -> RectSubstitution | SizeMismatch:
@@ -153,31 +161,57 @@ def transformed_substitution(
     the rule for sym.  Returns SizeMismatch if A's permutation part moves
     the size vector.
     """
-    if a.dim != theta.dim:
-        raise ValidationError("matrix dimension mismatch")
-    s = theta.size
-    inv = a.inverse_perm()
-    permuted = tuple(s[inv[j]] for j in range(a.dim))
-    if permuted != s:
-        return SizeMismatch(s, permuted)
-    n = len(theta.alphabet)
-
-    def re_anchor(k: Vec) -> Vec:
-        return tuple(
-            k[inv[j]] if a.signs[inv[j]] == 0 else s[j] - 1 - k[inv[j]]
-            for j in range(a.dim)
-        )
-
-    box = Rect.box(s)
-    new_rules: list[Pattern | None] = [None] * n
-    for sym in range(n):
-        patch = theta.rule(sym)
-        buf = bytearray(len(patch.cells))
-        out = Pattern(patch.anchor, patch.extent, bytes(buf))
-        for k in box.cells():
-            buf[out.index_of(re_anchor(k))] = tau[patch.get(k)]
+    mismatch = _size_mismatch(theta.size, a)
+    if mismatch is not None:
+        return mismatch
+    r = _re_anchoring(theta.size, a)
+    new_rules: list[Pattern | None] = [None] * len(theta.alphabet)
+    for sym, patch in enumerate(theta.rules):
+        buf = bytearray(len(r))
+        for k, c in enumerate(patch.cells):
+            buf[r[k]] = tau[c]
         new_rules[tau[sym]] = Pattern(patch.anchor, patch.extent, bytes(buf))
-    return RectSubstitution(theta.alphabet, s, tuple(new_rules))  # type: ignore[arg-type]
+    return RectSubstitution(theta.alphabet, theta.size, tuple(new_rules))  # type: ignore[arg-type]
+
+
+def conjugating_relabelings(theta: RectSubstitution, a: SignedPerm) -> list[Relabeling]:
+    """Every tau with transformed_substitution(theta, a, tau) == theta, by increasing tau(0).
+
+    With P_k(x) = theta(x)_k the condition is tau . P_k = P_r(k) . tau for
+    every cell k, r being the re-anchoring of A.  Setting tau(0) = c and
+    propagating through every P_k fixes tau on each symbol reachable from
+    0, which for primitive theta is every symbol (the tau(0) argument for
+    constant-length substitutions of Coven, Dekking and Keane).  c is
+    rejected on a conflict, an unreached symbol or a non-injective tau, so
+    the n candidates cost O(n^2 |S|) in all.  Distinct solutions differ at
+    0, hence they come in lexicographic order.
+    """
+    if _size_mismatch(theta.size, a) is not None:
+        return []
+    r = _re_anchoring(theta.size, a)
+    rules = [patch.cells for patch in theta.rules]
+    moved = [bytes(cells[i] for i in r) for cells in rules]  # moved[z][k] = P_r(k)(z)
+    solutions = (_propagate(rules, moved, c) for c in range(len(rules)))
+    return [tau for tau in solutions if tau is not None]
+
+
+def _propagate(rules: list[bytes], moved: list[bytes], c: int) -> Relabeling | None:
+    """The tau with tau(0) = c forced by tau(P_k(x)) = P_r(k)(tau(x)), or None."""
+    n = len(rules)
+    tau = [-1] * n
+    tau[0] = c
+    todo = [0]
+    while todo:
+        x = todo.pop()
+        for y, v in zip(rules[x], moved[tau[x]]):
+            if tau[y] < 0:
+                tau[y] = v
+                todo.append(y)
+            elif tau[y] != v:
+                return None
+    if -1 in tau or len(set(tau)) < n:
+        return None
+    return tuple(tau)
 
 
 EXACT_YES = "ExactYes"
@@ -230,17 +264,17 @@ def extended_symmetry_check(
 
     Fast path: if some relabeling makes the transformed rule table of some
     power theta^m equal theta^m exactly, the rigid map is a genuine
-    extended symmetry (ExactYes).  Otherwise bounded language comparison
-    for cube shapes up to `depth` either finds a witness pattern on one
-    side only (RefutedAt) or reports agreement (VerifiedUpTo - explicitly
-    not a proof).
+    extended symmetry (ExactYes).  Such relabelings are fixed by tau(0), so
+    `conjugating_relabelings` tries n candidates per power, not n!.
+    Otherwise bounded language comparison for cube shapes up to `depth`
+    either finds a witness pattern on one side only (RefutedAt) or reports
+    agreement (VerifiedUpTo - explicitly not a proof).  `depth` must be at
+    least 2, the smallest shape compared.
     """
+    if depth < 2:
+        raise ValidationError("depth must be >= 2: no shape below 2 is compared")
     _require_primitive_bijective(theta, "extended_symmetry_check")
-    n = len(theta.alphabet)
-    taus = list(itertools.permutations(range(n)))
-
-    probe = transformed_substitution(theta, a, taus[0])
-    if isinstance(probe, SizeMismatch):
+    if _size_mismatch(theta.size, a) is not None:
         return SymmetryCandidate(a, SIZE_MISMATCH)
 
     for m in _alignment_powers(theta, m_cap):
@@ -248,31 +282,24 @@ def extended_symmetry_check(
             theta_m = power(theta, m)
         except CapExceeded:
             break
-        hits = []
-        for tau in taus:
-            cand = transformed_substitution(theta_m, a, tau)
-            assert not isinstance(cand, SizeMismatch)
-            if all(
-                cand.rule(sym).cells == theta_m.rule(sym).cells for sym in range(n)
-            ):
-                hits.append(tau)
+        hits = conjugating_relabelings(theta_m, a)
         if hits:
             return SymmetryCandidate(
                 a, EXACT_YES, tau=hits[0], taus=tuple(hits), align_power=m
             )
 
-    return _language_comparison(theta, a, taus, depth)
+    return _language_comparison(theta, a, depth)
 
 
 def _language_comparison(
-    theta: RectSubstitution, a: SignedPerm, taus: list[Relabeling], depth: int
+    theta: RectSubstitution, a: SignedPerm, depth: int
 ) -> SymmetryCandidate:
     shapes = [(side,) * theta.dim for side in range(2, depth + 1)]
     base: dict[Vec, PatchLanguage] = {
         sh: patch_language(theta, sh, mode="minimal") for sh in shapes
     }
     first_witness: tuple[Pattern, str] | None = None
-    for tau in taus:
+    for tau in itertools.permutations(range(len(theta.alphabet))):
         cand = transformed_substitution(theta, a, tau)
         assert not isinstance(cand, SizeMismatch)
         agree = True
@@ -330,19 +357,14 @@ def sym_group_report(
     """Run the symmetry check over the whole hyperoctahedral group.
 
     The ExactYes subset is checked for closure under composition and
-    inverse, including compatibility of the relabelings; the result is
-    deterministic regardless of the thread count.
+    inverse, including compatibility of the relabelings.  `threads` is
+    accepted for compatibility and starts no thread: each matrix costs
+    milliseconds of interpreter-bound work that threads cannot overlap.
     """
-    group = signed_perm_group(theta.dim)
-
-    def job(a: SignedPerm) -> SymmetryCandidate:
-        return extended_symmetry_check(theta, a, depth=depth)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(job, group))
-    else:
-        results = [job(a) for a in group]
+    results = [
+        extended_symmetry_check(theta, a, depth=depth)
+        for a in signed_perm_group(theta.dim)
+    ]
 
     by_a = {c.a: c for c in results}
     exact = [c for c in results if c.verdict == EXACT_YES]

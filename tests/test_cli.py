@@ -247,3 +247,19 @@ def test_threads_env_fallback(monkeypatch):
     code, out, _ = run_cli("sym", "tm1d", "--depth", "2")
     assert code == 0
     assert "psi_image_order=2" in out
+
+
+@pytest.mark.parametrize("depth", ["1", "0", "-2"])
+def test_sym_depth_below_two_exits_2(depth):
+    code, out, err = run_cli("sym", "rig3", "--depth", depth)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, env", [(["--threads", "-5"], None), ([], "abc")])
+def test_bad_thread_count_exits_2(monkeypatch, argv, env):
+    if env is not None:
+        monkeypatch.setenv("SUBSYM_THREADS", env)
+    code, out, err = run_cli(*argv, "sym", "tm1d", "--depth", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1

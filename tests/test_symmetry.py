@@ -1,15 +1,20 @@
 import itertools
+import random
 
 import pytest
 
 from subsym.errors import ScopeError, ValidationError
 from subsym.lattice import Rect, SignedPerm, signed_perm_group
+from subsym.specio import bundled_substitution
 from subsym.substitution import (
+    Alphabet,
     Pattern,
+    RectSubstitution,
     apply,
     complement_pattern,
     corner_fixed,
     is_bijective,
+    power,
 )
 from subsym.symmetry import (
     EXACT_YES,
@@ -18,6 +23,7 @@ from subsym.symmetry import (
     SizeMismatch,
     aut_group_description,
     compose_relabelings,
+    conjugating_relabelings,
     extended_symmetry_check,
     fracture_normal_witness,
     non_axis_fracture_refuter,
@@ -79,6 +85,92 @@ def test_aut_description_scope_error(dbl):
         aut_group_description(dbl)
 
 
+# -- relabeling solver against the n! search it replaced ----------------------------
+
+def cyclic(n):
+    """The rule a -> (a, a+1 mod n) on n symbols."""
+    rules = tuple(Pattern((0,), (2,), bytes([a, (a + 1) % n])) for a in range(n))
+    return RectSubstitution(Alphabet(tuple(str(a) for a in range(n))), (2,), rules)
+
+
+def transform_oracle(theta, a, tau):
+    """Cell-by-cell conjugation by (A, tau); None when A moves the size vector."""
+    s = theta.size
+    inv = a.inverse_perm()
+    if tuple(s[inv[j]] for j in range(a.dim)) != s:
+        return None
+
+    def re_anchor(k):
+        return tuple(
+            k[inv[j]] if a.signs[inv[j]] == 0 else s[j] - 1 - k[inv[j]]
+            for j in range(a.dim)
+        )
+
+    new_rules = [None] * len(theta.alphabet)
+    for sym in range(len(theta.alphabet)):
+        patch = theta.rule(sym)
+        buf = bytearray(len(patch.cells))
+        for k in Rect.box(s).cells():
+            buf[patch.index_of(re_anchor(k))] = tau[patch.get(k)]
+        new_rules[tau[sym]] = Pattern(patch.anchor, patch.extent, bytes(buf))
+    return RectSubstitution(theta.alphabet, s, tuple(new_rules))
+
+
+def relabel_oracle(theta, a):
+    """Every permutation, in lexicographic order, whose conjugate is theta."""
+    return [
+        tau
+        for tau in itertools.permutations(range(len(theta.alphabet)))
+        if transform_oracle(theta, a, tau) == theta
+    ]
+
+
+def seeded_conjugate(seed):
+    """A bundled or cyclic rule conjugated by a random relabeling and axis map."""
+    rng = random.Random(seed)
+    base = rng.choice(["tm1d", "tm2d", "tm3d", "cyc3", "rig3", 4, 5])
+    theta = cyclic(base) if isinstance(base, int) else bundled_substitution(base)
+    tau = tuple(rng.sample(range(len(theta.alphabet)), len(theta.alphabet)))
+    d = theta.dim
+    a = SignedPerm(tuple(rng.sample(range(d), d)), tuple(rng.randrange(2) for _ in range(d)))
+    return transform_oracle(theta, a, tau)
+
+
+@pytest.mark.parametrize(
+    "source, powers",
+    [(name, (m,)) for name in ("tm1d", "tm2d", "tm3d", "cyc3", "rig3") for m in (1, 2, 3)]
+    + [(n, (1, 2, 3)) for n in range(3, 7)]
+    + [(f"seed{i}", (1, 2)) for i in range(20)],
+)
+def test_conjugating_relabelings_match_oracle(source, powers):
+    if isinstance(source, int):
+        theta = cyclic(source)
+    elif source.startswith("seed"):
+        theta = seeded_conjugate(int(source[4:]))
+    else:
+        theta = bundled_substitution(source)
+    for m in powers:
+        theta_m = power(theta, m)
+        for a in signed_perm_group(theta.dim):
+            assert conjugating_relabelings(theta_m, a) == relabel_oracle(theta_m, a), (m, a)
+
+
+@pytest.mark.parametrize("tables", [((0, 1), (1, 1)), ((0, 0), (1, 0))])
+def test_conjugating_relabelings_sound_without_primitivity(tables):
+    # outside its scope the solver may miss relabelings, but never returns a
+    # non-injective map (first rule) or one with unreached symbols (second)
+    rules = tuple(Pattern((0,), (2,), bytes(t)) for t in tables)
+    theta = RectSubstitution(Alphabet(("0", "1")), (2,), rules)
+    for a in signed_perm_group(1):
+        assert set(conjugating_relabelings(theta, a)) <= set(relabel_oracle(theta, a))
+
+
+def test_cyclic8_reversal_exact():
+    cand = extended_symmetry_check(cyclic(8), SignedPerm((0,), (1,)))
+    assert cand.describe() == "ExactYes,tau=0,7,6,5,4,3,2,1"
+    assert cand.align_power == 8
+
+
 # -- transformed substitution ----------------------------------------------------
 
 def test_transform_identity(tm2d):
@@ -111,6 +203,14 @@ def test_transform_size_mismatch():
     out = transformed_substitution(theta, swap, (0, 1))
     assert isinstance(out, SizeMismatch)
     assert out.permuted == (3, 2)
+
+
+@pytest.mark.parametrize("name", ["tm1d", "tm2d", "tm3d", "cyc3", "rig3"])
+def test_transform_matches_cellwise_oracle(name):
+    theta = bundled_substitution(name)
+    for a in signed_perm_group(theta.dim):
+        for tau in itertools.permutations(range(len(theta.alphabet))):
+            assert transformed_substitution(theta, a, tau) == transform_oracle(theta, a, tau)
 
 
 def test_transform_geometry_oracle(tm2d):
@@ -179,6 +279,15 @@ def test_refuted_witness_is_genuine(rig3):
     assert cand.witness_missing_from == "original"
     lang = patch_language(rig3, w.extent, mode="minimal", max_depth=10)
     assert w.cells not in lang.patterns
+
+
+@pytest.mark.parametrize("depth", [1, 0, -2])
+def test_depth_below_two_rejected(rig3, depth):
+    # no shape is compared below depth 2, so a verdict there would be vacuous
+    with pytest.raises(ValidationError):
+        extended_symmetry_check(rig3, SignedPerm((0,), (1,)), depth=depth)
+    with pytest.raises(ValidationError):
+        sym_group_report(rig3, depth=depth)
 
 
 def test_size_mismatch_verdict():
