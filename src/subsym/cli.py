@@ -13,8 +13,8 @@ import os
 import sys
 from pathlib import Path
 
+from . import __version__, specio
 from . import robinson as rob
-from . import specio
 from .errors import SubsymError, ValidationError
 from .language import patch_language
 from .lattice import Rect
@@ -132,7 +132,10 @@ def cmd_patch(args) -> int:
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(","))
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise ValidationError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def cmd_point(args) -> int:
@@ -154,7 +157,7 @@ def cmd_lang(args) -> int:
     shape = _parse_ints(args.shape)
     cache_path = None
     if args.cache_dir:
-        key = f"{specio.spec_digest(spec)}-{args.shape}-{args.mode}-{args.depth}"
+        key = f"{specio.spec_digest(spec)}-{shape}-{args.mode}-{args.depth}-{__version__}"
         digest = hashlib.sha256(key.encode()).hexdigest()[:16]
         cache_path = Path(args.cache_dir) / f"lang-{digest}.txt"
         if cache_path.exists():
@@ -164,7 +167,10 @@ def cmd_lang(args) -> int:
     dump = specio.dump_language(lang.shape, lang.patterns)
     if cache_path is not None:
         cache_path.parent.mkdir(parents=True, exist_ok=True)
-        cache_path.write_text(dump)
+        # a killed run must not leave a torn entry for later runs to serve
+        tmp = cache_path.with_suffix(f".{os.getpid()}.tmp")
+        tmp.write_text(dump)
+        os.replace(tmp, cache_path)
     _write_out(args, dump)
     print(
         f"# patterns={len(lang.patterns)} depth={lang.depth_reached} "
@@ -361,7 +367,7 @@ def main(argv=None) -> int:
     except SubsymError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

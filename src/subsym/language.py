@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CapExceeded, ScopeError, ValidationError
-from .lattice import Vec
+from .lattice import Rect, Vec
 from .substitution import (
     DEFAULT_CELL_CAP,
     Pattern,
@@ -86,25 +86,25 @@ def patch_language(
         raise ValidationError("max_depth must be >= 1")
     if any(x < 1 for x in shape) or len(shape) != theta.dim:
         raise ValidationError(f"bad shape {shape}")
-    roots = _root_patterns(theta, mode)
+    keys, depth, stabilized = _grow(theta, _root_patterns(theta, mode), shape, max_depth, cell_cap)
+    return PatchLanguage(tuple(shape), mode, frozenset(keys), depth, stabilized)
+
+
+def _grow(theta: RectSubstitution, patches: list[Pattern], shape: Vec, max_depth: int,
+          cell_cap: int) -> tuple[set[bytes], int, bool]:
+    """Inflate the roots level by level, collecting shape-windows, until a
+    level adds nothing new; returns (windows, depth reached, stabilized)."""
     seen: set[bytes] = set()
-    depth = 0
-    stabilized = False
-    patches = roots
     for depth in range(1, max_depth + 1):
-        grown = []
-        for p in patches:
-            if p.rect().cell_count() * math.prod(theta.size) > cell_cap:
-                raise CapExceeded("language generation exceeded the cell cap")
-            grown.append(apply(theta, p))
-        patches = grown
+        if any(p.rect().cell_count() * math.prod(theta.size) > cell_cap for p in patches):
+            raise CapExceeded("language generation exceeded the cell cap")
+        patches = [apply(theta, p) for p in patches]
         before = len(seen)
         for p in patches:
             seen.update(p.subpattern_keys(shape))
         if depth > 1 and len(seen) == before and seen:
-            stabilized = True
-            break
-    return PatchLanguage(tuple(shape), mode, frozenset(seen), depth, stabilized)
+            return seen, depth, True
+    return seen, depth, False
 
 
 @dataclass(frozen=True)
@@ -146,18 +146,8 @@ def periodicity_scan(theta: RectSubstitution, radius: int) -> PeriodicityReport:
     d = theta.dim
     shape = (2 * radius,) * d
     # union over every symbol's expansions; works for non-primitive input too
-    seen: set[bytes] = set()
-    depth = 0
-    stabilized = False
-    patches = [Pattern.single((0,) * d, a) for a in range(len(theta.alphabet))]
-    for depth in range(1, DEFAULT_MAX_DEPTH + 1):
-        patches = [apply(theta, p) for p in patches]
-        before = len(seen)
-        for p in patches:
-            seen.update(p.subpattern_keys(shape))
-        if depth > 1 and len(seen) == before and seen:
-            stabilized = True
-            break
+    roots = [Pattern.single((0,) * d, a) for a in range(len(theta.alphabet))]
+    seen, depth, stabilized = _grow(theta, roots, shape, DEFAULT_MAX_DEPTH, DEFAULT_CELL_CAP)
     zero = (0,) * d
     pats = [Pattern(zero, shape, c) for c in seen]
     periods = []
@@ -170,9 +160,9 @@ def periodicity_scan(theta: RectSubstitution, radius: int) -> PeriodicityReport:
 
 
 def _is_periodic(p: Pattern, v: Vec) -> bool:
+    """p agrees with itself translated by v wherever both are defined;
+    v must be shorter than p along every axis."""
     r = p.rect()
-    for k in r.cells():
-        kk = tuple(x + y for x, y in zip(k, v))
-        if r.contains(kk) and p.get(kk) != p.get(k):
-            return False
-    return True
+    overlap = Rect(tuple(max(l, l - x) for l, x in zip(r.lo, v)),
+                   tuple(min(h, h - x) for h, x in zip(r.hi, v)))
+    return p.subpattern(overlap).cells == p.subpattern(overlap.translate(v)).cells

@@ -11,12 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapExceeded, ScopeError, SearchFailure, ValidationError
-from .lattice import Rect, Vec, vadd, vmod, vsub, zero
+from .lattice import Rect, Vec, vadd, vfloordiv, vmod, vsub, zero
 from .substitution import (
     DEFAULT_CELL_CAP,
     Pattern,
     RectSubstitution,
     Seed,
+    _inflate,
     corner_order,
     fixed_seeds,
     is_bijective,
@@ -85,6 +86,8 @@ class AddressablePoint:
                 "seed is not fixed by the substitution; "
                 "replace theta by a corner-fixing power first"
             )
+        if shift is not None and len(shift) != theta.dim:
+            raise ValidationError(f"shift {shift} does not have {theta.dim} coordinates")
         self.theta = theta
         self.seed = seed
         self.shift = shift if shift is not None else zero(theta.dim)
@@ -134,15 +137,21 @@ class AddressablePoint:
         return sym
 
     def window(self, r: Rect, cell_cap: int = DEFAULT_CELL_CAP) -> Pattern:
-        """Materialize symbol_at over an inclusive rect."""
+        """The point on an inclusive rect.  The unshifted point is theta-fixed,
+        so on a box B it is a crop of theta applied to it on floor(B / s)."""
         n = r.cell_count()
         if n > cell_cap:
             raise CapExceeded(f"window of {n} cells exceeds cap {cell_cap}")
-        buf = bytearray(n)
-        out = Pattern(r.lo, r.extent(), bytes(n))
-        for k in r.cells():
-            buf[out.index_of(k)] = self.symbol_at(k)
-        return Pattern(r.lo, r.extent(), bytes(buf))
+        fixed = r.translate(vsub(zero(self.dim), self.shift))
+        return self._fixed_window(fixed).translate(self.shift)
+
+    def _fixed_window(self, b: Rect) -> Pattern:
+        seed = self.seed.pattern()  # the recursion ends inside {-1, 0}^d
+        if seed.rect().contains_rect(b):
+            return seed.subpattern(b)
+        s = self.theta.size
+        coarse = Rect(vfloordiv(b.lo, s), vfloordiv(b.hi, s))
+        return _inflate(self.theta, self._fixed_window(coarse)).subpattern(b)
 
     def phi(self, precision: int) -> OdometerCoord:
         """Odometer coordinate: the underlying fixed point maps to 0."""

@@ -710,13 +710,15 @@ def load_patch_text(text: str) -> RobinsonPatch:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("parity="):
         raise ValidationError("patch file must start with a parity header")
-    p1, p2 = (int(v) for v in lines[0].split("=", 1)[1].split(","))
     body = lines[1:]
     anchor = (0, 0)
-    if body and body[0].startswith("anchor="):
-        ax, ay = (int(v) for v in body[0].split("=", 1)[1].split(","))
-        anchor = (ax, ay)
-        body = body[1:]
+    try:
+        p1, p2 = (int(v) for v in lines[0].split("=", 1)[1].split(","))
+        if body and body[0].startswith("anchor="):
+            ax, ay = (int(v) for v in body.pop(0).split("=", 1)[1].split(","))
+            anchor = (ax, ay)
+    except ValueError:
+        raise ValidationError("parity and anchor headers need two integers") from None
     rows = [ln.split() for ln in body]
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise ValidationError("patch rows must be nonempty and of equal length")

@@ -10,7 +10,6 @@ are rejected; every diagnostic carries the offending path.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from typing import Callable
 
 from .errors import ValidationError
 from .lattice import Rect
-from .substitution import Alphabet, Pattern, RectSubstitution
+from .substitution import Alphabet, Pattern, RectSubstitution, _run_starts
 
 _REQUIRED_KEYS = {"name", "dim", "size", "alphabet", "rules"}
 
@@ -198,26 +197,19 @@ def glyph_for(symbol: int) -> str:
 def render_pattern_text(p: Pattern) -> str:
     """One char per cell; rows printed top to bottom, 3d+ slices separated
     by blank lines (last coordinate outermost)."""
-    r = p.rect()
+    text, w = "".join(map(glyph_for, p.cells)), p.extent[0]
+    rows = [text[i : i + w] for i in _run_starts(p.extent, (0,) * p.dim, p.extent)]
     if p.dim == 1:
-        return "".join(glyph_for(p.get((x,))) for x in range(r.lo[0], r.hi[0] + 1)) + "\n"
+        return rows[0] + "\n"
+    h = p.extent[1]
+    r = p.rect()
     lines = []
-    outer_axes = list(range(2, p.dim))
-    outer_ranges = [range(r.lo[a], r.hi[a] + 1) for a in reversed(outer_axes)]
-    first_block = True
-    for outer in itertools.product(*outer_ranges) if outer_axes else [()]:
-        if not first_block:
+    for j, outer in enumerate(Rect(r.lo[2:], r.hi[2:]).cells()):
+        if j:
             lines.append("")
-        first_block = False
-        if outer_axes:
-            coords = ",".join(str(v) for v in reversed(outer))
-            lines.append(f"[slice {coords}]")
-        for y in range(r.hi[1], r.lo[1] - 1, -1):
-            row = []
-            for x in range(r.lo[0], r.hi[0] + 1):
-                k = (x, y) + tuple(reversed(outer))
-                row.append(glyph_for(p.get(k)))
-            lines.append("".join(row))
+        if outer:
+            lines.append(f"[slice {','.join(str(v) for v in outer)}]")
+        lines.extend(reversed(rows[j * h : (j + 1) * h]))
     return "\n".join(lines) + "\n"
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import CapExceeded, ScopeError, ValidationError
-from .lattice import Rect, Vec, spow, vadd, vmul, zero
+from .lattice import Rect, Vec, spow, vadd, vmul, vsub, zero
 
 #: Default cap on materialized pattern cells; theta^m grows exponentially,
 #: beyond this callers must go through the lazy point queries.
@@ -47,7 +47,7 @@ class Pattern:
     (column-major in matrix terms).
     """
 
-    __slots__ = ("anchor", "extent", "cells", "_strides")
+    __slots__ = ("anchor", "extent", "cells")
 
     def __init__(self, anchor: Vec, extent: Vec, cells: bytes) -> None:
         if len(anchor) != len(extent):
@@ -59,10 +59,6 @@ class Pattern:
         self.anchor = anchor
         self.extent = extent
         self.cells = bytes(cells)
-        strides = [1] * len(extent)
-        for i in range(1, len(extent)):
-            strides[i] = strides[i - 1] * extent[i - 1]
-        self._strides = tuple(strides)
 
     @classmethod
     def single(cls, anchor: Vec, symbol: int) -> "Pattern":
@@ -76,15 +72,10 @@ class Pattern:
         while isinstance(probe, (list, tuple)):
             dims.append(len(probe))
             probe = probe[0]
-        extent = tuple(reversed(dims))
-        buf = bytearray(math.prod(extent))
-        pat = cls(anchor, extent, bytes(buf))
-        for k in pat.rect().cells():
-            node = rows
-            for c in reversed(tuple(x - a for x, a in zip(k, anchor))):
-                node = node[c]
-            buf[pat.index_of(k)] = node
-        return cls(anchor, extent, bytes(buf))
+        # the nesting already lists the cells in cell order
+        for _ in dims[1:]:
+            rows = [c for sub in rows for c in sub]
+        return cls(anchor, tuple(reversed(dims)), bytes(rows))
 
     @property
     def dim(self) -> int:
@@ -94,7 +85,7 @@ class Pattern:
         return Rect(self.anchor, tuple(a + e - 1 for a, e in zip(self.anchor, self.extent)))
 
     def index_of(self, k: Vec) -> int:
-        return sum((x - a) * st for x, a, st in zip(k, self.anchor, self._strides))
+        return _run_starts(self.extent, vsub(k, self.anchor), (1,) * self.dim)[0]
 
     def get(self, k: Vec) -> int:
         return self.cells[self.index_of(k)]
@@ -112,26 +103,22 @@ class Pattern:
     def subpattern(self, r: Rect) -> "Pattern":
         if not self.rect().contains_rect(r):
             raise ValidationError("subpattern rect outside pattern support")
-        ext = r.extent()
-        buf = bytearray(r.cell_count())
-        out = Pattern(r.lo, ext, bytes(buf))
-        for k in r.cells():
-            buf[out.index_of(k)] = self.get(k)
-        return Pattern(r.lo, ext, bytes(buf))
+        ext, cells = r.extent(), self.cells
+        starts = _run_starts(self.extent, vsub(r.lo, self.anchor), ext)
+        return Pattern(r.lo, ext, b"".join(cells[i : i + ext[0]] for i in starts))
 
     def subpattern_keys(self, shape: Vec) -> Iterator[bytes]:
         """Cell buffers of every `shape`-window inside this pattern."""
         if any(sh > e for sh, e in zip(shape, self.extent)):
             return
-        offs = [range(e - sh + 1) for sh, e in zip(shape, self.extent)]
-        rel_idx = [
-            sum(c * st for c, st in zip(k, self._strides))
-            for k in Rect.box(shape).cells()
-        ]
-        cells = self.cells
-        for rev in itertools.product(*reversed(offs)):
-            base = sum(c * st for c, st in zip(reversed(rev), self._strides))
-            yield bytes(cells[base + ri] for ri in rel_idx)
+        origin, w, full, cells = zero(self.dim), shape[0], self.extent[0], self.cells
+        offsets = tuple(e - sh + 1 for sh, e in zip(shape, self.extent))
+        strip_rows = _run_starts(self.extent, origin, shape)
+        # the full-width rows under each outer offset, then every axis-0 window of them
+        for base in _run_starts(self.extent, origin, offsets):
+            strip = [cells[base + i : base + i + full] for i in strip_rows]
+            for x in range(offsets[0]):
+                yield b"".join(row[x : x + w] for row in strip)
 
     def __eq__(self, other) -> bool:
         return (
@@ -188,26 +175,43 @@ class RectSubstitution:
         return hash((self.alphabet.names, self.size, tuple(r.cells for r in self.rules)))
 
 
+def _run_starts(extent: Vec, lo: Vec, shape: Vec) -> list[int]:
+    """Flat offsets, in cell order, of the axis-0 runs of the box lo + [0, shape - 1]
+    in a buffer of the given extent: the one place that knows the cell layout.
+
+    Coordinate 0 is fastest, so each run is shape[0] contiguous cells.
+    """
+    starts = [lo[0]]
+    stride = 1
+    for i in range(1, len(extent)):
+        stride *= extent[i - 1]
+        starts = [b + (lo[i] + j) * stride for j in range(shape[i]) for b in starts]
+    return starts
+
+
+def _inflate(theta: RectSubstitution, p: Pattern) -> Pattern:
+    """`apply` without the cell cap."""
+    s, origin = theta.size, zero(p.dim)
+    rows = [p.cells[i : i + p.extent[0]] for i in _run_starts(p.extent, origin, p.extent)]
+    rule_rows = [[r.cells[i : i + s[0]] for r in theta.rules] for i in _run_starts(s, origin, s)]
+    # images[m * K + k] is input row m read through rule row k; along each
+    # outer axis, output row y takes m = y // s and k = y % s
+    images = [b"".join(map(rr.__getitem__, row)) for row in rows for rr in rule_rows]
+    order = [0]
+    m_stride, k_stride = len(rule_rows), 1
+    for pe, se in zip(p.extent[1:], s[1:]):
+        order = [i + y // se * m_stride + y % se * k_stride for y in range(pe * se) for i in order]
+        m_stride, k_stride = m_stride * pe, k_stride * se
+    cells = b"".join(images[i] for i in order)
+    return Pattern(vmul(p.anchor, s), vmul(p.extent, s), cells)
+
+
 def apply(theta: RectSubstitution, p: Pattern) -> Pattern:
     """Cellwise image: output cell at m*s + k is theta(p_m)_k."""
-    s = theta.size
-    anchor = vmul(p.anchor, s)
-    extent = vmul(p.extent, s)
-    n_cells = math.prod(extent)
+    n_cells = math.prod(vmul(p.extent, theta.size))
     if n_cells > DEFAULT_CELL_CAP:
         raise CapExceeded(f"apply would materialize {n_cells} cells")
-    buf = bytearray(n_cells)
-    out = Pattern(anchor, extent, bytes(n_cells))
-    box = Rect.box(s)
-    for m in p.rect().cells():
-        patch = theta.rule(p.get(m))
-        corner = vmul(m, s)
-        base = out.index_of(corner)
-        for k in box.cells():
-            buf[base + sum(x * st for x, st in zip(k, out._strides))] = patch.cells[
-                patch.index_of(k)
-            ]
-    return Pattern(anchor, extent, bytes(buf))
+    return _inflate(theta, p)
 
 
 def power(theta: RectSubstitution, m: int, cell_cap: int = DEFAULT_CELL_CAP) -> RectSubstitution:
@@ -352,12 +356,8 @@ class Seed:
 
     def pattern(self) -> Pattern:
         """As a 2x...x2 pattern anchored at (-1, ..., -1)."""
-        ext = (2,) * self.dim
-        buf = bytearray(1 << self.dim)
-        p = Pattern((-1,) * self.dim, ext, bytes(buf))
-        for u, sym in zip(corner_order(self.dim), self.symbols):
-            buf[p.index_of(u)] = sym
-        return Pattern((-1,) * self.dim, ext, bytes(buf))
+        box = Rect((-1,) * self.dim, (0,) * self.dim)
+        return Pattern(box.lo, box.extent(), bytes(map(self.corner, box.cells())))
 
 
 def _expansion_corner(u: Vec, size: Vec) -> Vec:

@@ -20,12 +20,13 @@ import math
 from dataclasses import dataclass
 
 from .errors import CapExceeded, ScopeError, ValidationError
-from .lattice import Rect, SignedPerm, Vec, signed_perm_group, spow
+from .lattice import Rect, SignedPerm, Vec, signed_perm_group, spow, unit
 from .points import HalfSpacePair, half_space_fracture_pair
 from .language import PatchLanguage, patch_language
 from .substitution import (
     Pattern,
     RectSubstitution,
+    _run_starts,
     corner_fixing_power,
     is_bijective,
     is_primitive,
@@ -144,7 +145,9 @@ def _re_anchoring(size: Vec, a: SignedPerm) -> list[int]:
 
     Requires A to fix the size vector (see `_size_mismatch`).
     """
-    axes = [(i, math.prod(size[:j]), size[j] - 1) for j, i in enumerate(a.inverse_perm())]
+    # _run_starts of the one-cell box at e_j is the flat stride of axis j
+    axes = [(i, _run_starts(size, unit(a.dim, j), (1,) * a.dim)[0], size[j] - 1)
+            for j, i in enumerate(a.inverse_perm())]
     return [
         sum((top - k[i] if a.signs[i] else k[i]) * stride for i, stride, top in axes)
         for k in Rect.box(size).cells()
@@ -433,14 +436,12 @@ def fracture_normal_witness(
     rect = Rect((-window,) * theta.dim, (window - 1,) * theta.dim)
     wx = pair.x.window(rect)
     wy = pair.y.window(rect)
-    equal_upper = True
-    unequal_lower = True
-    for k in rect.cells():
-        same = wx.get(k) == wy.get(k)
-        if k[axis] >= 0:
-            equal_upper &= same
-        else:
-            unequal_lower &= not same
+    upper = Rect(tuple(0 if i == axis else lo for i, lo in enumerate(rect.lo)), rect.hi)
+    lower = Rect(rect.lo, tuple(-1 if i == axis else hi for i, hi in enumerate(rect.hi)))
+    equal_upper = wx.subpattern(upper).cells == wy.subpattern(upper).cells
+    unequal_lower = all(
+        a != b for a, b in zip(wx.subpattern(lower).cells, wy.subpattern(lower).cells)
+    )
     return FractureWitness(pair, rect, equal_upper, unequal_lower)
 
 

@@ -172,6 +172,16 @@ def test_lang_dump_and_cache(tmp_path):
     assert shape == (2, 2) and len(cells) == 8
 
 
+def test_lang_cache_key_uses_parsed_shape(tmp_path):
+    cache = tmp_path / "cache"
+    outs = {
+        run_cli("lang", "tm2d", "--shape", shape, "--cache-dir", str(cache))[1]
+        for shape in ("2,2", "2, 2")
+    }
+    assert len(outs) == 1
+    assert len(list(cache.iterdir())) == len(list(cache.glob("lang-*.txt"))) == 1
+
+
 def test_fracture_witness_cli():
     code, out, _ = run_cli("fracture", "tm2d", "--axis", "1", "--window", "32")
     assert code == 0
@@ -263,3 +273,26 @@ def test_bad_thread_count_exits_2(monkeypatch, argv, env):
     code, out, err = run_cli(*argv, "sym", "tm1d", "--depth", "2")
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lang", "tm2d", "--shape", "2,x"],
+        ["point", "tm1d", "--seed", "1,0", "--shift", "1,q"],
+        ["fracture", "tm2d", "--refute", "1,x"],
+        ["point", "tm2d", "--seed", "0,0,0,0", "--shift", "1"],
+        ["analyze", "{dir}"],
+        ["robinson", "verify", "{dir}/parity_ab.txt"],
+        ["robinson", "verify", "{dir}/parity_0.txt"],
+        ["robinson", "verify", "{dir}/anchor_x.txt"],
+    ],
+)
+def test_malformed_input_exits_2(tmp_path, argv):
+    (tmp_path / "parity_ab.txt").write_text("parity=a,b\n3.0 3.0\n")
+    (tmp_path / "parity_0.txt").write_text("parity=0\n3.0 3.0\n")
+    (tmp_path / "anchor_x.txt").write_text("parity=0,0\nanchor=1,x\n3.0 3.0\n")
+    code, out, err = run_cli(*(a.format(dir=tmp_path) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err

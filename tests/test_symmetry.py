@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from oracles import transform_oracle
 
 from subsym.errors import ScopeError, ValidationError
 from subsym.lattice import Rect, SignedPerm, signed_perm_group
@@ -91,29 +92,6 @@ def cyclic(n):
     """The rule a -> (a, a+1 mod n) on n symbols."""
     rules = tuple(Pattern((0,), (2,), bytes([a, (a + 1) % n])) for a in range(n))
     return RectSubstitution(Alphabet(tuple(str(a) for a in range(n))), (2,), rules)
-
-
-def transform_oracle(theta, a, tau):
-    """Cell-by-cell conjugation by (A, tau); None when A moves the size vector."""
-    s = theta.size
-    inv = a.inverse_perm()
-    if tuple(s[inv[j]] for j in range(a.dim)) != s:
-        return None
-
-    def re_anchor(k):
-        return tuple(
-            k[inv[j]] if a.signs[inv[j]] == 0 else s[j] - 1 - k[inv[j]]
-            for j in range(a.dim)
-        )
-
-    new_rules = [None] * len(theta.alphabet)
-    for sym in range(len(theta.alphabet)):
-        patch = theta.rule(sym)
-        buf = bytearray(len(patch.cells))
-        for k in Rect.box(s).cells():
-            buf[patch.index_of(re_anchor(k))] = tau[patch.get(k)]
-        new_rules[tau[sym]] = Pattern(patch.anchor, patch.extent, bytes(buf))
-    return RectSubstitution(theta.alphabet, s, tuple(new_rules))
 
 
 def relabel_oracle(theta, a):
