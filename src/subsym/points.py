@@ -142,16 +142,16 @@ class AddressablePoint:
         n = r.cell_count()
         if n > cell_cap:
             raise CapExceeded(f"window of {n} cells exceeds cap {cell_cap}")
-        fixed = r.translate(vsub(zero(self.dim), self.shift))
-        return self._fixed_window(fixed).translate(self.shift)
-
-    def _fixed_window(self, b: Rect) -> Pattern:
-        seed = self.seed.pattern()  # the recursion ends inside {-1, 0}^d
-        if seed.rect().contains_rect(b):
-            return seed.subpattern(b)
-        s = self.theta.size
-        coarse = Rect(vfloordiv(b.lo, s), vfloordiv(b.hi, s))
-        return _inflate(self.theta, self._fixed_window(coarse)).subpattern(b)
+        b = r.translate(vsub(zero(self.dim), self.shift))
+        seed, s = self.seed.pattern(), self.theta.size
+        boxes = []  # B, floor(B / s), ... down to a box inside {-1, 0}^d
+        while not seed.rect().contains_rect(b):
+            boxes.append(b)
+            b = Rect(vfloordiv(b.lo, s), vfloordiv(b.hi, s))
+        p = seed.subpattern(b)
+        for b in reversed(boxes):
+            p = _inflate(self.theta, p).subpattern(b)
+        return p.translate(self.shift)
 
     def phi(self, precision: int) -> OdometerCoord:
         """Odometer coordinate: the underlying fixed point maps to 0."""

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -47,7 +48,7 @@ class Pattern:
     (column-major in matrix terms).
     """
 
-    __slots__ = ("anchor", "extent", "cells")
+    __slots__ = ("anchor", "extent", "cells", "_strides")
 
     def __init__(self, anchor: Vec, extent: Vec, cells: bytes) -> None:
         if len(anchor) != len(extent):
@@ -59,6 +60,7 @@ class Pattern:
         self.anchor = anchor
         self.extent = extent
         self.cells = bytes(cells)
+        self._strides = _strides(extent)
 
     @classmethod
     def single(cls, anchor: Vec, symbol: int) -> "Pattern":
@@ -85,7 +87,7 @@ class Pattern:
         return Rect(self.anchor, tuple(a + e - 1 for a, e in zip(self.anchor, self.extent)))
 
     def index_of(self, k: Vec) -> int:
-        return _run_starts(self.extent, vsub(k, self.anchor), (1,) * self.dim)[0]
+        return sum((x - a) * st for x, a, st in zip(k, self.anchor, self._strides))
 
     def get(self, k: Vec) -> int:
         return self.cells[self.index_of(k)]
@@ -175,17 +177,16 @@ class RectSubstitution:
         return hash((self.alphabet.names, self.size, tuple(r.cells for r in self.rules)))
 
 
-def _run_starts(extent: Vec, lo: Vec, shape: Vec) -> list[int]:
-    """Flat offsets, in cell order, of the axis-0 runs of the box lo + [0, shape - 1]
-    in a buffer of the given extent: the one place that knows the cell layout.
+def _strides(extent: Vec) -> tuple[int, ...]:
+    """Flat offset of one step along each axis: the one place that knows the cell layout."""
+    return tuple(itertools.accumulate(extent[:-1], operator.mul, initial=1))
 
-    Coordinate 0 is fastest, so each run is shape[0] contiguous cells.
-    """
+
+def _run_starts(extent: Vec, lo: Vec, shape: Vec) -> list[int]:
+    """Flat offsets, in cell order, of the shape[0]-cell axis-0 runs of lo + [0, shape - 1]."""
     starts = [lo[0]]
-    stride = 1
-    for i in range(1, len(extent)):
-        stride *= extent[i - 1]
-        starts = [b + (lo[i] + j) * stride for j in range(shape[i]) for b in starts]
+    for x, n, stride in zip(lo[1:], shape[1:], _strides(extent)[1:]):
+        starts = [b + (x + j) * stride for j in range(n) for b in starts]
     return starts
 
 

@@ -20,13 +20,13 @@ import math
 from dataclasses import dataclass
 
 from .errors import CapExceeded, ScopeError, ValidationError
-from .lattice import Rect, SignedPerm, Vec, signed_perm_group, spow, unit
+from .lattice import Rect, SignedPerm, Vec, signed_perm_group, spow
 from .points import HalfSpacePair, half_space_fracture_pair
 from .language import PatchLanguage, patch_language
 from .substitution import (
     Pattern,
     RectSubstitution,
-    _run_starts,
+    _strides,
     corner_fixing_power,
     is_bijective,
     is_primitive,
@@ -145,9 +145,8 @@ def _re_anchoring(size: Vec, a: SignedPerm) -> list[int]:
 
     Requires A to fix the size vector (see `_size_mismatch`).
     """
-    # _run_starts of the one-cell box at e_j is the flat stride of axis j
-    axes = [(i, _run_starts(size, unit(a.dim, j), (1,) * a.dim)[0], size[j] - 1)
-            for j, i in enumerate(a.inverse_perm())]
+    strides = _strides(size)
+    axes = [(i, strides[j], size[j] - 1) for j, i in enumerate(a.inverse_perm())]
     return [
         sum((top - k[i] if a.signs[i] else k[i]) * stride for i, stride, top in axes)
         for k in Rect.box(size).cells()

@@ -146,3 +146,14 @@ def test_window_inner_levels_ignore_apply_cap(name, monkeypatch):
         apply(theta, Pattern((0,) * d, (side,) * d, bytes(side**d)))
     assert x.window(r, cell_cap=side**d) == want
 
+
+
+@pytest.mark.parametrize("name", ["tm1d", "tm2d"])
+def test_window_far_shift_has_no_depth_limit(name):
+    # about 1100 levels between the window and the seed, beyond the recursion limit
+    theta = bundled_substitution(name)
+    d = theta.dim
+    for v in (2**1100 + 7, -(2**1100) - 3):
+        x = lazy_point(theta).with_shift((v,) * d)
+        for r in (Rect.centered(d, 2), Rect((v - 1,) * d, (v + 2,) * d)):
+            assert x.window(r) == window_oracle(x, r), (v, r)
