@@ -160,23 +160,27 @@ def cmd_lang(args) -> int:
         key = f"{specio.spec_digest(spec)}-{shape}-{args.mode}-{args.depth}-{__version__}"
         digest = hashlib.sha256(key.encode()).hexdigest()[:16]
         cache_path = Path(args.cache_dir) / f"lang-{digest}.txt"
-        if cache_path.exists():
-            _write_out(args, cache_path.read_text())
+        entry = cache_path.read_text() if cache_path.exists() else ""
+        # an entry is the stats line, then the dump; one without the stats line is rebuilt
+        if entry.startswith("# patterns="):
+            stats, dump = entry.split("\n", 1)
+            _write_out(args, dump)
+            print(stats, file=sys.stderr)
             return 0
     lang = patch_language(theta, shape, mode=args.mode, max_depth=args.depth)
     dump = specio.dump_language(lang.shape, lang.patterns)
+    stats = (
+        f"# patterns={len(lang.patterns)} depth={lang.depth_reached} "
+        f"stabilized={'yes' if lang.stabilized else 'no'}"
+    )
     if cache_path is not None:
         cache_path.parent.mkdir(parents=True, exist_ok=True)
         # a killed run must not leave a torn entry for later runs to serve
         tmp = cache_path.with_suffix(f".{os.getpid()}.tmp")
-        tmp.write_text(dump)
+        tmp.write_text(stats + "\n" + dump)
         os.replace(tmp, cache_path)
     _write_out(args, dump)
-    print(
-        f"# patterns={len(lang.patterns)} depth={lang.depth_reached} "
-        f"stabilized={'yes' if lang.stabilized else 'no'}",
-        file=sys.stderr,
-    )
+    print(stats, file=sys.stderr)
     return 0
 
 

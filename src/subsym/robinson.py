@@ -17,12 +17,14 @@ Local rules:
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
 from .errors import CapExceeded, ScopeError, ValidationError
-from .lattice import IntMatrix, Rect, mat_inverse_unimodular, mat_mul, mat_vec
+from .lattice import IntMatrix, Rect, mat_inverse_unimodular, mat_mul, mat_vec, vsub
 from .specio import ppm_image
+from .substitution import _run_starts
 
 # Edge indices.
 N, E, S, W = 0, 1, 2, 3
@@ -135,27 +137,29 @@ class RobinsonTile:
         return f"{self.kind}.{self.rot}" + ("M" if self.mirror else "")
 
 
-def _build_tiles() -> tuple[list[RobinsonTile], dict[Signature, int]]:
+def _build_tiles() -> tuple[list[RobinsonTile], dict[Signature, int], dict[tuple[int, int, int], int]]:
+    """The 28 tiles, their ids by signature, and by (kind, rot, mirror) spelling."""
     tiles: list[RobinsonTile] = []
     by_sig: dict[Signature, int] = {}
+    by_spelling: dict[tuple[int, int, int], int] = {}
     for kind in range(1, 6):
         for mirror in (0, 1):
             for rot in range(4):
                 paths = _transform_paths(_BASE_PATHS[kind], rot, mirror)
                 sig = _signature_of(paths)
-                if sig in by_sig:
-                    continue
-                tid = len(tiles)
-                tiles.append(RobinsonTile(tid, kind, rot, mirror, sig, paths))
-                by_sig[sig] = tid
+                if sig not in by_sig:
+                    by_sig[sig] = len(tiles)
+                    tiles.append(RobinsonTile(len(tiles), kind, rot, mirror, sig, paths))
+                by_spelling[(kind, rot, mirror)] = by_sig[sig]
     if len(tiles) != 28:
         raise AssertionError(
             f"decoration table self-check failed: {len(tiles)} distinct tiles"
         )
-    return tiles, by_sig
+    return tiles, by_sig, by_spelling
 
 
-TILES, _SIG_TO_ID = _build_tiles()
+TILES, _SIG_TO_ID, _SPELLING_TO_ID = _build_tiles()
+_TOKENS = tuple(t.token() for t in TILES)
 CROSS_KIND = 3
 
 
@@ -163,18 +167,16 @@ def enumerate_tiles() -> list[RobinsonTile]:
     return list(TILES)
 
 
+@functools.lru_cache(maxsize=64)  # a patch file repeats a few dozen spellings
 def tile_by_token(token: str) -> RobinsonTile:
     mirror = 1 if token.endswith("M") else 0
     body = token[:-1] if mirror else token
     try:
         kind_s, rot_s = body.split(".")
-        kind, rot = int(kind_s), int(rot_s)
-    except ValueError:
+        # the table holds every kind 1-5 with every rotation 0-3
+        return TILES[_SPELLING_TO_ID[(int(kind_s), int(rot_s), mirror)]]
+    except (ValueError, KeyError):
         raise ValidationError(f"bad tile token {token!r}") from None
-    if kind not in _BASE_PATHS or not 0 <= rot <= 3:
-        raise ValidationError(f"bad tile token {token!r}")
-    sig = _signature_of(_transform_paths(_BASE_PATHS[kind], rot, mirror))
-    return TILES[_SIG_TO_ID[sig]]
 
 
 def _sig_rot(sig: Signature) -> Signature:
@@ -252,19 +254,25 @@ class Violation:
     detail: str
 
 
+@dataclass(frozen=True, slots=True)
 class RobinsonPatch:
-    """Finite grid of tile ids plus the chosen cross-lattice parity."""
+    """Finite grid of tile ids plus the chosen cross-lattice parity.
 
-    __slots__ = ("rect", "tiles", "parity")
+    `tiles` (any sequence of ids, stored as bytes) is in `Pattern`'s cell
+    layout: x varies fastest, so each row is one slice of `width` bytes.
+    """
 
-    def __init__(self, rect: Rect, tiles: tuple[int, ...], parity: tuple[int, int]):
-        if rect.dim != 2:
+    rect: Rect
+    tiles: bytes
+    parity: tuple[int, int]
+
+    def __post_init__(self) -> None:
+        if self.rect.dim != 2:
             raise ValidationError("robinson patches are two-dimensional")
-        if len(tiles) != rect.cell_count():
+        if len(self.tiles) != self.rect.cell_count():
             raise ValidationError("tile buffer does not match support")
-        self.rect = rect
-        self.tiles = tuple(tiles)
-        self.parity = (parity[0] % 2, parity[1] % 2)
+        object.__setattr__(self, "tiles", bytes(self.tiles))
+        object.__setattr__(self, "parity", (self.parity[0] % 2, self.parity[1] % 2))
 
     @property
     def width(self) -> int:
@@ -278,35 +286,31 @@ class RobinsonPatch:
         x0, y0 = self.rect.lo
         return self.tiles[(x - x0) + self.width * (y - y0)]
 
+    def rows(self, r: Rect | None = None) -> list[bytes]:
+        """The rows of the sub-box r (default: the whole patch), bottom first."""
+        r = r or self.rect
+        starts = _run_starts(self.rect.extent(), vsub(r.lo, self.rect.lo), r.extent())
+        return [self.tiles[i : i + r.extent()[0]] for i in starts]
+
     def subpatch(self, r: Rect) -> "RobinsonPatch":
         if not self.rect.contains_rect(r):
             raise ValidationError("subpatch outside support")
-        cells = tuple(self.get(x, y) for (x, y) in r.cells())
-        return RobinsonPatch(r, cells, self.parity)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RobinsonPatch)
-            and self.rect == other.rect
-            and self.tiles == other.tiles
-            and self.parity == other.parity
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rect, self.tiles, self.parity))
+        return RobinsonPatch(r, b"".join(self.rows(r)), self.parity)
 
 
 def verify_patch(patch: RobinsonPatch) -> list[Violation]:
     """All rule violations inside the patch (empty list means locally valid)."""
     out: list[Violation] = []
-    (x0, y0), (x1, y1) = patch.rect.lo, patch.rect.hi
+    x0, y0 = patch.rect.lo
     p1, p2 = patch.parity
-    for y in range(y0, y1 + 1):
-        for x in range(x0, x1 + 1):
-            t = patch.get(x, y)
-            if x < x1 and not _EAST_OK[t][patch.get(x + 1, y)]:
+    rows = patch.rows()
+    for j, (row, above) in enumerate(zip(rows, rows[1:] + [b""])):
+        y = y0 + j
+        for i, t in enumerate(row):
+            x = x0 + i
+            if i + 1 < len(row) and not _EAST_OK[t][row[i + 1]]:
                 out.append(Violation("mismatch", (x, y), "east neighbor"))
-            if y < y1 and not _NORTH_OK[t][patch.get(x, y + 1)]:
+            if above and not _NORTH_OK[t][above[i]]:
                 out.append(Violation("mismatch", (x, y), "north neighbor"))
             on_coset = (x % 2, y % 2) == (p1, p2)
             if on_coset and not is_cross(t):
@@ -384,30 +388,37 @@ _ARM_TILES = {
     for c in (False, True)
 }
 
-_SUB_ORIENT = {
-    (False, False): "NE",
-    (True, False): "NW",
-    (False, True): "SE",
-    (True, True): "SW",
-}
+_CROSS = {o: cross_tile(o) for o in ORIENTATIONS}
 
 
-def supertile_cell(n: int, orient: str, x: int, y: int) -> int:
-    """Tile id at local position (x, y) of the order-n supertile."""
-    if n == 1:
-        return cross_tile(orient)
-    c = (1 << (n - 1)) - 1
-    if x == c and y == c:
-        return cross_tile(orient)
-    if x == c or y == c:
-        if x == c:
-            edge, t = (N, y - c) if y > c else (S, c - y)
-        else:
-            edge, t = (E, x - c) if x > c else (W, c - x)
-        return _ARM_TILES[(orient, edge, t == 1 << (n - 2))]
-    qx, qy = x > c, y > c
-    sub = _SUB_ORIENT[(qx, qy)]
-    return supertile_cell(n - 1, sub, x - (c + 1) if qx else x, y - (c + 1) if qy else y)
+def _arm_run(orient: str, edge: int, n: int, length: int) -> bytes:
+    """The `length` outermost cells of the order-n arm toward `edge`, outer end first.
+
+    The crossing cell sits 2^(n-2) cells from the center: the middle one of
+    the 2^(n-1) - 1 arm cells, so a whole arm reads the same from either end.
+    """
+    crossing = (1 << (n - 2)) - 1
+    return bytes(_ARM_TILES[(orient, edge, i == crossing)] for i in range(length))
+
+
+def _supertile_rows(n: int) -> dict[str, list[bytes]]:
+    """Rows, bottom first, of the order-n supertile of each orientation.
+
+    Order k is the four inward-facing order-(k-1) supertiles, named after
+    the corner they face whatever the orientation is, joined by the arm
+    row and the arm column (Robinson 1971).
+    """
+    level = {o: [bytes([_CROSS[o]])] for o in ORIENTATIONS}
+    for k in range(2, n + 1):
+        c = (1 << (k - 1)) - 1
+        ne, nw, se, sw = (level[o] for o in ORIENTATIONS)
+        level = {
+            o: [a + bytes([t]) + b for a, t, b in zip(ne, _arm_run(o, S, k, c), nw)]
+            + [_arm_run(o, W, k, c) + bytes([_CROSS[o]]) + _arm_run(o, E, k, c)]
+            + [a + bytes([t]) + b for a, t, b in zip(se, _arm_run(o, N, k, c), sw)]
+            for o in ORIENTATIONS
+        }
+    return level
 
 
 def supertile(n: int, orient: str = "NE", cap: int = _DEFAULT_SUPERTILE_CAP) -> RobinsonPatch:
@@ -417,27 +428,34 @@ def supertile(n: int, orient: str = "NE", cap: int = _DEFAULT_SUPERTILE_CAP) -> 
     if not 1 <= n <= cap:
         raise CapExceeded(f"supertile order {n} outside [1, {cap}]")
     side = (1 << n) - 1
-    rect = Rect.box((side, side))
-    tiles = tuple(supertile_cell(n, orient, x, y) for (x, y) in rect.cells())
-    return RobinsonPatch(rect, tiles, (0, 0))
+    return RobinsonPatch(Rect.box((side, side)), b"".join(_supertile_rows(n)[orient]), (0, 0))
 
 
-def _infinite_supertile_cell(orient: str, dx: int, dy: int) -> int:
-    """Cell of the quadrant-filling limit supertile, indexed by the distance
-    from its corner nearest the origin."""
-    n = 1
-    while (1 << n) - 1 <= max(dx, dy):
-        n += 1
-    side = (1 << n) - 1
-    if orient == "NE":
-        lx, ly = dx, dy
-    elif orient == "NW":
-        lx, ly = side - 1 - dx, dy
-    elif orient == "SE":
-        lx, ly = dx, side - 1 - dy
-    else:
-        lx, ly = side - 1 - dx, side - 1 - dy
-    return supertile_cell(n, orient, lx, ly)
+def _limit_row(blocks: dict[str, list[bytes]], orient: str, d: int, width: int) -> bytes:
+    """The `width` cells nearest the corner of row d (counted from the
+    corner) of the quadrant-filling limit supertile `orient`.
+
+    The limit is the union of the order-n supertiles `orient` that share
+    that corner, since the corner block of each is the one before it.  Row
+    d is reached by one level per base-2 digit of d, down to the smallest
+    order m at least `width` wide; `blocks` is `_supertile_rows(m)`.
+    """
+    west = orient[1] == "W"  # a west-facing block has its corner at the right end
+    m = width.bit_length()
+    n = max(m, (d + 1).bit_length())
+    y = d if orient[0] == "N" else (1 << n) - 2 - d
+    while n > m:
+        c = (1 << (n - 1)) - 1
+        if y == c:
+            run = _arm_run(orient, E if west else W, n, width)
+            return run[::-1] if west else run
+        top = y > c
+        if top:
+            y -= c + 1
+        orient = ("S" if top else "N") + ("W" if west else "E")  # faces the center
+        n -= 1
+    row = blocks[orient][y]
+    return row[-width:] if west else row[:width]
 
 
 _TILE1_POINTING = {
@@ -446,28 +464,11 @@ _TILE1_POINTING = {
 }
 
 
-def _four_quadrant_cell(x: int, y: int, uniform: str, dy_right: int = 0) -> int:
-    """One cell of the four-supertile point, optionally with the open right
-    half-plane (x >= 1) shifted vertically by dy_right."""
-    if x >= 1 and dy_right:
-        return _four_quadrant_cell(x, y - dy_right, uniform, 0)
-    if x == 0 and y == 0:
-        return _TILE1_POINTING[N if uniform == "vertical" else E]
-    if x == 0:
-        if uniform == "vertical":
-            return _TILE1_POINTING[N]
-        return _TILE1_POINTING[S if y > 0 else N]
-    if y == 0:
-        if uniform == "horizontal":
-            return _TILE1_POINTING[E]
-        return _TILE1_POINTING[W if x > 0 else E]
-    if x > 0 and y > 0:
-        return _infinite_supertile_cell("NE", x - 1, y - 1)
-    if x < 0 and y > 0:
-        return _infinite_supertile_cell("NW", -1 - x, y - 1)
-    if x > 0:
-        return _infinite_supertile_cell("SE", x - 1, -1 - y)
-    return _infinite_supertile_cell("SW", -1 - x, -1 - y)
+def _half_row(blocks: dict[str, list[bytes]], y: int, n: int, vertical: bool, east: bool) -> bytes:
+    """Cells x = 1..n (east) or x = -n..-1 of row y of the four-supertile point."""
+    if y == 0:  # the horizontal strip: uniform, or pointing toward the center
+        return bytes([_TILE1_POINTING[W if east and vertical else E]]) * n
+    return _limit_row(blocks, ("N" if y > 0 else "S") + ("E" if east else "W"), abs(y) - 1, n)
 
 
 def four_quadrant_window(
@@ -485,15 +486,22 @@ def four_quadrant_window(
 def _shifted_window(
     n: int, dy_right: int, arm_config: str = "vertical", cap: int = 256
 ) -> RobinsonPatch:
+    """The four-supertile window with the open right half-plane (x >= 1)
+    shifted vertically by dy_right, built row by row."""
     if arm_config not in ("vertical", "horizontal"):
         raise ValidationError("arm_config must be 'vertical' or 'horizontal'")
     if not 1 <= n <= cap:
         raise CapExceeded(f"window radius {n} outside [1, {cap}]")
-    rect = Rect((-n, -n), (n, n))
-    tiles = tuple(
-        _four_quadrant_cell(x, y, arm_config, dy_right) for (x, y) in rect.cells()
-    )
-    return RobinsonPatch(rect, tiles, (1, 1))
+    vertical, blocks = arm_config == "vertical", _supertile_rows(n.bit_length())
+    rows = []
+    for y in range(-n, n + 1):
+        axis = N if vertical or y < 0 else S if y > 0 else E
+        rows.append(
+            _half_row(blocks, y, n, vertical, False)
+            + bytes([_TILE1_POINTING[axis]])
+            + _half_row(blocks, y - dy_right, n, vertical, True)
+        )
+    return RobinsonPatch(Rect((-n, -n), (n, n)), b"".join(rows), (1, 1))
 
 
 def fracture_shift_demo(n: int, k: int, cap: int = 256) -> RobinsonPatch:
@@ -536,22 +544,18 @@ class PatchSymmetry:
         )
 
     def apply(self, patch: RobinsonPatch) -> RobinsonPatch:
-        inv = mat_inverse_unimodular(self.mat)
-        corners = [
-            mat_vec(self.mat, c)
-            for c in (
-                patch.rect.lo,
-                patch.rect.hi,
-                (patch.rect.lo[0], patch.rect.hi[1]),
-                (patch.rect.hi[0], patch.rect.lo[1]),
-            )
-        ]
-        lo = (min(c[0] for c in corners), min(c[1] for c in corners))
-        hi = (max(c[0] for c in corners), max(c[1] for c in corners))
-        rect = Rect(lo, hi)
-        tiles = tuple(
-            self.table[patch.get(*mat_vec(inv, (x, y)))] for (x, y) in rect.cells()
-        )
+        # a signed permutation sends opposite corners of the box to opposite corners
+        u, v = mat_vec(self.mat, patch.rect.lo), mat_vec(self.mat, patch.rect.hi)
+        rect = Rect(tuple(map(min, u, v)), tuple(map(max, u, v)))
+        # the flat index of the source cell inv (x, y) is linear in x and y
+        (a, b), (c, d) = mat_inverse_unimodular(self.mat)
+        (x0, y0), w = patch.rect.lo, patch.width
+        sx, sy = a + w * c, b + w * d
+        (lx, ly), (hx, hy) = rect.lo, rect.hi
+        starts = [sx * lx + sy * y - x0 - w * y0 for y in range(ly, hy + 1)]
+        rows = (range(i, i + sx * (hx - lx + 1), sx) for i in starts)
+        relabel = bytes(self.table) + bytes(range(len(self.table), 256))
+        tiles = b"".join(bytes(map(patch.tiles.__getitem__, r)) for r in rows).translate(relabel)
         parity = tuple(c % 2 for c in mat_vec(self.mat, patch.parity))
         return RobinsonPatch(rect, tiles, parity)  # type: ignore[arg-type]
 
@@ -700,9 +704,7 @@ def save_patch_text(patch: RobinsonPatch) -> str:
         f"parity={patch.parity[0]},{patch.parity[1]}",
         f"anchor={patch.rect.lo[0]},{patch.rect.lo[1]}",
     ]
-    (x0, y0), (x1, y1) = patch.rect.lo, patch.rect.hi
-    for y in range(y1, y0 - 1, -1):
-        lines.append(" ".join(TILES[patch.get(x, y)].token() for x in range(x0, x1 + 1)))
+    lines += (" ".join(map(_TOKENS.__getitem__, row)) for row in reversed(patch.rows()))
     return "\n".join(lines) + "\n"
 
 
@@ -719,21 +721,19 @@ def load_patch_text(text: str) -> RobinsonPatch:
             anchor = (ax, ay)
     except ValueError:
         raise ValidationError("parity and anchor headers need two integers") from None
-    rows = [ln.split() for ln in body]
-    if not rows or any(len(r) != len(rows[0]) for r in rows):
+    widths = {len(ln.split()) for ln in body}
+    if len(widths) != 1:
         raise ValidationError("patch rows must be nonempty and of equal length")
-    height, width = len(rows), len(rows[0])
+    (width,), height = widths, len(body)
     rect = Rect(anchor, (anchor[0] + width - 1, anchor[1] + height - 1))
-    tiles = []
-    for y in range(height):
-        for x in range(width):
-            tiles.append(tile_by_token(rows[height - 1 - y][x]).tid)
-    return RobinsonPatch(rect, tuple(tiles), (p1, p2))
+    # one row of tokens at a time, bottom row first: the first bad token in cell order is reported
+    tiles = b"".join(bytes(tile_by_token(t).tid for t in ln.split()) for ln in reversed(body))
+    return RobinsonPatch(rect, tiles, (p1, p2))
 
 
 def render_ppm(patch: RobinsonPatch, scale: int = 8) -> bytes:
     """P6 image, one palette color per tile id."""
-    return ppm_image(patch.rect, patch.get, scale)
+    return ppm_image(patch.rect.extent(), patch.tiles, scale)
 
 
 _SVG_COLORS = {BLACK: "#202020", RED: "#c0342b"}
@@ -741,7 +741,6 @@ _SVG_COLORS = {BLACK: "#202020", RED: "#c0342b"}
 
 def render_svg(patch: RobinsonPatch, cell: int = 24) -> str:
     """SVG 1.1 render with arrow glyphs per tile."""
-    (x0, y0), (x1, y1) = patch.rect.lo, patch.rect.hi
     width, height = patch.width * cell, patch.height * cell
     q = cell / 4.0
     parts = [
@@ -761,23 +760,23 @@ def render_svg(patch: RobinsonPatch, cell: int = 24) -> str:
     parts.append(
         f'<rect width="{width}" height="{height}" fill="white" stroke="none"/>'
     )
-    for (gx, gy) in patch.rect.cells():
-        tile = TILES[patch.get(gx, gy)]
-        ox = (gx - x0) * cell
-        oy = (y1 - gy) * cell
-        parts.append(
-            f'<rect x="{ox}" y="{oy}" width="{cell}" height="{cell}" '
-            f'fill="none" stroke="#d9d9d9" stroke-width="0.5"/>'
-        )
-        for color, pts, heads in tile.paths:
-            coords = [(ox + px * q, oy + (4 - py) * q) for px, py in pts]
-            d = "M " + " L ".join(f"{cx:.2f} {cy:.2f}" for cx, cy in coords)
-            markers = f'marker-end="url(#arrow{color})"'
-            if heads == "both":
-                markers += f' marker-start="url(#arrow{color})"'
+    for j, row in enumerate(patch.rows()):
+        oy = (patch.height - 1 - j) * cell
+        for i, tid in enumerate(row):
+            ox = i * cell
             parts.append(
-                f'<path d="{d}" fill="none" stroke="{_SVG_COLORS[color]}" '
-                f'stroke-width="1.2" {markers}/>'
+                f'<rect x="{ox}" y="{oy}" width="{cell}" height="{cell}" '
+                f'fill="none" stroke="#d9d9d9" stroke-width="0.5"/>'
             )
+            for color, pts, heads in TILES[tid].paths:
+                coords = [(ox + px * q, oy + (4 - py) * q) for px, py in pts]
+                d = "M " + " L ".join(f"{cx:.2f} {cy:.2f}" for cx, cy in coords)
+                markers = f'marker-end="url(#arrow{color})"'
+                if heads == "both":
+                    markers += f' marker-start="url(#arrow{color})"'
+                parts.append(
+                    f'<path d="{d}" fill="none" stroke="{_SVG_COLORS[color]}" '
+                    f'stroke-width="1.2" {markers}/>'
+                )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -14,10 +14,9 @@ import json
 import math
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable
 
 from .errors import ValidationError
-from .lattice import Rect
+from .lattice import Rect, Vec
 from .substitution import Alphabet, Pattern, RectSubstitution, _run_starts
 
 _REQUIRED_KEYS = {"name", "dim", "size", "alphabet", "rules"}
@@ -217,7 +216,7 @@ def render_pattern_ppm(p: Pattern, scale: int = 8) -> bytes:
     """P6 image of a 2d pattern using the shared palette."""
     if p.dim != 2:
         raise ValidationError("ppm rendering requires a 2d pattern")
-    return ppm_image(p.rect(), lambda x, y: p.get((x, y)), scale)
+    return ppm_image(p.extent, p.cells, scale)
 
 
 def _load_palette() -> list[bytes]:
@@ -234,13 +233,9 @@ def _load_palette() -> list[bytes]:
     return out
 
 
-def ppm_image(rect: Rect, color_of: Callable[[int, int], int], scale: int) -> bytes:
-    """P6 image of a 2d box, top row first; color_of(x, y) is a palette index."""
-    palette = _load_palette()
-    (x0, y0), (x1, y1) = rect.lo, rect.hi
-    rows = []
-    for y in range(y1, y0 - 1, -1):
-        row = b"".join(palette[color_of(x, y)] * scale for x in range(x0, x1 + 1))
-        rows.extend([row] * scale)
-    w, h = (x1 - x0 + 1) * scale, (y1 - y0 + 1) * scale
-    return b"P6\n%d %d\n255\n" % (w, h) + b"".join(rows)
+def ppm_image(extent: Vec, cells: bytes, scale: int) -> bytes:
+    """P6 image of a 2d cell buffer in `Pattern`'s layout, top row first; cells are palette indices."""
+    scaled = [color * scale for color in _load_palette()]
+    w, h = extent
+    rows = [b"".join(map(scaled.__getitem__, cells[i : i + w])) for i in _run_starts(extent, (0, 0), extent)]
+    return b"P6\n%d %d\n255\n" % (w * scale, h * scale) + b"".join(r for r in reversed(rows) for _ in range(scale))

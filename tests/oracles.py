@@ -2,12 +2,16 @@
 
 Each function is the per-cell code that the row kernel in
 `subsym.substitution` replaced (index_of arithmetic on a throwaway
-Pattern).  The differential tests compare the fast paths against these.
+Pattern), or that the block assembly in `subsym.robinson` replaced (one
+recursion per cell).  The differential tests compare the fast paths
+against these.
 """
 
 import math
 
-from subsym.lattice import Rect, vadd, vmul
+from subsym import robinson as rob
+from subsym.lattice import Rect, mat_inverse_unimodular, mat_vec, vadd, vmul
+from subsym.robinson import E, N, S, W, RobinsonPatch, Violation
 from subsym.substitution import Pattern, RectSubstitution, corner_order
 
 
@@ -104,3 +108,120 @@ def transform_oracle(theta, a, tau):
             buf[patch.index_of(re_anchor(k))] = tau[patch.get(k)]
         new_rules[tau[sym]] = Pattern(patch.anchor, patch.extent, bytes(buf))
     return RectSubstitution(theta.alphabet, s, tuple(new_rules))
+
+
+# ---------------------------------------------------------------------------
+# Robinson: one recursion per cell
+# ---------------------------------------------------------------------------
+
+
+def supertile_cell(n, orient, x, y):
+    """Tile id at local position (x, y) of the order-n supertile."""
+    if n == 1:
+        return rob.cross_tile(orient)
+    c = (1 << (n - 1)) - 1
+    if x == c and y == c:
+        return rob.cross_tile(orient)
+    if x == c or y == c:
+        if x == c:
+            edge, t = (N, y - c) if y > c else (S, c - y)
+        else:
+            edge, t = (E, x - c) if x > c else (W, c - x)
+        return rob._ARM_TILES[(orient, edge, t == 1 << (n - 2))]
+    qx, qy = x > c, y > c
+    sub = {(False, False): "NE", (True, False): "NW", (False, True): "SE", (True, True): "SW"}[(qx, qy)]
+    return supertile_cell(n - 1, sub, x - (c + 1) if qx else x, y - (c + 1) if qy else y)
+
+
+def supertile_oracle(n, orient):
+    side = (1 << n) - 1
+    rect = Rect.box((side, side))
+    return RobinsonPatch(rect, tuple(supertile_cell(n, orient, x, y) for x, y in rect.cells()), (0, 0))
+
+
+def infinite_supertile_cell(orient, dx, dy):
+    """Cell of the quadrant-filling limit supertile, indexed by the distance
+    from its corner nearest the origin."""
+    n = 1
+    while (1 << n) - 1 <= max(dx, dy):
+        n += 1
+    side = (1 << n) - 1
+    if orient == "NE":
+        lx, ly = dx, dy
+    elif orient == "NW":
+        lx, ly = side - 1 - dx, dy
+    elif orient == "SE":
+        lx, ly = dx, side - 1 - dy
+    else:
+        lx, ly = side - 1 - dx, side - 1 - dy
+    return supertile_cell(n, orient, lx, ly)
+
+
+def four_quadrant_cell(x, y, uniform, dy_right=0):
+    """One cell of the four-supertile point, optionally with the open right
+    half-plane (x >= 1) shifted vertically by dy_right."""
+    pointing = rob._TILE1_POINTING
+    if x >= 1 and dy_right:
+        return four_quadrant_cell(x, y - dy_right, uniform, 0)
+    if x == 0 and y == 0:
+        return pointing[N if uniform == "vertical" else E]
+    if x == 0:
+        if uniform == "vertical":
+            return pointing[N]
+        return pointing[S if y > 0 else N]
+    if y == 0:
+        if uniform == "horizontal":
+            return pointing[E]
+        return pointing[W if x > 0 else E]
+    if x > 0 and y > 0:
+        return infinite_supertile_cell("NE", x - 1, y - 1)
+    if x < 0 and y > 0:
+        return infinite_supertile_cell("NW", -1 - x, y - 1)
+    if x > 0:
+        return infinite_supertile_cell("SE", x - 1, -1 - y)
+    return infinite_supertile_cell("SW", -1 - x, -1 - y)
+
+
+def shifted_window_oracle(n, dy_right, arm_config="vertical"):
+    rect = Rect((-n, -n), (n, n))
+    tiles = tuple(four_quadrant_cell(x, y, arm_config, dy_right) for x, y in rect.cells())
+    return RobinsonPatch(rect, tiles, (1, 1))
+
+
+def subpatch_oracle(patch, r):
+    return RobinsonPatch(r, tuple(patch.get(x, y) for x, y in r.cells()), patch.parity)
+
+
+def verify_patch_oracle(patch):
+    """Every rule violation, cell by cell in cell order."""
+    out = []
+    (x0, y0), (x1, y1) = patch.rect.lo, patch.rect.hi
+    p1, p2 = patch.parity
+    for y in range(y0, y1 + 1):
+        for x in range(x0, x1 + 1):
+            t = patch.get(x, y)
+            if x < x1 and not rob._EAST_OK[t][patch.get(x + 1, y)]:
+                out.append(Violation("mismatch", (x, y), "east neighbor"))
+            if y < y1 and not rob._NORTH_OK[t][patch.get(x, y + 1)]:
+                out.append(Violation("mismatch", (x, y), "north neighbor"))
+            on_coset = (x % 2, y % 2) == (p1, p2)
+            if on_coset and not rob.is_cross(t):
+                out.append(Violation("coset_not_cross", (x, y), rob.TILES[t].token()))
+            if rob.is_cross(t) and not on_coset:
+                if (x % 2, y % 2) != ((p1 + 1) % 2, (p2 + 1) % 2):
+                    out.append(Violation("stray_cross", (x, y), rob.TILES[t].token()))
+    return out
+
+
+def patch_symmetry_apply_oracle(g, patch):
+    """out(A k) = table[in(k)], one inverse lookup per output cell."""
+    inv = mat_inverse_unimodular(g.mat)
+    lo, hi = patch.rect.lo, patch.rect.hi
+    corners = [mat_vec(g.mat, c) for c in (lo, hi, (lo[0], hi[1]), (hi[0], lo[1]))]
+    rect = Rect(
+        (min(c[0] for c in corners), min(c[1] for c in corners)),
+        (max(c[0] for c in corners), max(c[1] for c in corners)),
+    )
+    tiles = tuple(g.table[patch.get(*mat_vec(inv, k))] for k in rect.cells())
+    parity = tuple(c % 2 for c in mat_vec(g.mat, patch.parity))
+    return RobinsonPatch(rect, tiles, parity)

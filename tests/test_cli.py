@@ -172,6 +172,22 @@ def test_lang_dump_and_cache(tmp_path):
     assert shape == (2, 2) and len(cells) == 8
 
 
+def test_lang_cache_hit_prints_what_the_miss_printed(tmp_path):
+    argv = ("lang", "tm2d", "--shape", "2,3", "--mode", "full", "--cache-dir", str(tmp_path))
+    miss, hit = run_cli(*argv), run_cli(*argv)
+    assert miss == hit
+    assert miss[2].startswith("# patterns=") and miss[1]
+
+
+def test_lang_cache_entry_without_stats_is_rebuilt(tmp_path):
+    argv = ("lang", "tm2d", "--shape", "2,2", "--cache-dir", str(tmp_path))
+    fresh = run_cli(*argv)
+    (entry,) = tmp_path.glob("lang-*.txt")
+    entry.write_text(fresh[1])  # an entry holding only the dump
+    assert run_cli(*argv) == fresh
+    assert entry.read_text().startswith("# patterns=")
+
+
 def test_lang_cache_key_uses_parsed_shape(tmp_path):
     cache = tmp_path / "cache"
     outs = {

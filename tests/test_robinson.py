@@ -375,6 +375,16 @@ def test_patch_text_bad_header():
         load_patch_text("3.0 3.1\n")
 
 
+def test_patch_text_body_errors():
+    # rows are checked for equal length first, then tokens in cell order (bottom row first)
+    with pytest.raises(ValidationError, match="equal length"):
+        load_patch_text("parity=0,0\n3.0 9.9\n3.0\n")
+    with pytest.raises(ValidationError, match="equal length"):
+        load_patch_text("parity=0,0\nanchor=1,1\n")
+    with pytest.raises(ValidationError, match="'x.1'"):
+        load_patch_text("parity=0,0\n3.0 9.9\nx.1 1.0\n")
+
+
 def test_render_ppm_header():
     st = supertile(2)
     data = render_ppm(st, scale=4)

@@ -3,17 +3,25 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 from oracles import (
     apply_oracle,
     from_rows_oracle,
+    infinite_supertile_cell,
+    patch_symmetry_apply_oracle,
     seed_pattern_oracle,
+    shifted_window_oracle,
+    subpatch_oracle,
     subpattern_keys_oracle,
     subpattern_oracle,
+    supertile_oracle,
+    verify_patch_oracle,
     window_oracle,
 )
 
+from subsym import robinson as rob
 from subsym import substitution
 from subsym.errors import CapExceeded
 from subsym.lattice import Rect
@@ -157,3 +165,93 @@ def test_window_far_shift_has_no_depth_limit(name):
         x = lazy_point(theta).with_shift((v,) * d)
         for r in (Rect.centered(d, 2), Rect((v - 1,) * d, (v + 2,) * d)):
             assert x.window(r) == window_oracle(x, r), (v, r)
+
+
+# -- Robinson: block assembly and flat tile buffers -------------------------------
+
+ARM_CONFIGS = ("vertical", "horizontal")
+
+
+@pytest.mark.parametrize("orient", rob.ORIENTATIONS)
+def test_supertile_matches_oracle(orient):
+    for n in range(1, 9):
+        assert rob.supertile(n, orient) == supertile_oracle(n, orient), n
+
+
+@pytest.mark.parametrize("arm_config", ARM_CONFIGS)
+def test_four_quadrant_window_matches_oracle(arm_config):
+    for r in (1, 2, 3, 7, 8, 15, 16, 31, 32, 33, 64, 256):
+        assert rob.four_quadrant_window(r, arm_config) == shifted_window_oracle(r, 0, arm_config), r
+
+
+@pytest.mark.parametrize("arm_config", ARM_CONFIGS)
+def test_shifted_window_matches_oracle(arm_config):
+    for r in (1, 3, 8, 16):
+        for dy in (-6, -1, 0, 1, 14):
+            want = shifted_window_oracle(r, dy, arm_config)
+            assert rob._shifted_window(r, dy, arm_config) == want, (r, dy)
+
+
+@pytest.mark.parametrize("orient", rob.ORIENTATIONS)
+def test_limit_row_walk_matches_oracle(orient):
+    # rows far beyond the cached order, arm rows (d = 2^j - 1) among them
+    for width in (1, 3, 4):
+        for d in [*range(40), 2**20 - 2, 2**20 - 1, 2**20, 3 * 2**30 + 5]:
+            got = rob._limit_row(rob._supertile_rows(width.bit_length()), orient, d, width)
+            # in x order; the corner is the right end of the row in the west-facing quadrants
+            want = bytes(infinite_supertile_cell(orient, dx, d) for dx in range(width))
+            assert (got[::-1] if orient[1] == "W" else got) == want, (width, d)
+
+
+def test_fracture_demo_far_shift_matches_oracle():
+    for k in (10**12, -(10**12)):
+        start = time.perf_counter()
+        patch = rob.fracture_shift_demo(4, k)
+        assert time.perf_counter() - start < 1.0
+        assert patch == shifted_window_oracle(4, 2 * k, "vertical")
+
+
+def _sample_patches():
+    return [
+        rob.supertile(5, "SW"),
+        rob.four_quadrant_window(9, "horizontal"),
+        rob.fracture_shift_demo(7, 3),
+    ]
+
+
+def test_subpatch_matches_oracle():
+    rng = random.Random(7)
+    for patch in _sample_patches():
+        (x0, y0), (x1, y1) = patch.rect.lo, patch.rect.hi
+        for _ in range(40):
+            xs = sorted(rng.randint(x0, x1) for _ in range(2))
+            ys = sorted(rng.randint(y0, y1) for _ in range(2))
+            r = Rect((xs[0], ys[0]), (xs[1], ys[1]))
+            assert patch.subpatch(r) == subpatch_oracle(patch, r)
+
+
+def test_dihedral_images_match_oracle():
+    for patch in _sample_patches() + [rob.supertile(1)]:
+        for g in rob.dihedral_group():
+            assert g.apply(patch) == patch_symmetry_apply_oracle(g, patch)
+
+
+def test_verify_patch_matches_oracle_on_swaps():
+    # the CLI prints the first 50 violations, so the list must agree in order too
+    rng = random.Random(11)
+    for trial in range(60):
+        patch = rng.choice(rob.dihedral_group()).apply(rng.choice(_sample_patches()))
+        tiles = bytearray(patch.tiles)
+        for _ in range(rng.randint(0, 5)):
+            i, j = rng.randrange(len(tiles)), rng.randrange(len(tiles))
+            tiles[i], tiles[j] = tiles[j], tiles[i]
+        parity = (rng.randint(0, 1), rng.randint(0, 1))
+        defective = rob.RobinsonPatch(patch.rect, bytes(tiles), parity)
+        assert rob.verify_patch(defective) == verify_patch_oracle(defective), trial
+
+
+def test_patch_stores_tile_ids_as_bytes():
+    ids = tuple(rob.supertile(2).tiles)
+    patch = rob.RobinsonPatch(Rect.box((3, 3)), ids, (2, 3))
+    assert isinstance(patch.tiles, bytes) and tuple(patch.tiles) == ids
+    assert patch == rob.RobinsonPatch(Rect.box((3, 3)), bytes(ids), (0, 1))
