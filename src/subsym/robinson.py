@@ -22,9 +22,9 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import CapExceeded, ScopeError, ValidationError
-from .lattice import IntMatrix, Rect, mat_inverse_unimodular, mat_mul, mat_vec, vsub
+from .lattice import IntMatrix, Rect, SignedPerm, vsub
 from .specio import ppm_image
-from .substitution import _run_starts
+from .substitution import _moved, _run_starts
 
 # Edge indices.
 N, E, S, W = 0, 1, 2, 3
@@ -522,41 +522,39 @@ def fracture_shift_demo(n: int, k: int, cap: int = 256) -> RobinsonPatch:
 class PatchSymmetry:
     """Lattice transform plus cellwise tile relabeling: out(A k) = table[in(k)]."""
 
-    mat: IntMatrix
+    a: SignedPerm
     table: tuple[int, ...]
 
     @classmethod
     def identity(cls) -> "PatchSymmetry":
-        return cls(((1, 0), (0, 1)), tuple(range(28)))
+        return cls(SignedPerm.identity(2), tuple(range(28)))
 
     @classmethod
     def rotation(cls) -> "PatchSymmetry":
-        return cls(((0, -1), (1, 0)), ROTATE_TABLE)
+        return cls(SignedPerm((1, 0), (0, 1)), ROTATE_TABLE)
 
     @classmethod
     def reflection(cls) -> "PatchSymmetry":
-        return cls(((-1, 0), (0, 1)), MIRROR_TABLE)
+        return cls(SignedPerm((0, 1), (1, 0)), MIRROR_TABLE)
+
+    @property
+    def mat(self) -> IntMatrix:
+        return self.a.matrix()
 
     def compose(self, other: "PatchSymmetry") -> "PatchSymmetry":
         return PatchSymmetry(
-            mat_mul(self.mat, other.mat),
+            self.a.compose(other.a),
             tuple(self.table[other.table[i]] for i in range(28)),
         )
 
     def apply(self, patch: RobinsonPatch) -> RobinsonPatch:
         # a signed permutation sends opposite corners of the box to opposite corners
-        u, v = mat_vec(self.mat, patch.rect.lo), mat_vec(self.mat, patch.rect.hi)
+        u, v = self.a.apply(patch.rect.lo), self.a.apply(patch.rect.hi)
         rect = Rect(tuple(map(min, u, v)), tuple(map(max, u, v)))
-        # the flat index of the source cell inv (x, y) is linear in x and y
-        (a, b), (c, d) = mat_inverse_unimodular(self.mat)
-        (x0, y0), w = patch.rect.lo, patch.width
-        sx, sy = a + w * c, b + w * d
-        (lx, ly), (hx, hy) = rect.lo, rect.hi
-        starts = [sx * lx + sy * y - x0 - w * y0 for y in range(ly, hy + 1)]
-        rows = (range(i, i + sx * (hx - lx + 1), sx) for i in starts)
         relabel = bytes(self.table) + bytes(range(len(self.table), 256))
-        tiles = b"".join(bytes(map(patch.tiles.__getitem__, r)) for r in rows).translate(relabel)
-        parity = tuple(c % 2 for c in mat_vec(self.mat, patch.parity))
+        idx = _moved(patch.rect.extent(), self.a)
+        tiles = bytes(map(patch.tiles.__getitem__, idx)).translate(relabel)
+        parity = tuple(c % 2 for c in self.a.apply(patch.parity))
         return RobinsonPatch(rect, tiles, parity)  # type: ignore[arg-type]
 
 

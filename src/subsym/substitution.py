@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import CapExceeded, ScopeError, ValidationError
-from .lattice import Rect, Vec, spow, vadd, vmul, vsub, zero
+from .lattice import Rect, SignedPerm, Vec, spow, vadd, vmul, vsub, zero
 
 #: Default cap on materialized pattern cells; theta^m grows exponentially,
 #: beyond this callers must go through the lazy point queries.
@@ -190,6 +190,18 @@ def _run_starts(extent: Vec, lo: Vec, shape: Vec) -> list[int]:
     return starts
 
 
+def _moved(extent: Vec, a: SignedPerm) -> list[int]:
+    """Flat source index, in cell order, of each cell of the image of [0, extent - 1]
+    under the signed permutation `a`, re-anchored into the image box, whose
+    extent is the permuted extent."""
+    strides, idx = _strides(extent), [0]
+    for i in a.inverse_perm():
+        step, n = strides[i], extent[i]
+        axis = range((n - 1) * step, -1, -step) if a.signs[i] else range(0, n * step, step)
+        idx = [o + b for o in axis for b in idx]
+    return idx
+
+
 def _inflate(theta: RectSubstitution, p: Pattern) -> Pattern:
     """`apply` without the cell cap."""
     s, origin = theta.size, zero(p.dim)
@@ -273,9 +285,7 @@ def position_map(theta: RectSubstitution, k: Vec) -> tuple[int, ...]:
 
 def is_bijective(theta: RectSubstitution) -> bool:
     n = len(theta.alphabet)
-    return all(
-        len(set(position_map(theta, k))) == n for k in theta.support().cells()
-    )
+    return all(len(set(col)) == n for col in zip(*(r.cells for r in theta.rules)))
 
 
 def corners(size: Vec) -> list[Vec]:

@@ -15,6 +15,7 @@ replace the n! permutations.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -22,11 +23,13 @@ from dataclasses import dataclass
 from .errors import CapExceeded, ScopeError, ValidationError
 from .lattice import Rect, SignedPerm, Vec, signed_perm_group, spow
 from .points import HalfSpacePair, half_space_fracture_pair
-from .language import PatchLanguage, patch_language
+from .language import DEFAULT_MAX_DEPTH, _grow
 from .substitution import (
+    DEFAULT_CELL_CAP,
     Pattern,
     RectSubstitution,
-    _strides,
+    _moved,
+    _perm_order,
     corner_fixing_power,
     is_bijective,
     is_primitive,
@@ -56,16 +59,12 @@ def relabel_automorphisms(theta: RectSubstitution) -> list[Relabeling]:
 
 
 def _assert_subgroup(perms: list[Relabeling], n: int) -> None:
-    ident = tuple(range(n))
+    # a nonempty finite set of permutations closed under composition is a group
     group = set(perms)
-    assert ident in group, "relabeling set lost the identity"
+    assert tuple(range(n)) in group, "relabeling set lost the identity"
     for p in perms:
-        inv = [0] * n
-        for i, v in enumerate(p):
-            inv[v] = i
-        assert tuple(inv) in group, "relabeling set not closed under inverse"
         for q in perms:
-            assert tuple(p[q[i]] for i in range(n)) in group, (
+            assert compose_relabelings(p, q) in group, (
                 "relabeling set not closed under composition"
             )
 
@@ -105,19 +104,7 @@ def aut_group_description(theta: RectSubstitution) -> AutDescription:
 
 
 def _is_cyclic(group: tuple[Relabeling, ...]) -> bool:
-    n = len(group)
-    for g in group:
-        e = g
-        order = 1
-        ident = tuple(range(len(g)))
-        while e != ident:
-            e = compose_relabelings(g, e)
-            order += 1
-            if order > n:
-                return False
-        if order == n:
-            return True
-    return n == 1
+    return any(_perm_order(g) == len(group) for g in group)
 
 
 # ---------------------------------------------------------------------------
@@ -140,25 +127,12 @@ def _size_mismatch(size: Vec, a: SignedPerm) -> SizeMismatch | None:
     return SizeMismatch(size, permuted) if permuted != size else None
 
 
-def _re_anchoring(size: Vec, a: SignedPerm) -> list[int]:
-    """r as flat cell indices: cell k of [0, s-1] goes to A k re-anchored into [0, s-1].
-
-    Requires A to fix the size vector (see `_size_mismatch`).
-    """
-    strides = _strides(size)
-    axes = [(i, strides[j], size[j] - 1) for j, i in enumerate(a.inverse_perm())]
-    return [
-        sum((top - k[i] if a.signs[i] else k[i]) * stride for i, stride, top in axes)
-        for k in Rect.box(size).cells()
-    ]
-
-
 def transformed_substitution(
     theta: RectSubstitution, a: SignedPerm, tau: Relabeling
 ) -> RectSubstitution | SizeMismatch:
     """Conjugate the rule table by the rigid map (A, tau).
 
-    The patch of each symbol is moved cell-by-cell through A, re-anchored
+    The patch of each symbol is moved through A by `_moved`, re-anchored
     to [0, s-1], and relabeled; the rule for tau(sym) is the transform of
     the rule for sym.  Returns SizeMismatch if A's permutation part moves
     the size vector.
@@ -166,13 +140,11 @@ def transformed_substitution(
     mismatch = _size_mismatch(theta.size, a)
     if mismatch is not None:
         return mismatch
-    r = _re_anchoring(theta.size, a)
+    idx, table = _moved(theta.size, a), bytes(tau) + bytes(range(len(tau), 256))
     new_rules: list[Pattern | None] = [None] * len(theta.alphabet)
     for sym, patch in enumerate(theta.rules):
-        buf = bytearray(len(r))
-        for k, c in enumerate(patch.cells):
-            buf[r[k]] = tau[c]
-        new_rules[tau[sym]] = Pattern(patch.anchor, patch.extent, bytes(buf))
+        cells = bytes(map(patch.cells.__getitem__, idx)).translate(table)
+        new_rules[tau[sym]] = Pattern(patch.anchor, patch.extent, cells)
     return RectSubstitution(theta.alphabet, theta.size, tuple(new_rules))  # type: ignore[arg-type]
 
 
@@ -190,9 +162,9 @@ def conjugating_relabelings(theta: RectSubstitution, a: SignedPerm) -> list[Rela
     """
     if _size_mismatch(theta.size, a) is not None:
         return []
-    r = _re_anchoring(theta.size, a)
+    r = _moved(theta.size, a.inverse())  # r[k] = A k, re-anchored
     rules = [patch.cells for patch in theta.rules]
-    moved = [bytes(cells[i] for i in r) for cells in rules]  # moved[z][k] = P_r(k)(z)
+    moved = [bytes(map(cells.__getitem__, r)) for cells in rules]  # moved[z][k] = P_r(k)(z)
     solutions = (_propagate(rules, moved, c) for c in range(len(rules)))
     return [tau for tau in solutions if tau is not None]
 
@@ -296,36 +268,39 @@ def extended_symmetry_check(
 def _language_comparison(
     theta: RectSubstitution, a: SignedPerm, depth: int
 ) -> SymmetryCandidate:
+    """Compare the minimal cube languages of theta and of each conjugate
+    (A, tau) theta, tau in lexicographic order.
+
+    The conjugate's language is moved, not regenerated: its k-th level
+    theta'^k(0) is the (A, tau)-image of theta^k(tau^-1(0)), so the language
+    of theta rooted at tau^-1(0), moved through A and relabeled by tau, is
+    the conjugate's at every level, stopping rule and cell cap included.
+    """
+    origin = (0,) * theta.dim
     shapes = [(side,) * theta.dim for side in range(2, depth + 1)]
-    base: dict[Vec, PatchLanguage] = {
-        sh: patch_language(theta, sh, mode="minimal") for sh in shapes
-    }
+    moves = {sh: _moved(sh, a) for sh in shapes}
+
+    @functools.cache
+    def rooted(root: int, sh: Vec) -> set[bytes]:
+        roots = [Pattern.single(origin, root)]
+        return _grow(theta, roots, sh, DEFAULT_MAX_DEPTH, DEFAULT_CELL_CAP)[0]
+
+    base = {sh: rooted(0, sh) for sh in shapes}
     first_witness: tuple[Pattern, str] | None = None
     for tau in itertools.permutations(range(len(theta.alphabet))):
-        cand = transformed_substitution(theta, a, tau)
-        assert not isinstance(cand, SizeMismatch)
-        agree = True
+        table = bytes(tau) + bytes(range(len(tau), 256))
         for sh in shapes:
-            lang_t = patch_language(cand, sh, mode="minimal")
-            extra = lang_t.patterns - base[sh].patterns
-            missing = base[sh].patterns - lang_t.patterns
+            lang_t = {
+                bytes(map(w.__getitem__, moves[sh])).translate(table)
+                for w in rooted(tau.index(0), sh)
+            }
+            extra, missing = lang_t - base[sh], base[sh] - lang_t
             if extra or missing:
-                agree = False
                 if first_witness is None:
-                    if extra:
-                        cells = min(extra)
-                        first_witness = (
-                            Pattern((0,) * theta.dim, sh, cells),
-                            "original",
-                        )
-                    else:
-                        cells = min(missing)
-                        first_witness = (
-                            Pattern((0,) * theta.dim, sh, cells),
-                            "transformed",
-                        )
+                    side = "original" if extra else "transformed"
+                    first_witness = (Pattern(origin, sh, min(extra or missing)), side)
                 break
-        if agree:
+        else:
             return SymmetryCandidate(a, VERIFIED_UP_TO, tau=tau, depth=depth)
     assert first_witness is not None
     return SymmetryCandidate(
@@ -358,8 +333,9 @@ def sym_group_report(
 ) -> SymReport:
     """Run the symmetry check over the whole hyperoctahedral group.
 
-    The ExactYes subset is checked for closure under composition and
-    inverse, including compatibility of the relabelings.  `threads` is
+    The ExactYes subset is checked for closure under composition, including
+    compatibility of the relabelings; a nonempty subset of a finite group
+    closed under composition is a subgroup, so inverses follow.  `threads` is
     accepted for compatibility and starts no thread: each matrix costs
     milliseconds of interpreter-bound work that threads cannot overlap.
     """
@@ -370,23 +346,12 @@ def sym_group_report(
 
     by_a = {c.a: c for c in results}
     exact = [c for c in results if c.verdict == EXACT_YES]
-    closure_ok = True
-    for c1 in exact:
-        inv = by_a.get(c1.a.inverse())
-        if inv is None or inv.verdict != EXACT_YES:
-            closure_ok = False
-            break
-        for c2 in exact:
-            prod = by_a.get(c1.a.compose(c2.a))
-            if prod is None or prod.verdict != EXACT_YES:
-                closure_ok = False
-                break
-            composed_tau = compose_relabelings(c1.tau, c2.tau)
-            if composed_tau not in prod.taus:
-                closure_ok = False
-                break
-        if not closure_ok:
-            break
+    products = (
+        (by_a[c1.a.compose(c2.a)], compose_relabelings(c1.tau, c2.tau))
+        for c1 in exact
+        for c2 in exact
+    )
+    closure_ok = all(p.verdict == EXACT_YES and tau in p.taus for p, tau in products)
 
     any_verified = any(c.verdict == VERIFIED_UP_TO for c in results)
     split = "yes" if (exact and closure_ok and not any_verified) else (

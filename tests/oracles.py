@@ -3,16 +3,20 @@
 Each function is the per-cell code that the row kernel in
 `subsym.substitution` replaced (index_of arithmetic on a throwaway
 Pattern), or that the block assembly in `subsym.robinson` replaced (one
-recursion per cell).  The differential tests compare the fast paths
-against these.
+recursion per cell), or the language fallback of `subsym.symmetry` that
+regenerated the language of every conjugate.  The differential tests
+compare the fast paths against these.
 """
 
+import itertools
 import math
 
 from subsym import robinson as rob
+from subsym.language import patch_language
 from subsym.lattice import Rect, mat_inverse_unimodular, mat_vec, vadd, vmul
 from subsym.robinson import E, N, S, W, RobinsonPatch, Violation
 from subsym.substitution import Pattern, RectSubstitution, corner_order
+from subsym.symmetry import REFUTED_AT, VERIFIED_UP_TO, SymmetryCandidate
 
 
 def apply_oracle(theta, p):
@@ -108,6 +112,38 @@ def transform_oracle(theta, a, tau):
             buf[patch.index_of(re_anchor(k))] = tau[patch.get(k)]
         new_rules[tau[sym]] = Pattern(patch.anchor, patch.extent, bytes(buf))
     return RectSubstitution(theta.alphabet, s, tuple(new_rules))
+
+
+def language_comparison_oracle(theta, a, depth):
+    """The language fallback by regeneration: the minimal cube languages of
+    every conjugate (A, tau) theta, tau in lexicographic order, against theta's."""
+    shapes = [(side,) * theta.dim for side in range(2, depth + 1)]
+    base = {sh: patch_language(theta, sh, mode="minimal") for sh in shapes}
+    first_witness = None
+    for tau in itertools.permutations(range(len(theta.alphabet))):
+        cand = transform_oracle(theta, a, tau)
+        agree = True
+        for sh in shapes:
+            lang_t = patch_language(cand, sh, mode="minimal")
+            extra = lang_t.patterns - base[sh].patterns
+            missing = base[sh].patterns - lang_t.patterns
+            if extra or missing:
+                agree = False
+                if first_witness is None:
+                    if extra:
+                        first_witness = (Pattern((0,) * theta.dim, sh, min(extra)), "original")
+                    else:
+                        first_witness = (Pattern((0,) * theta.dim, sh, min(missing)), "transformed")
+                break
+        if agree:
+            return SymmetryCandidate(a, VERIFIED_UP_TO, tau=tau, depth=depth)
+    return SymmetryCandidate(
+        a,
+        REFUTED_AT,
+        depth=depth,
+        witness=first_witness[0],
+        witness_missing_from=first_witness[1],
+    )
 
 
 # ---------------------------------------------------------------------------

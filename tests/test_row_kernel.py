@@ -231,7 +231,19 @@ def test_subpatch_matches_oracle():
 
 
 def test_dihedral_images_match_oracle():
-    for patch in _sample_patches() + [rob.supertile(1)]:
+    # off-origin w != h sub-boxes too: a quarter turn swaps the two extents
+    rng = random.Random(5)
+    patches = _sample_patches() + [rob.supertile(1)]
+    for patch in _sample_patches():
+        (x0, y0), (x1, y1) = patch.rect.lo, patch.rect.hi
+        rects = []
+        while len(rects) < 20:
+            lo = (rng.randint(x0, x1), rng.randint(y0, y1))
+            hi = (rng.randint(lo[0], x1), rng.randint(lo[1], y1))
+            if lo != (0, 0) and hi[0] - lo[0] != hi[1] - lo[1]:
+                rects.append(Rect(lo, hi))
+        patches += [patch.subpatch(r) for r in rects]
+    for patch in patches:
         for g in rob.dihedral_group():
             assert g.apply(patch) == patch_symmetry_apply_oracle(g, patch)
 

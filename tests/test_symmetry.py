@@ -1,12 +1,13 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
-from oracles import transform_oracle
+from oracles import language_comparison_oracle, transform_oracle
 
 from subsym.errors import ScopeError, ValidationError
 from subsym.lattice import Rect, SignedPerm, signed_perm_group
-from subsym.specio import bundled_substitution
+from subsym.specio import BUNDLED, build_substitution, bundled_substitution, load_spec_file
 from subsym.substitution import (
     Alphabet,
     Pattern,
@@ -15,6 +16,7 @@ from subsym.substitution import (
     complement_pattern,
     corner_fixed,
     is_bijective,
+    is_primitive,
     power,
 )
 from subsym.symmetry import (
@@ -22,6 +24,8 @@ from subsym.symmetry import (
     REFUTED_AT,
     SIZE_MISMATCH,
     SizeMismatch,
+    _language_comparison,
+    _size_mismatch,
     aut_group_description,
     compose_relabelings,
     conjugating_relabelings,
@@ -94,6 +98,15 @@ def cyclic(n):
     return RectSubstitution(Alphabet(tuple(str(a) for a in range(n))), (2,), rules)
 
 
+def quarter4():
+    """A 2x2 rule on 4 symbols with no nontrivial relabel automorphism whose quarter turn
+    is an extended symmetry only with the 4-cycle tau = (1, 2, 3, 0), so A and
+    A^-1 have different relabelings: a map moved the wrong way shows."""
+    tables = ((1, 0, 1, 2), (2, 2, 3, 1), (0, 3, 2, 3), (3, 1, 0, 0))
+    rules = tuple(Pattern((0, 0), (2, 2), bytes(t)) for t in tables)
+    return RectSubstitution(Alphabet(("0", "1", "2", "3")), (2, 2), rules)
+
+
 def relabel_oracle(theta, a):
     """Every permutation, in lexicographic order, whose conjugate is theta."""
     return [
@@ -114,19 +127,32 @@ def seeded_conjugate(seed):
     return transform_oracle(theta, a, tau)
 
 
+PINNED_SPECS = Path(__file__).resolve().parents[1] / "perfbench" / "specs"
+
+
+def substitution_from(source):
+    """A cyclic rule (int), a seeded conjugate (seedN), a spec file name,
+    quarter4 or a bundled name."""
+    if isinstance(source, int):
+        return cyclic(source)
+    if source == "quarter4":
+        return quarter4()
+    if source.startswith("seed"):
+        return seeded_conjugate(int(source[4:]))
+    if source.endswith(".json"):
+        return build_substitution(load_spec_file(str(PINNED_SPECS / source)))
+    return bundled_substitution(source)
+
+
 @pytest.mark.parametrize(
     "source, powers",
     [(name, (m,)) for name in ("tm1d", "tm2d", "tm3d", "cyc3", "rig3") for m in (1, 2, 3)]
     + [(n, (1, 2, 3)) for n in range(3, 7)]
-    + [(f"seed{i}", (1, 2)) for i in range(20)],
+    + [(f"seed{i}", (1, 2)) for i in range(20)]
+    + [("quarter4", (1, 2))],
 )
 def test_conjugating_relabelings_match_oracle(source, powers):
-    if isinstance(source, int):
-        theta = cyclic(source)
-    elif source.startswith("seed"):
-        theta = seeded_conjugate(int(source[4:]))
-    else:
-        theta = bundled_substitution(source)
+    theta = substitution_from(source)
     for m in powers:
         theta_m = power(theta, m)
         for a in signed_perm_group(theta.dim):
@@ -183,9 +209,9 @@ def test_transform_size_mismatch():
     assert out.permuted == (3, 2)
 
 
-@pytest.mark.parametrize("name", ["tm1d", "tm2d", "tm3d", "cyc3", "rig3"])
+@pytest.mark.parametrize("name", ["tm1d", "tm2d", "tm3d", "cyc3", "rig3", "quarter4"])
 def test_transform_matches_cellwise_oracle(name):
-    theta = bundled_substitution(name)
+    theta = substitution_from(name)
     for a in signed_perm_group(theta.dim):
         for tau in itertools.permutations(range(len(theta.alphabet))):
             assert transformed_substitution(theta, a, tau) == transform_oracle(theta, a, tau)
@@ -257,6 +283,37 @@ def test_refuted_witness_is_genuine(rig3):
     assert cand.witness_missing_from == "original"
     lang = patch_language(rig3, w.extent, mode="minimal", max_depth=10)
     assert w.cells not in lang.patterns
+
+
+@pytest.mark.parametrize(
+    "source",
+    sorted(BUNDLED)
+    + sorted(p.name for p in PINNED_SPECS.glob("*.json"))
+    + [3, 4, 5]
+    + [f"seed{i}" for i in range(12)],
+)
+def test_language_comparison_matches_oracle(source):
+    # the fallback moves one language per root symbol; the oracle regenerates
+    # the language of each of the n! conjugates
+    theta = substitution_from(source)
+    if not (is_primitive(theta).primitive and is_bijective(theta)):
+        with pytest.raises(ScopeError):  # the fallback is never reached
+            extended_symmetry_check(theta, SignedPerm.identity(theta.dim))
+        return
+    for a in signed_perm_group(theta.dim):
+        if _size_mismatch(theta.size, a) is not None:
+            continue
+        for depth in (2, 3):
+            want = language_comparison_oracle(theta, a, depth)
+            assert _language_comparison(theta, a, depth) == want, (a, depth)
+
+
+def test_language_comparison_quarter_turns_match_oracle():
+    # the two quarter turns agree with inverse 4-cycles; all eight matrices
+    # at both depths take about 30 s of oracle time
+    theta = quarter4()
+    for a in (SignedPerm((1, 0), (0, 1)), SignedPerm((1, 0), (1, 0))):
+        assert _language_comparison(theta, a, 3) == language_comparison_oracle(theta, a, 3), a
 
 
 @pytest.mark.parametrize("depth", [1, 0, -2])
