@@ -251,6 +251,18 @@ class SignedPerm:
         )
         return SignedPerm(perm, signs)
 
+    def table(self) -> bytes:
+        """`bytes.translate` table of the map on the 2d signed axis labels,
+        label i + d*s standing for (-1)^s e_i: composing is translating, as
+        the key of self @ other is `other.key().translate(self.table())`."""
+        d = self.dim
+        labels = bytes(p + d * (s ^ t) for s in (0, 1) for p, t in zip(self.perm, self.signs))
+        return labels + bytes(range(2 * d, 256))
+
+    def key(self) -> bytes:
+        """The images of the d positive axis labels; it determines the map."""
+        return self.table()[: self.dim]
+
     def inverse(self) -> "SignedPerm":
         inv = self.inverse_perm()
         signs = tuple(self.signs[inv[j]] for j in range(self.dim))

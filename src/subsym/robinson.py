@@ -609,6 +609,8 @@ def torus_tiling_search(
     """
     if w % 2 or h % 2:
         raise ScopeError("torus periods must be even to keep the cross coset consistent")
+    if w < 2 or h < 2:
+        raise ValidationError("torus periods must be >= 2")
     if w * h > TORUS_CELL_CAP:
         raise CapExceeded(f"torus search capped at {TORUS_CELL_CAP} cells")
 

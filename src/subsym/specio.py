@@ -235,6 +235,8 @@ def _load_palette() -> list[bytes]:
 
 def ppm_image(extent: Vec, cells: bytes, scale: int) -> bytes:
     """P6 image of a 2d cell buffer in `Pattern`'s layout, top row first; cells are palette indices."""
+    if scale < 1:
+        raise ValidationError("ppm scale must be >= 1")
     scaled = [color * scale for color in _load_palette()]
     w, h = extent
     rows = [b"".join(map(scaled.__getitem__, cells[i : i + w])) for i in _run_starts(extent, (0, 0), extent)]

@@ -157,10 +157,12 @@ class RectSubstitution:
             raise ValidationError("all size components must be > 1")
         if len(self.rules) != len(self.alphabet):
             raise ValidationError("one rule per symbol required")
+        in_alphabet = bytes(range(len(self.alphabet)))
         for r in self.rules:
             if r.anchor != zero(self.dim) or r.extent != self.size:
                 raise ValidationError("every rule must have anchor 0 and extent s")
-            if any(c >= len(self.alphabet) for c in r.cells):
+            # deleting the valid symbols leaves exactly the cells outside the alphabet
+            if r.cells.translate(None, in_alphabet):
                 raise ValidationError("rule cell outside alphabet")
 
     @property
@@ -227,22 +229,37 @@ def apply(theta: RectSubstitution, p: Pattern) -> Pattern:
     return _inflate(theta, p)
 
 
+def _check_power_cap(theta: RectSubstitution, m: int, cell_cap: int) -> None:
+    per_rule = math.prod(x**m for x in theta.size)
+    if per_rule * len(theta.alphabet) > cell_cap:
+        raise CapExceeded(f"theta^{m} needs {per_rule} cells per rule")
+
+
+def _powers(
+    theta: RectSubstitution, top: int, cell_cap: int = DEFAULT_CELL_CAP
+) -> Iterator[RectSubstitution]:
+    """theta, theta^2, ..., theta^top, each built from the one before by one
+    `apply` of theta per rule; ends before the first power over the cell cap."""
+    theta_m = theta
+    for m in range(1, top + 1):
+        try:
+            _check_power_cap(theta, m, cell_cap)
+        except CapExceeded:
+            return
+        if m > 1:
+            rules = tuple(apply(theta, r) for r in theta_m.rules)
+            theta_m = RectSubstitution(theta.alphabet, spow(theta.size, m), rules)
+        yield theta_m
+
+
 def power(theta: RectSubstitution, m: int, cell_cap: int = DEFAULT_CELL_CAP) -> RectSubstitution:
     """theta^m with rules materialized eagerly."""
     if m < 1:
         raise ValidationError("power requires m >= 1")
-    per_rule = math.prod(x**m for x in theta.size)
-    if per_rule * len(theta.alphabet) > cell_cap:
-        raise CapExceeded(f"theta^{m} needs {per_rule} cells per rule")
-    if m == 1:
-        return theta
-    rules = []
-    for a in range(len(theta.alphabet)):
-        patch = theta.rule(a)
-        for _ in range(m - 1):
-            patch = apply(theta, patch)
-        rules.append(patch)
-    return RectSubstitution(theta.alphabet, spow(theta.size, m), tuple(rules))
+    _check_power_cap(theta, m, cell_cap)
+    for theta_m in _powers(theta, m, cell_cap):
+        pass
+    return theta_m
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import CapExceeded, ScopeError, ValidationError
+from .errors import ScopeError, ValidationError
 from .lattice import Rect, SignedPerm, Vec, signed_perm_group, spow
 from .points import HalfSpacePair, half_space_fracture_pair
 from .language import DEFAULT_MAX_DEPTH, _grow
@@ -30,10 +30,10 @@ from .substitution import (
     RectSubstitution,
     _moved,
     _perm_order,
+    _powers,
     corner_fixing_power,
     is_bijective,
     is_primitive,
-    power,
 )
 
 Relabeling = tuple[int, ...]  # table: symbol -> symbol
@@ -72,6 +72,11 @@ def _assert_subgroup(perms: list[Relabeling], n: int) -> None:
 def compose_relabelings(p: Relabeling, q: Relabeling) -> Relabeling:
     """p after q."""
     return tuple(p[q[i]] for i in range(len(p)))
+
+
+def _relabel_table(tau: Relabeling) -> bytes:
+    """`bytes.translate` table of tau: p after q is `bytes(q).translate(_relabel_table(p))`."""
+    return bytes(tau) + bytes(range(len(tau), 256))
 
 
 @dataclass(frozen=True)
@@ -140,7 +145,7 @@ def transformed_substitution(
     mismatch = _size_mismatch(theta.size, a)
     if mismatch is not None:
         return mismatch
-    idx, table = _moved(theta.size, a), bytes(tau) + bytes(range(len(tau), 256))
+    idx, table = _moved(theta.size, a), _relabel_table(tau)
     new_rules: list[Pattern | None] = [None] * len(theta.alphabet)
     for sym, patch in enumerate(theta.rules):
         cells = bytes(map(patch.cells.__getitem__, idx)).translate(table)
@@ -222,12 +227,6 @@ def _tau_str(tau: Relabeling | None) -> str:
     return "" if tau is None else ",".join(str(t) for t in tau)
 
 
-def _alignment_powers(theta: RectSubstitution, m_cap: int) -> list[int]:
-    cfp = corner_fixing_power(theta)
-    top = min(m_cap, max(2 * cfp, 2))
-    return list(range(1, top + 1))
-
-
 def extended_symmetry_check(
     theta: RectSubstitution,
     a: SignedPerm,
@@ -245,24 +244,41 @@ def extended_symmetry_check(
     agreement (VerifiedUpTo - explicitly not a proof).  `depth` must be at
     least 2, the smallest shape compared.
     """
+    return _check_matrices(theta, [a], depth, m_cap)[0]
+
+
+def _check_matrices(
+    theta: RectSubstitution, matrices: list[SignedPerm], depth: int, m_cap: int
+) -> list[SymmetryCandidate]:
+    """`extended_symmetry_check` for each matrix, in one pass over the powers.
+
+    The scope checks and the alignment powers are worked out once.  Each
+    theta^m is built once, from theta^(m-1), and asked for the matrices
+    still without an exact hit; the search ends at the first power over
+    the cell cap.  The rest fall back to language comparison in order.
+    """
     if depth < 2:
         raise ValidationError("depth must be >= 2: no shape below 2 is compared")
     _require_primitive_bijective(theta, "extended_symmetry_check")
-    if _size_mismatch(theta.size, a) is not None:
-        return SymmetryCandidate(a, SIZE_MISMATCH)
-
-    for m in _alignment_powers(theta, m_cap):
-        try:
-            theta_m = power(theta, m)
-        except CapExceeded:
+    found: dict[SignedPerm, SymmetryCandidate] = {}
+    for a in matrices:
+        if _size_mismatch(theta.size, a) is not None:
+            found[a] = SymmetryCandidate(a, SIZE_MISMATCH)
+    open_ = [a for a in matrices if a not in found]
+    top = min(m_cap, max(2 * corner_fixing_power(theta), 2))
+    for m, theta_m in enumerate(_powers(theta, top), 1):
+        for a in open_:
+            hits = conjugating_relabelings(theta_m, a)
+            if hits:
+                found[a] = SymmetryCandidate(
+                    a, EXACT_YES, tau=hits[0], taus=tuple(hits), align_power=m
+                )
+        open_ = [a for a in open_ if a not in found]
+        if not open_:
             break
-        hits = conjugating_relabelings(theta_m, a)
-        if hits:
-            return SymmetryCandidate(
-                a, EXACT_YES, tau=hits[0], taus=tuple(hits), align_power=m
-            )
-
-    return _language_comparison(theta, a, depth)
+    for a in open_:
+        found[a] = _language_comparison(theta, a, depth)
+    return [found[a] for a in matrices]
 
 
 def _language_comparison(
@@ -288,7 +304,7 @@ def _language_comparison(
     base = {sh: rooted(0, sh) for sh in shapes}
     first_witness: tuple[Pattern, str] | None = None
     for tau in itertools.permutations(range(len(theta.alphabet))):
-        table = bytes(tau) + bytes(range(len(tau), 256))
+        table = _relabel_table(tau)
         for sh in shapes:
             lang_t = {
                 bytes(map(w.__getitem__, moves[sh])).translate(table)
@@ -339,19 +355,9 @@ def sym_group_report(
     accepted for compatibility and starts no thread: each matrix costs
     milliseconds of interpreter-bound work that threads cannot overlap.
     """
-    results = [
-        extended_symmetry_check(theta, a, depth=depth)
-        for a in signed_perm_group(theta.dim)
-    ]
-
-    by_a = {c.a: c for c in results}
+    results = _check_matrices(theta, signed_perm_group(theta.dim), depth, ALIGN_POWER_CAP)
     exact = [c for c in results if c.verdict == EXACT_YES]
-    products = (
-        (by_a[c1.a.compose(c2.a)], compose_relabelings(c1.tau, c2.tau))
-        for c1 in exact
-        for c2 in exact
-    )
-    closure_ok = all(p.verdict == EXACT_YES and tau in p.taus for p, tau in products)
+    closure_ok = _closure_ok(results)
 
     any_verified = any(c.verdict == VERIFIED_UP_TO for c in results)
     split = "yes" if (exact and closure_ok and not any_verified) else (
@@ -360,6 +366,25 @@ def sym_group_report(
     return SymReport(
         theta.dim, depth, tuple(results), len(exact), split, closure_ok
     )
+
+
+def _closure_ok(candidates: list[SymmetryCandidate]) -> bool:
+    """Every product (A1 A2, tau1 tau2) of two ExactYes pairs is an ExactYes pair.
+
+    Products go through `bytes.translate`: the key of A1 A2 is A2's key
+    translated by A1's table, and tau1 tau2 is tau2 translated by tau1's.
+    """
+    exact = [c for c in candidates if c.verdict == EXACT_YES]
+    keys = [c.a.key() for c in exact]
+    taus = {key: {bytes(t) for t in c.taus} for key, c in zip(keys, exact)}
+    rights = [(key, bytes(c.tau)) for key, c in zip(keys, exact)]
+    for c1 in exact:
+        a_table, tau_table = c1.a.table(), _relabel_table(c1.tau)
+        for a_key, tau in rights:
+            product = taus.get(a_key.translate(a_table))
+            if product is None or tau.translate(tau_table) not in product:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

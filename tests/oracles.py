@@ -4,19 +4,42 @@ Each function is the per-cell code that the row kernel in
 `subsym.substitution` replaced (index_of arithmetic on a throwaway
 Pattern), or that the block assembly in `subsym.robinson` replaced (one
 recursion per cell), or the language fallback of `subsym.symmetry` that
-regenerated the language of every conjugate.  The differential tests
-compare the fast paths against these.
+regenerated the language of every conjugate, or the per-matrix symmetry
+check that rebuilt every theta^m from theta and checked closure with
+`SignedPerm.compose`.  The differential tests compare the fast paths
+against these.
 """
 
 import itertools
 import math
 
 from subsym import robinson as rob
+from subsym.errors import CapExceeded, ValidationError
 from subsym.language import patch_language
-from subsym.lattice import Rect, mat_inverse_unimodular, mat_vec, vadd, vmul
+from subsym.lattice import Rect, mat_inverse_unimodular, mat_vec, signed_perm_group, spow, vadd, vmul
 from subsym.robinson import E, N, S, W, RobinsonPatch, Violation
-from subsym.substitution import Pattern, RectSubstitution, corner_order
-from subsym.symmetry import REFUTED_AT, VERIFIED_UP_TO, SymmetryCandidate
+from subsym.substitution import (
+    DEFAULT_CELL_CAP,
+    Pattern,
+    RectSubstitution,
+    apply,
+    corner_fixing_power,
+    corner_order,
+)
+from subsym.symmetry import (
+    ALIGN_POWER_CAP,
+    EXACT_YES,
+    REFUTED_AT,
+    SIZE_MISMATCH,
+    VERIFIED_UP_TO,
+    SymmetryCandidate,
+    SymReport,
+    _language_comparison,
+    _require_primitive_bijective,
+    _size_mismatch,
+    compose_relabelings,
+    conjugating_relabelings,
+)
 
 
 def apply_oracle(theta, p):
@@ -144,6 +167,74 @@ def language_comparison_oracle(theta, a, depth):
         witness=first_witness[0],
         witness_missing_from=first_witness[1],
     )
+
+
+# ---------------------------------------------------------------------------
+# Extended symmetries: one matrix at a time
+# ---------------------------------------------------------------------------
+
+
+def power_oracle(theta, m, cell_cap=DEFAULT_CELL_CAP):
+    """theta^m, each rule inflated m - 1 times from theta's."""
+    if m < 1:
+        raise ValidationError("power requires m >= 1")
+    per_rule = math.prod(x**m for x in theta.size)
+    if per_rule * len(theta.alphabet) > cell_cap:
+        raise CapExceeded(f"theta^{m} needs {per_rule} cells per rule")
+    if m == 1:
+        return theta
+    rules = []
+    for a in range(len(theta.alphabet)):
+        patch = theta.rule(a)
+        for _ in range(m - 1):
+            patch = apply(theta, patch)
+        rules.append(patch)
+    return RectSubstitution(theta.alphabet, spow(theta.size, m), tuple(rules))
+
+
+def extended_symmetry_check_oracle(theta, a, depth=3, m_cap=ALIGN_POWER_CAP):
+    """Validate theta, then try every alignment power, each built from theta."""
+    if depth < 2:
+        raise ValidationError("depth must be >= 2: no shape below 2 is compared")
+    _require_primitive_bijective(theta, "extended_symmetry_check")
+    if _size_mismatch(theta.size, a) is not None:
+        return SymmetryCandidate(a, SIZE_MISMATCH)
+    top = min(m_cap, max(2 * corner_fixing_power(theta), 2))
+    for m in range(1, top + 1):
+        try:
+            theta_m = power_oracle(theta, m)
+        except CapExceeded:
+            break
+        hits = conjugating_relabelings(theta_m, a)
+        if hits:
+            return SymmetryCandidate(a, EXACT_YES, tau=hits[0], taus=tuple(hits), align_power=m)
+    return _language_comparison(theta, a, depth)
+
+
+def closure_oracle(candidates):
+    """Every product of two ExactYes pairs, composed with `SignedPerm.compose`."""
+    by_a = {c.a: c for c in candidates}
+    exact = [c for c in candidates if c.verdict == EXACT_YES]
+    products = (
+        (by_a[c1.a.compose(c2.a)], compose_relabelings(c1.tau, c2.tau))
+        for c1 in exact
+        for c2 in exact
+    )
+    return all(p.verdict == EXACT_YES and tau in p.taus for p, tau in products)
+
+
+def sym_group_report_oracle(theta, depth=3):
+    results = [
+        extended_symmetry_check_oracle(theta, a, depth=depth)
+        for a in signed_perm_group(theta.dim)
+    ]
+    exact = [c for c in results if c.verdict == EXACT_YES]
+    closure_ok = closure_oracle(results)
+    any_verified = any(c.verdict == VERIFIED_UP_TO for c in results)
+    split = "yes" if (exact and closure_ok and not any_verified) else (
+        "unknown" if any_verified else "no"
+    )
+    return SymReport(theta.dim, depth, tuple(results), len(exact), split, closure_ok)
 
 
 # ---------------------------------------------------------------------------

@@ -243,6 +243,32 @@ def test_robinson_torus_cli():
     assert "unsat" in out
 
 
+@pytest.mark.parametrize("w, h", [("0", "4"), ("-2", "4"), ("4", "0"), ("2", "-2")])
+def test_robinson_torus_period_below_two_exits_2(w, h):
+    # an empty torus is no counterexample to aperiodicity
+    code, out, err = run_cli("robinson", "torus", w, h)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["patch", "tm2d", "-m", "2"],
+        ["robinson", "supertile", "2"],
+        ["robinson", "window", "4"],
+        ["robinson", "fracture", "4", "1"],
+    ],
+)
+@pytest.mark.parametrize("scale", ["0", "-2"])
+def test_ppm_scale_below_one_exits_2(tmp_path, argv, scale):
+    ppm = tmp_path / "out.ppm"
+    code, out, err = run_cli(*argv, "--render", "ppm", "--scale", scale, "-o", str(ppm))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not ppm.exists()
+
+
 def test_robinson_renders(tmp_path):
     ppm = tmp_path / "st.ppm"
     code, _, _ = run_cli("robinson", "supertile", "2", "--render", "ppm",

@@ -134,6 +134,18 @@ def test_compose_matches_matrix_product():
         assert a.compose(b).matrix() == mat_mul(a.matrix(), b.matrix())
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_translate_composition_matches_compose(d):
+    # the closure check composes keys through tables instead of SignedPerm.compose
+    group = signed_perm_group(d)
+    by_key = {g.key(): g for g in group}
+    assert len(by_key) == len(group)
+    for a in group:
+        table = a.table()
+        for b in group:
+            assert by_key[b.key().translate(table)] == a.compose(b)
+
+
 # -- cone predicates ---------------------------------------------------------
 
 def test_cone_identity_contains_first_quadrant():

@@ -256,6 +256,16 @@ def test_alphabet_validation():
         Alphabet(("a", "a"))
 
 
+@pytest.mark.parametrize("bad", [3, 4, 255])
+def test_rule_cells_must_lie_in_alphabet(bad):
+    alpha = Alphabet(("0", "1", "2"))
+    rules = [Pattern((0, 0), (2, 2), bytes([0, 1, 2, 0])) for _ in range(3)]
+    RectSubstitution(alpha, (2, 2), tuple(rules))
+    rules[2] = Pattern((0, 0), (2, 2), bytes([0, 1, bad, 2]))
+    with pytest.raises(ValidationError, match="^rule cell outside alphabet$"):
+        RectSubstitution(alpha, (2, 2), tuple(rules))
+
+
 def test_size_must_be_nontrivial():
     alpha = Alphabet(("0", "1"))
     with pytest.raises(ValidationError):

@@ -3,27 +3,40 @@ import random
 from pathlib import Path
 
 import pytest
-from oracles import language_comparison_oracle, transform_oracle
+from oracles import (
+    closure_oracle,
+    language_comparison_oracle,
+    power_oracle,
+    sym_group_report_oracle,
+    transform_oracle,
+)
 
-from subsym.errors import ScopeError, ValidationError
+from subsym import substitution
+from subsym import symmetry as sym
+from subsym.errors import CapExceeded, ScopeError, ValidationError
 from subsym.lattice import Rect, SignedPerm, signed_perm_group
 from subsym.specio import BUNDLED, build_substitution, bundled_substitution, load_spec_file
 from subsym.substitution import (
     Alphabet,
     Pattern,
     RectSubstitution,
+    _powers,
     apply,
     complement_pattern,
     corner_fixed,
+    corner_fixing_power,
     is_bijective,
     is_primitive,
     power,
 )
 from subsym.symmetry import (
+    ALIGN_POWER_CAP,
     EXACT_YES,
     REFUTED_AT,
     SIZE_MISMATCH,
     SizeMismatch,
+    SymmetryCandidate,
+    _closure_ok,
     _language_comparison,
     _size_mismatch,
     aut_group_description,
@@ -371,6 +384,115 @@ def test_exact_compositions(tm2d):
         prod = by_a[c1.a.compose(c2.a)]
         assert prod.verdict == EXACT_YES
         assert compose_relabelings(c1.tau, c2.tau) in prod.taus
+
+
+REPORT_SOURCES = (
+    sorted(BUNDLED)
+    + sorted(p.name for p in PINNED_SPECS.glob("*.json"))
+    + [3, 4, 5, 6, "quarter4"]
+    + [f"seed{i}" for i in range(12)]
+)
+
+
+@pytest.mark.parametrize("source", REPORT_SOURCES)
+def test_sym_report_matches_oracle(source):
+    # one pass over the powers against a per-matrix check that rebuilds each theta^m
+    theta = substitution_from(source)
+    for depth in (2, 3):
+        try:
+            want = sym_group_report_oracle(theta, depth)
+        except ScopeError as exc:
+            with pytest.raises(ScopeError, match=f"^{exc}$"):
+                sym_group_report(theta, depth)
+            continue
+        assert sym_group_report(theta, depth) == want, depth
+
+
+@pytest.mark.parametrize("source", ["tm1d", "tm2d", "tm3d", "cyc3", "rig3", 5, "quarter4", "seed3"])
+def test_shared_powers_equal_power(source):
+    theta = substitution_from(source)
+    shared = list(_powers(theta, 4))
+    assert len(shared) == 4
+    for m, theta_m in enumerate(shared, 1):
+        assert theta_m == power(theta, m) == power_oracle(theta, m), m
+
+
+def test_shared_powers_stop_at_cell_cap(tm2d):
+    # theta^6 is the first power over a cap of 2 * 4^5 cells, exactly where power raises
+    assert len(list(_powers(tm2d, 24, cell_cap=2 * 4**5))) == 5
+    with pytest.raises(CapExceeded):
+        power(tm2d, 6, cell_cap=2 * 4**5)
+    assert len(list(_powers(tm2d, 3, cell_cap=1))) == 0
+
+
+def capped_reversal():
+    """A binary 1-d rule of length 330 whose power search ends at the cell cap:
+    theta^3 needs 2 * 330^3 > 2^26 cells while the corner swap puts m = 3 among
+    the alignment powers, and every 3-word occurs in theta(0), so the language
+    fallback stops at theta^2."""
+    rng = random.Random(7)
+    row = [rng.randrange(2) for _ in range(329)] + [1]
+    rules = (Pattern((0,), (330,), bytes(row)), Pattern((0,), (330,), bytes(1 - c for c in row)))
+    return RectSubstitution(Alphabet(("0", "1")), (330,), rules)
+
+
+def test_cell_cap_ends_power_search():
+    theta = capped_reversal()
+    assert min(ALIGN_POWER_CAP, 2 * corner_fixing_power(theta)) >= 3  # m = 3 is searched
+    power(theta, 2)
+    with pytest.raises(CapExceeded):
+        power(theta, 3)
+    reversal = SignedPerm((0,), (1,))
+    assert conjugating_relabelings(power(theta, 2), reversal) == []
+    rep = sym_group_report(theta, 3)
+    assert rep == sym_group_report_oracle(theta, 3)
+    assert rep.by_matrix()[reversal].verdict != EXACT_YES
+
+
+def test_report_does_theta_level_work_once(tm3d, monkeypatch):
+    # the per-matrix check called corner_fixing_power 48 times and built theta^2 24 times
+    cfp_calls, applied = [], []
+    real_cfp, real_apply = sym.corner_fixing_power, substitution.apply
+    monkeypatch.setattr(sym, "corner_fixing_power", lambda t: cfp_calls.append(t) or real_cfp(t))
+    monkeypatch.setattr(substitution, "apply", lambda t, p: applied.append(p.extent) or real_apply(t, p))
+    rep = sym_group_report(tm3d, 3)
+    monkeypatch.undo()
+    assert len(cfp_calls) == 1
+    # building theta^m applies theta once to each rule of theta^(m-1)
+    assert applied and all(applied.count(e) == len(tm3d.alphabet) for e in applied)
+    assert rep == sym_group_report_oracle(tm3d, 3)
+
+
+def broken_variants(candidates):
+    """(what, candidates) with one ExactYes entry damaged."""
+    for i, c in enumerate(candidates):
+        if c.verdict != EXACT_YES:
+            continue
+        out = list(candidates)
+        out[i] = SymmetryCandidate(c.a, EXACT_YES, c.tau, c.taus[1:], c.align_power)
+        yield f"dropped {c.a}", out
+        wrong = [t for t in itertools.permutations(c.tau) if t not in c.taus]
+        if wrong:
+            out = list(candidates)
+            out[i] = SymmetryCandidate(c.a, EXACT_YES, wrong[0], (wrong[0],) + c.taus[1:], c.align_power)
+            yield f"replaced {c.a}", out
+        if not c.a.is_identity():
+            out = list(candidates)
+            out[i] = SymmetryCandidate(c.a, REFUTED_AT, depth=2)
+            yield f"refuted {c.a}", out
+
+
+def test_closure_matches_oracle_on_broken_candidates():
+    failed_by = set()
+    for name in ("tm1d", "tm2d", "cyc3", "rig3"):
+        candidates = list(sym_group_report(bundled_substitution(name), 2).candidates)
+        assert _closure_ok(candidates) and closure_oracle(candidates)
+        for what, broken in broken_variants(candidates):
+            ok = _closure_ok(broken)
+            assert ok == closure_oracle(broken), (name, what)
+            if not ok:
+                failed_by.add(what.split()[0])
+    assert failed_by == {"dropped", "replaced", "refuted"}
 
 
 def test_threaded_report_identical(tm2d):

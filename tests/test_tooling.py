@@ -1,14 +1,34 @@
-"""The benchmark's tracer wraps `subsym` functions by name; renaming or
-removing one breaks only `perfbench/run.py --trace 1`, which this suite
-never runs.  The tracer source is parsed, not imported, so nothing is
-written under perfbench/."""
+"""The benchmark's tracer wraps `subsym` functions by name, and its op
+checks compare against the verdicts pinned in `perfbench/pins.json`; a
+change that breaks either shows only in a benchmark run, which this suite
+never starts.  The tracer source is parsed and the pins and spec files are
+read, nothing under perfbench/ is imported, and nothing is written there."""
 
 import ast
 import functools
 import importlib
+import itertools
+import json
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+import pytest
+
+from subsym.cli import _perm_to_str
+from subsym.language import patch_language
+from subsym.specio import BUNDLED, build_substitution, bundled_substitution, load_spec_file, parse_spec
+from subsym.symmetry import (
+    EXACT_YES,
+    VERIFIED_UP_TO,
+    aut_group_description,
+    sym_group_report,
+    transformed_substitution,
+)
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+PINS = json.loads((PERFBENCH / "pins.json").read_text(encoding="utf-8"))
+#: the depth of the benchmark's `sym` ops
+PIN_DEPTH = 3
 
 
 def tracer_targets():
@@ -37,3 +57,49 @@ def test_tracer_targets_resolve():
         except AttributeError:
             missing.append(f"subsym.{layer}.{path}")
     assert not missing
+
+
+def catalogue_substitution(name):
+    """A bundled spec, a pinned spec file, or the cyclic rule cycNr: a -> (a, a+1 mod N)."""
+    if name in BUNDLED:
+        return bundled_substitution(name)
+    spec_file = PERFBENCH / "specs" / f"{name}.json"
+    if spec_file.exists():
+        return build_substitution(load_spec_file(str(spec_file)))
+    assert name.startswith("cyc") and name.endswith("r"), name
+    n = int(name[3:-1])
+    rules = {str(a): [str(a), str((a + 1) % n)] for a in range(n)}
+    spec = {"name": name, "dim": 1, "size": [2], "alphabet": [str(a) for a in range(n)], "rules": rules}
+    return build_substitution(parse_spec(json.dumps(spec)))
+
+
+def agreeing_taus(theta, a):
+    """Every tau whose conjugate has theta's minimal cube languages up to PIN_DEPTH."""
+    shapes = [(side,) * theta.dim for side in range(2, PIN_DEPTH + 1)]
+    base = [patch_language(theta, sh).patterns for sh in shapes]
+    return [
+        list(tau)
+        for tau in itertools.permutations(range(len(theta.alphabet)))
+        if [patch_language(transformed_substitution(theta, a, tau), sh).patterns for sh in shapes] == base
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(PINS["catalogue"]))
+def test_catalogue_pins_hold(name):
+    pin = PINS["catalogue"][name]
+    theta = catalogue_substitution(name)
+    aut = aut_group_description(theta)
+    report = sym_group_report(theta, depth=PIN_DEPTH)
+    assert [list(t) for t in aut.relabel_group] == pin["relabel_group"]
+    assert aut.structure == pin["structure"]
+    assert report.summary_line() == pin["summary"]
+    matrices = {}
+    for cand in report.candidates:
+        if cand.verdict == EXACT_YES:
+            taus = [list(t) for t in cand.taus]
+        elif cand.verdict == VERIFIED_UP_TO:
+            taus = agreeing_taus(theta, cand.a)
+        else:
+            taus = []
+        matrices[_perm_to_str(cand.a)] = {"verdict": cand.describe().partition(",tau=")[0], "taus": taus}
+    assert matrices == pin["matrices"]
