@@ -1,27 +1,34 @@
 """Lazy points of a substitutive subshift.
 
 Every point here is a shifted fixed point: a seed on {-1,0}^d that the
-seed dynamics fix, inflated forever, then translated.  Symbol queries
-walk the digit expansion of the coordinate, so a lookup costs O(depth)
-table hits and no patch is ever materialized.
+seed dynamics fix, inflated forever, then translated.  Such a point is
+also fixed by theta^c, so symbol queries walk the base-s^c digits of the
+coordinate through per-quadrant tables of theta^c (one per theta, cached,
+64 KiB at most unless theta's own tables are larger): a lookup costs
+O(depth / c) table hits and no patch is ever materialized.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .errors import CapExceeded, ScopeError, SearchFailure, ValidationError
-from .lattice import Rect, Vec, vadd, vfloordiv, vmod, vsub, zero
+from .lattice import Rect, SignedPerm, Vec, spow, vadd, vfloordiv, vmod, vsub, zero
 from .substitution import (
     DEFAULT_CELL_CAP,
     Pattern,
     RectSubstitution,
     Seed,
     _inflate,
+    _moved,
+    _strides,
     corner_order,
     fixed_seeds,
     is_bijective,
-    position_map,
+    power,
     seed_step,
 )
 
@@ -68,15 +75,42 @@ class OdometerCoord:
         return OdometerCoord(self.size, tuple(res))
 
 
+#: Byte budget of one theta's digit tables (every quadrant, every rule of theta^c).
+DIGIT_TABLE_BYTES = 1 << 16
+
+
+@functools.lru_cache(maxsize=16)
+def _digit_tables(
+    theta: RectSubstitution,
+) -> tuple[Vec, tuple[int, ...], tuple[tuple[bytes, ...], ...]]:
+    """(s^c, flat strides of s^c, rules of theta^c per quadrant) for the largest
+    c >= 1 whose tables fit DIGIT_TABLE_BYTES (c = 1 if even theta's do not).
+
+    Quadrant q is the q-th seed cell u of `corner_order`; its rules are those of
+    theta^c reflected on every axis with u_i = -1, so that a non-negative
+    in-quadrant offset reads its digits straight through them.
+    """
+    d, block = theta.dim, math.prod(theta.size)
+    c = 1
+    while (len(theta.alphabet) << d) * block ** (c + 1) <= DIGIT_TABLE_BYTES:
+        c += 1
+    theta_c, bases = power(theta, c), spow(theta.size, c)
+    quadrants = []
+    for u in corner_order(d):
+        idx = _moved(bases, SignedPerm(tuple(range(d)), tuple(-ui for ui in u)))
+        quadrants.append(tuple(bytes(map(r.cells.__getitem__, idx)) for r in theta_c.rules))
+    return bases, _strides(bases), tuple(quadrants)
+
+
 class AddressablePoint:
-    """sigma_v(x_P) for a fixed seed P: total, O(depth) symbol queries.
+    """sigma_v(x_P) for a fixed seed P: total, O(depth / c) symbol queries.
 
     The substitution must fix the seed (seed_step(theta, seed) == seed);
     replacing theta by its corner-fixing power makes every seed eligible
     for bijective substitutions.
     """
 
-    __slots__ = ("theta", "seed", "shift", "_pos_maps")
+    __slots__ = ("theta", "seed", "shift", "_tables")
 
     def __init__(self, theta: RectSubstitution, seed: Seed, shift: Vec | None = None):
         if seed.dim != theta.dim:
@@ -91,9 +125,7 @@ class AddressablePoint:
         self.theta = theta
         self.seed = seed
         self.shift = shift if shift is not None else zero(theta.dim)
-        self._pos_maps = {
-            k: position_map(theta, k) for k in theta.support().cells()
-        }
+        self._tables = None  # _digit_tables(theta), fetched by the first symbol_at
 
     @property
     def dim(self) -> int:
@@ -104,36 +136,36 @@ class AddressablePoint:
         clone.theta = self.theta
         clone.seed = self.seed
         clone.shift = v
-        clone._pos_maps = self._pos_maps
+        clone._tables = self._tables
         return clone
 
     def symbol_at(self, k: Vec) -> int:
-        """Symbol at coordinate k.
+        """Symbol at coordinate k, in O(depth / c) table hits.
 
         The coordinate is routed to the quadrant of the seed cell it falls
-        in, converted to a nonnegative in-quadrant offset, and resolved by
-        composing position maps along its digit expansion.  The result is
-        independent of the expansion depth because the seed is fixed.
+        in and turned into a non-negative in-quadrant offset (x or ~x per
+        axis), whose base-s^c digits are read from the top down through that
+        quadrant's rules of theta^c.  Axes with fewer digits are padded with
+        0, and so is the expansion past the last digit: the seed is fixed by
+        theta^c, so the result does not depend on the depth.
         """
-        w = vsub(k, self.shift)
-        u = tuple(0 if x >= 0 else -1 for x in w)
-        offs = tuple(x if ui == 0 else -1 - x for x, ui in zip(w, u))
-        s = self.theta.size
-        sym = self.seed.corner(u)
-        digit_stack = []
-        rest = list(offs)
-        while any(rest):
-            digit = []
-            for i, b in enumerate(s):
-                rest[i], r = divmod(rest[i], b)
-                digit.append(r)
-            digit_stack.append(tuple(digit))
-        # digit d on a sign-flipped axis reads patch position s-1-d
-        for digit in reversed(digit_stack):
-            actual = tuple(
-                d if ui == 0 else si - 1 - d for d, ui, si in zip(digit, u, s)
-            )
-            sym = self._pos_maps[actual][sym]
+        if self._tables is None:
+            self._tables = _digit_tables(self.theta)
+        bases, strides, quadrants = self._tables
+        q, axes = 0, []
+        for x, v, b, st in zip(k, self.shift, bases, strides):
+            x -= v
+            # a 1 bit per non-negative axis, first axis highest: u's place in corner_order
+            q = q << 1 | (x >= 0)
+            x = x if x >= 0 else ~x
+            digits = []
+            while x:
+                x, r = divmod(x, b)
+                digits.append(r * st)
+            axes.append(digits)
+        rules, sym = quadrants[q], self.seed.symbols[q]
+        for level in reversed(list(zip_longest(*axes, fillvalue=0))):
+            sym = rules[sym][sum(level)]
         return sym
 
     def window(self, r: Rect, cell_cap: int = DEFAULT_CELL_CAP) -> Pattern:

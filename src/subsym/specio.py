@@ -17,7 +17,7 @@ from importlib import resources
 
 from .errors import ValidationError
 from .lattice import Rect, Vec
-from .substitution import Alphabet, Pattern, RectSubstitution, _run_starts
+from .substitution import DEFAULT_CELL_CAP, Alphabet, Pattern, RectSubstitution, _run_starts
 
 _REQUIRED_KEYS = {"name", "dim", "size", "alphabet", "rules"}
 
@@ -237,7 +237,10 @@ def ppm_image(extent: Vec, cells: bytes, scale: int) -> bytes:
     """P6 image of a 2d cell buffer in `Pattern`'s layout, top row first; cells are palette indices."""
     if scale < 1:
         raise ValidationError("ppm scale must be >= 1")
-    scaled = [color * scale for color in _load_palette()]
     w, h = extent
+    if w * h * scale * scale > DEFAULT_CELL_CAP:
+        pixels = f"{w * scale}x{h * scale}"
+        raise ValidationError(f"ppm of {pixels} pixels exceeds cap {DEFAULT_CELL_CAP}")
+    scaled = [color * scale for color in _load_palette()]
     rows = [b"".join(map(scaled.__getitem__, cells[i : i + w])) for i in _run_starts(extent, (0, 0), extent)]
     return b"P6\n%d %d\n255\n" % (w * scale, h * scale) + b"".join(r for r in reversed(rows) for _ in range(scale))

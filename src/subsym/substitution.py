@@ -7,6 +7,7 @@ are stored as dense byte indices; names only matter at the I/O boundary.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -353,6 +354,7 @@ def corner_fixed(theta: RectSubstitution) -> tuple[RectSubstitution, int]:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def corner_order(d: int) -> tuple[Vec, ...]:
     """Canonical enumeration of the seed support {-1, 0}^d."""
     return tuple(itertools.product((-1, 0), repeat=d))
@@ -388,18 +390,21 @@ class Seed:
         return Pattern(box.lo, box.extent(), bytes(map(self.corner, box.cells())))
 
 
-def _expansion_corner(u: Vec, size: Vec) -> Vec:
-    """Position inside theta(seed corner u) that stays on that corner."""
-    return tuple(0 if ui == 0 else s - 1 for ui, s in zip(u, size))
+def _seed_stepper(theta: RectSubstitution):
+    """seed_step on bare corner-order symbol tuples: corner u of the next seed
+    is the cell of theta(corner u) that stays on u, read at its flat offset."""
+    size, strides = theta.size, _strides(theta.size)
+    offsets = [
+        sum((n - 1) * st for ui, n, st in zip(u, size, strides) if ui)
+        for u in corner_order(theta.dim)
+    ]
+    rules = [r.cells for r in theta.rules]
+    return lambda syms: tuple(rules[a][o] for a, o in zip(syms, offsets))
 
 
 def seed_step(theta: RectSubstitution, seed: Seed) -> Seed:
     """One inflation step of the seed dynamics."""
-    syms = tuple(
-        theta.rule(seed.corner(u)).get(_expansion_corner(u, theta.size))
-        for u in corner_order(theta.dim)
-    )
-    return Seed(theta.dim, syms)
+    return Seed(theta.dim, _seed_stepper(theta)(seed.symbols))
 
 
 def all_seeds(theta: RectSubstitution) -> Iterator[Seed]:
@@ -431,9 +436,11 @@ class SeedCycles:
 
 def fixed_seeds(theta: RectSubstitution) -> SeedCycles:
     """All cycles of seed_step; a seed on a cycle of length L is theta^L-fixed."""
-    step: dict[Seed, Seed] = {s: seed_step(theta, s) for s in all_seeds(theta)}
+    stepper = _seed_stepper(theta)
+    n, corners = len(theta.alphabet), 1 << theta.dim
+    step = {syms: stepper(syms) for syms in itertools.product(range(n), repeat=corners)}
     cycles: list[tuple[Seed, ...]] = []
-    seen: set[Seed] = set()
+    seen: set[tuple[int, ...]] = set()
     for start in step:
         if start in seen:
             continue
@@ -446,6 +453,6 @@ def fixed_seeds(theta: RectSubstitution) -> SeedCycles:
             node = step[node]
         if node in trail_set:
             i = trail.index(node)
-            cycles.append(tuple(trail[i:]))
+            cycles.append(tuple(Seed(theta.dim, syms) for syms in trail[i:]))
         seen.update(trail)
     return SeedCycles(tuple(cycles))

@@ -1,6 +1,7 @@
 import pytest
 
 from subsym.specio import BUNDLED, bundled_substitution
+from subsym.substitution import Alphabet, Pattern, RectSubstitution
 
 
 @pytest.fixture(scope="session")
@@ -36,3 +37,13 @@ def dbl():
 @pytest.fixture(scope="session")
 def corpus():
     return {name: bundled_substitution(name) for name in BUNDLED}
+
+
+@pytest.fixture(scope="session")
+def two_by_three():
+    """A bijective binary rule on [0, 1] x [0, 2]: axes of different sizes."""
+    rules = (
+        Pattern((0, 0), (2, 3), bytes([0, 1, 0, 1, 0, 1])),
+        Pattern((0, 0), (2, 3), bytes([1, 0, 1, 0, 1, 0])),
+    )
+    return RectSubstitution(Alphabet(("0", "1")), (2, 3), rules)

@@ -6,10 +6,13 @@ Pattern), or that the block assembly in `subsym.robinson` replaced (one
 recursion per cell), or the language fallback of `subsym.symmetry` that
 regenerated the language of every conjugate, or the per-matrix symmetry
 check that rebuilt every theta^m from theta and checked closure with
-`SignedPerm.compose`.  The differential tests compare the fast paths
-against these.
+`SignedPerm.compose`, or the seed step read through `Pattern.get` and the
+one-digit-per-level walk of `symbol_at` that the per-quadrant tables of
+theta^c replaced.  The differential tests compare the fast paths against
+these.
 """
 
+import functools
 import itertools
 import math
 
@@ -22,9 +25,11 @@ from subsym.substitution import (
     DEFAULT_CELL_CAP,
     Pattern,
     RectSubstitution,
+    Seed,
     apply,
     corner_fixing_power,
     corner_order,
+    position_map,
 )
 from subsym.symmetry import (
     ALIGN_POWER_CAP,
@@ -112,6 +117,47 @@ def window_oracle(x, r):
     for k in r.cells():
         buf[out.index_of(k)] = x.symbol_at(k)
     return Pattern(r.lo, r.extent(), bytes(buf))
+
+
+def seed_step_oracle(theta, seed):
+    """One inflation step, each corner read through `Pattern.get` at its expansion corner."""
+    syms = []
+    for u in corner_order(theta.dim):
+        expansion_corner = tuple(0 if ui == 0 else s - 1 for ui, s in zip(u, theta.size))
+        syms.append(theta.rule(seed.corner(u)).get(expansion_corner))
+    return Seed(theta.dim, tuple(syms))
+
+
+@functools.lru_cache(maxsize=16)
+def _position_maps(theta):
+    return {k: position_map(theta, k) for k in theta.support().cells()}
+
+
+def symbol_at_oracle(x, k, depth=None):
+    """Symbol of point x at k by one position map of theta per base-s digit.
+
+    The coordinate is routed to the quadrant of its seed cell and made a
+    non-negative in-quadrant offset; a digit on a sign-flipped axis reads
+    patch position s - 1 - digit.  With `depth` the walk reads exactly that
+    many digits (and asserts that they cover the offset), else it stops at
+    the last non-zero one.
+    """
+    maps, s = _position_maps(x.theta), x.theta.size
+    w = tuple(a - b for a, b in zip(k, x.shift))
+    u = tuple(0 if c >= 0 else -1 for c in w)
+    rest = [c if ui == 0 else -1 - c for c, ui in zip(w, u)]
+    digits = []
+    while any(rest) if depth is None else len(digits) < depth:
+        digit = []
+        for i, b in enumerate(s):
+            rest[i], r = divmod(rest[i], b)
+            digit.append(r)
+        digits.append(tuple(digit))
+    assert not any(rest), "oracle depth too small"
+    sym = x.seed.corner(u)
+    for digit in reversed(digits):
+        sym = maps[tuple(dd if ui == 0 else si - 1 - dd for dd, ui, si in zip(digit, u, s))][sym]
+    return sym
 
 
 def transform_oracle(theta, a, tau):

@@ -4,6 +4,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from subsym import specio
 from subsym.cli import main
 from subsym.errors import ValidationError
 from subsym.specio import (
@@ -267,6 +268,22 @@ def test_ppm_scale_below_one_exits_2(tmp_path, argv, scale):
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert not ppm.exists()
+
+
+@pytest.mark.parametrize("argv", [["patch", "tm2d", "-m", "2"], ["robinson", "supertile", "2"]])
+def test_ppm_over_pixel_cap_exits_2(tmp_path, argv):
+    ppm = tmp_path / "out.ppm"
+    code, out, err = run_cli(*argv, "--render", "ppm", "--scale", "100000", "-o", str(ppm))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not ppm.exists()
+
+
+def test_ppm_pixel_cap_boundary(monkeypatch):
+    monkeypatch.setattr(specio, "DEFAULT_CELL_CAP", 36)
+    assert specio.ppm_image((2, 2), bytes(4), 3).startswith(b"P6\n6 6\n")
+    with pytest.raises(ValidationError, match="exceeds cap 36"):
+        specio.ppm_image((2, 2), bytes(4), 4)
 
 
 def test_robinson_renders(tmp_path):

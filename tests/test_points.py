@@ -1,13 +1,20 @@
+import contextlib
+import io
+import itertools
 import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import symbol_at_oracle
 
+from subsym import points
+from subsym.cli import main
 from subsym.errors import ScopeError, ValidationError
-from subsym.lattice import Rect
+from subsym.lattice import Rect, zero
 from subsym.points import (
+    DIGIT_TABLE_BYTES,
     AddressablePoint,
     OdometerCoord,
     contradiction_pair,
@@ -15,12 +22,16 @@ from subsym.points import (
     desubstitute_point,
     half_space_fracture_pair,
     quadrant_cell_of,
+    _digit_tables,
     shift_point,
 )
+from subsym.specio import BUNDLED, bundled_substitution
 from subsym.substitution import (
     Pattern,
     Seed,
     corner_fixed,
+    fixed_seeds,
+    is_bijective,
     power,
 )
 
@@ -111,45 +122,139 @@ def test_unfixed_seed_rejected(tm1d):
 
 def test_m_independence_bulk(corpus):
     """Digit walks of depth m and m+1 agree with symbol_at, 1e5 coordinates
-    per bundled substitution (independent fixed-depth reimplementation)."""
-    from subsym.substitution import fixed_seeds, is_bijective, position_map
-
+    per bundled substitution (the fixed-depth oracle walk)."""
     rng = random.Random(5150)
     for theta in corpus.values():
         theta_cf = corner_fixed(theta)[0] if is_bijective(theta) else theta
         x = AddressablePoint(theta_cf, fixed_seeds(theta_cf).fixed[0])
         s = theta_cf.size
         d = theta.dim
-        maps = {k: position_map(theta_cf, k) for k in theta_cf.support().cells()}
-
-        def oracle(k, depth):
-            w = tuple(a - b for a, b in zip(k, x.shift))
-            u = tuple(0 if c >= 0 else -1 for c in w)
-            rest = [c if ui == 0 else -1 - c for c, ui in zip(w, u)]
-            digited = []
-            for _ in range(depth):
-                digit = []
-                for i, b in enumerate(s):
-                    rest[i], r = divmod(rest[i], b)
-                    digit.append(r)
-                digited.append(tuple(digit))
-            assert not any(rest), "oracle depth too small"
-            sym = x.seed.corner(u)
-            for digit in reversed(digited):
-                sym = maps[
-                    tuple(
-                        dd if ui == 0 else si - 1 - dd
-                        for dd, ui, si in zip(digit, u, s)
-                    )
-                ][sym]
-            return sym
-
         m = 1
         while min(s) ** m <= 10**5:
             m += 1
         for _ in range(100_000):
             k = tuple(rng.randint(-(10**5), 10**5) for _ in range(d))
-            assert oracle(k, m) == oracle(k, m + 1) == x.symbol_at(k)
+            assert symbol_at_oracle(x, k, m) == symbol_at_oracle(x, k, m + 1) == x.symbol_at(k)
+
+
+# -- symbol_at against the one-digit-per-level oracle -------------------------
+
+SHIFT_SIZES = (0, 5, -5, 2**40, -(2**40))
+
+
+def eligible(theta):
+    return corner_fixed(theta)[0] if is_bijective(theta) else theta
+
+
+def probe_coords(x, rng):
+    """The quadrant seams at the shift, coordinates one either side of the
+    digit boundaries +-(s^c)^j on each axis and on all axes at once, and
+    random coordinates up to 2^60."""
+    bases, d, v = _digit_tables(x.theta)[0], x.dim, x.shift
+    coords = list(itertools.product(*((c, c - 1) for c in v)))
+    for j in (1, 2, 3):
+        for sign in (1, -1):
+            for e in (0, -1):
+                offs = [sign * b**j + e for b in bases]
+                coords.append(tuple(c + o for c, o in zip(v, offs)))
+                for i in range(d):
+                    coords.append(tuple(c + (offs[i] if a == i else 0) for a, c in enumerate(v)))
+    coords += [tuple(rng.randint(-(2**60), 2**60) for _ in range(d)) for _ in range(4)]
+    return coords
+
+
+def assert_matches_oracle(theta, rng):
+    fixed = fixed_seeds(theta).fixed
+    assert fixed
+    for seed in fixed:
+        for size in SHIFT_SIZES:
+            # signs alternate over the axes, so mixed quadrants get a far shift too
+            shift = tuple(size if i % 2 == 0 else -size for i in range(theta.dim))
+            x = AddressablePoint(theta, seed, shift)
+            for k in probe_coords(x, rng):
+                assert x.symbol_at(k) == symbol_at_oracle(x, k), (seed, shift, k)
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_symbol_at_matches_oracle(name):
+    assert_matches_oracle(eligible(bundled_substitution(name)), random.Random(name))
+
+
+def test_symbol_at_matches_oracle_on_unequal_axes(two_by_three):
+    theta = eligible(two_by_three)
+    bases = _digit_tables(theta)[0]
+    assert theta.size == (4, 9) and bases[0] != bases[1]
+    assert_matches_oracle(theta, random.Random(23))
+
+
+def test_symbol_at_has_no_depth_limit(corpus, two_by_three):
+    rng = random.Random(1100)
+
+    def far(d):
+        return tuple(rng.choice((-1, 1)) * (2**1100 + rng.randrange(2**1099)) for _ in range(d))
+
+    for theta in [*corpus.values(), two_by_three]:
+        theta = eligible(theta)
+        for seed in fixed_seeds(theta).fixed[:2]:
+            for shift in (zero(theta.dim), far(theta.dim)):
+                x = AddressablePoint(theta, seed, shift)
+                for _ in range(5):
+                    k = far(theta.dim)
+                    assert x.symbol_at(k) == symbol_at_oracle(x, k)
+
+
+def test_digit_tables_fill_the_budget(corpus, two_by_three):
+    for theta in [*corpus.values(), two_by_three]:
+        theta = eligible(theta)
+        bases, strides, quadrants = _digit_tables(theta)
+        per_level = math.prod(theta.size)
+        c = round(math.log(math.prod(bases), per_level))
+        assert bases == tuple(si**c for si in theta.size)
+        assert len(quadrants) == 1 << theta.dim
+        assert all(len(rules) == len(theta.alphabet) for rules in quadrants)
+        used = sum(len(r) for rules in quadrants for r in rules)
+        assert used <= DIGIT_TABLE_BYTES < used * per_level
+        # the all-non-negative quadrant is theta^c itself
+        assert quadrants[-1] == tuple(r.cells for r in power(theta, c).rules)
+    assert _digit_tables.cache_info().maxsize is not None
+
+
+@pytest.fixture
+def counted_builds(monkeypatch):
+    """Number of digit-table builds since the cache was emptied."""
+    builds = []
+    real_power = points.power
+    monkeypatch.setattr(points, "power", lambda *a: builds.append(a) or real_power(*a))
+    points._digit_tables.cache_clear()
+    return builds
+
+
+def test_tables_are_shared(tm2d, counted_builds):
+    theta = eligible(tm2d)
+    seed = fixed_seeds(theta).fixed[0]
+    x = AddressablePoint(theta, seed, (3, -4))
+    early = x.with_shift((7, 7))  # cloned before the first query
+    assert x.symbol_at((100, -100)) == symbol_at_oracle(x, (100, -100))
+    late = shift_point(x, (-9, 2))
+    twin = AddressablePoint(eligible(bundled_substitution("tm2d")), seed)
+    assert twin.theta is not theta
+    for y in (early, late, twin):
+        assert y.symbol_at((-50, 60)) == symbol_at_oracle(y, (-50, 60))
+        assert y._tables is x._tables
+    assert len(counted_builds) == 1
+
+
+def test_window_builds_no_tables(tm2d, counted_builds):
+    x = AddressablePoint(eligible(tm2d), Seed(2, (0, 1, 1, 0)), (5, -5))
+    x.window(Rect((-8, -8), (7, 7)))
+    assert x._tables is None and not counted_builds
+    for argv in (
+        ["point", "tm2d", "--seed", "0,1,1,0", "--shift=3,-2", "--window", "4"],
+        ["fracture", "tm2d", "--axis", "1", "--window", "8"],
+    ):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+    assert not counted_builds and _digit_tables.cache_info().currsize == 0
 
 
 # -- shifts and the odometer coordinate ---------------------------------------

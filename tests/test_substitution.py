@@ -1,4 +1,5 @@
 import pytest
+from oracles import seed_step_oracle
 
 from subsym.errors import ScopeError, ValidationError
 from subsym.lattice import Rect
@@ -10,6 +11,7 @@ from subsym.substitution import (
     all_seeds,
     apply,
     complement_pattern,
+    corner_fixed,
     corner_fixing_power,
     corner_order,
     corners,
@@ -234,6 +236,26 @@ def test_fixed_seeds_are_seed_step_fixed(corpus):
         for cycle in cyc.cycles:
             for i, seed in enumerate(cycle):
                 assert seed_step(theta, seed) == cycle[(i + 1) % len(cycle)]
+
+
+def test_seed_dynamics_match_oracle(corpus):
+    """seed_step and the cycles of fixed_seeds against the step read through
+    Pattern.get, on every seed of every bundled spec and its corner-fixed power."""
+    for theta in corpus.values():
+        for t in [theta, corner_fixed(theta)[0]] if is_bijective(theta) else [theta]:
+            step = {seed: seed_step_oracle(t, seed) for seed in all_seeds(t)}
+            assert all(seed_step(t, seed) == image for seed, image in step.items())
+            on_cycles = set()
+            for seed in step:
+                node = step[seed]
+                for _ in step:
+                    if node == seed:
+                        on_cycles.add(seed)
+                        break
+                    node = step[node]
+            cyc = fixed_seeds(t)
+            assert len(cyc.on_cycles) == len(on_cycles) and set(cyc.on_cycles) == on_cycles
+            assert set(cyc.fixed) == {seed for seed, image in step.items() if image == seed}
 
 
 # -- binary complement relation ----------------------------------------------

@@ -207,17 +207,9 @@ def test_transform_rotation_is_complement(tm2d):
         assert out.rule(a) == complement_pattern(tm2d.rule(a))
 
 
-def test_transform_size_mismatch():
-    from subsym.substitution import Alphabet, RectSubstitution
-
-    alpha = Alphabet(("0", "1"))
-    rules = (
-        Pattern((0, 0), (2, 3), bytes([0, 1, 0, 1, 0, 1])),
-        Pattern((0, 0), (2, 3), bytes([1, 0, 1, 0, 1, 0])),
-    )
-    theta = RectSubstitution(alpha, (2, 3), rules)
+def test_transform_size_mismatch(two_by_three):
     swap = SignedPerm((1, 0), (0, 0))
-    out = transformed_substitution(theta, swap, (0, 1))
+    out = transformed_substitution(two_by_three, swap, (0, 1))
     assert isinstance(out, SizeMismatch)
     assert out.permuted == (3, 2)
 
