@@ -160,8 +160,12 @@ def cmd_lang(args) -> int:
         key = f"{specio.spec_digest(spec)}-{shape}-{args.mode}-{args.depth}-{__version__}"
         digest = hashlib.sha256(key.encode()).hexdigest()[:16]
         cache_path = Path(args.cache_dir) / f"lang-{digest}.txt"
-        entry = cache_path.read_text() if cache_path.exists() else ""
-        # an entry is the stats line, then the dump; one without the stats line is rebuilt
+        # an entry is the stats line, then the dump; one without the stats line,
+        # or not UTF-8, is rebuilt
+        try:
+            entry = cache_path.read_text(encoding="utf-8")
+        except (FileNotFoundError, UnicodeDecodeError):
+            entry = ""
         if entry.startswith("# patterns="):
             stats, dump = entry.split("\n", 1)
             _write_out(args, dump)
@@ -193,9 +197,9 @@ def cmd_fracture(args) -> int:
         )
         if report.conclusive:
             b = report.block
+            lo, hi = (",".join(map(str, c)) for c in (b.block.lo, b.block.hi))
             print(
-                f"refuted direction={args.refute} level={b.level} "
-                f"block=[{b.block.lo[0]},{b.block.lo[1]}]..[{b.block.hi[0]},{b.block.hi[1]}] "
+                f"refuted direction={args.refute} level={b.level} block=[{lo}]..[{hi}] "
                 f"upper_cells={b.upper_count} lower_cells={b.lower_count}"
             )
             return 0
@@ -249,8 +253,7 @@ def cmd_robinson(args) -> int:
             print("inconclusive(timeout)")
         return 0
     elif args.rob_cmd == "verify":
-        with open(args.file, "r", encoding="utf-8") as f:
-            patch = rob.load_patch_text(f.read())
+        patch = rob.load_patch_text(specio.read_utf8(args.file))
         violations = rob.verify_patch(patch)
         print(f"violations={len(violations)}")
         for v in violations[:50]:
@@ -322,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fracture", help="axis fracture witness / non-axis refuter")
     spec_arg(p)
     p.add_argument("--axis", type=int, default=0, help="0-based axis")
-    p.add_argument("--refute", default=None, help="non-axis direction vx,vy")
+    p.add_argument("--refute", default=None, help="non-axis direction, comma-separated integers")
     p.add_argument("--threshold", type=int, default=4)
     p.add_argument("--window", type=int, default=64)
     p.set_defaults(func=cmd_fracture)

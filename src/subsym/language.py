@@ -19,10 +19,10 @@ import itertools
 import math
 from dataclasses import dataclass
 
+from . import substitution
 from .errors import CapExceeded, ScopeError, ValidationError
 from .lattice import Rect, Vec
 from .substitution import (
-    DEFAULT_CELL_CAP,
     Pattern,
     RectSubstitution,
     Seed,
@@ -50,10 +50,6 @@ class PatchLanguage:
     def __contains__(self, key: bytes) -> bool:
         return key in self.patterns
 
-    def as_patterns(self) -> list[Pattern]:
-        zero = (0,) * len(self.shape)
-        return [Pattern(zero, self.shape, c) for c in sorted(self.patterns)]
-
 
 def contains_pattern(lang: PatchLanguage, p: Pattern) -> bool:
     if p.extent != lang.shape:
@@ -79,24 +75,24 @@ def patch_language(
     shape: Vec,
     mode: str = "minimal",
     max_depth: int = DEFAULT_MAX_DEPTH,
-    cell_cap: int = DEFAULT_CELL_CAP,
 ) -> PatchLanguage:
     """Generate the shape-pattern language by iterated inflation."""
     if max_depth < 1:
         raise ValidationError("max_depth must be >= 1")
     if any(x < 1 for x in shape) or len(shape) != theta.dim:
         raise ValidationError(f"bad shape {shape}")
-    keys, depth, stabilized = _grow(theta, _root_patterns(theta, mode), shape, max_depth, cell_cap)
+    keys, depth, stabilized = _grow(theta, _root_patterns(theta, mode), shape, max_depth)
     return PatchLanguage(tuple(shape), mode, frozenset(keys), depth, stabilized)
 
 
-def _grow(theta: RectSubstitution, patches: list[Pattern], shape: Vec, max_depth: int,
-          cell_cap: int) -> tuple[set[bytes], int, bool]:
+def _grow(theta: RectSubstitution, patches: list[Pattern], shape: Vec,
+          max_depth: int) -> tuple[set[bytes], int, bool]:
     """Inflate the roots level by level, collecting shape-windows, until a
     level adds nothing new; returns (windows, depth reached, stabilized)."""
     seen: set[bytes] = set()
+    cap = substitution.DEFAULT_CELL_CAP
     for depth in range(1, max_depth + 1):
-        if any(p.rect().cell_count() * math.prod(theta.size) > cell_cap for p in patches):
+        if any(p.rect().cell_count() * math.prod(theta.size) > cap for p in patches):
             raise CapExceeded("language generation exceeded the cell cap")
         patches = [apply(theta, p) for p in patches]
         before = len(seen)
@@ -147,7 +143,7 @@ def periodicity_scan(theta: RectSubstitution, radius: int) -> PeriodicityReport:
     shape = (2 * radius,) * d
     # union over every symbol's expansions; works for non-primitive input too
     roots = [Pattern.single((0,) * d, a) for a in range(len(theta.alphabet))]
-    seen, depth, stabilized = _grow(theta, roots, shape, DEFAULT_MAX_DEPTH, DEFAULT_CELL_CAP)
+    seen, depth, stabilized = _grow(theta, roots, shape, DEFAULT_MAX_DEPTH)
     zero = (0,) * d
     pats = [Pattern(zero, shape, c) for c in seen]
     periods = []

@@ -293,15 +293,6 @@ class SignedPerm:
             sign = -sign
         return sign
 
-    def image_quadrant(self, q: Quadrant) -> Quadrant:
-        """Image of a canonical quadrant (vertex must be 0)."""
-        if q.vertex != zero(self.dim):
-            raise ScopeError("image_quadrant expects a canonical quadrant")
-        sign = [0] * self.dim
-        for i, (p, t) in enumerate(zip(self.perm, self.signs)):
-            sign[p] = -q.sign[i] if t else q.sign[i]
-        return Quadrant.canonical(tuple(sign))
-
 
 def signed_perm_group(d: int) -> list[SignedPerm]:
     """All 2^d * d! signed permutations, identity first, no duplicates."""

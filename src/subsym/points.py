@@ -15,10 +15,10 @@ import math
 from dataclasses import dataclass
 from itertools import zip_longest
 
+from . import substitution
 from .errors import CapExceeded, ScopeError, SearchFailure, ValidationError
 from .lattice import Rect, SignedPerm, Vec, spow, vadd, vfloordiv, vmod, vsub, zero
 from .substitution import (
-    DEFAULT_CELL_CAP,
     Pattern,
     RectSubstitution,
     Seed,
@@ -168,12 +168,12 @@ class AddressablePoint:
             sym = rules[sym][sum(level)]
         return sym
 
-    def window(self, r: Rect, cell_cap: int = DEFAULT_CELL_CAP) -> Pattern:
+    def window(self, r: Rect) -> Pattern:
         """The point on an inclusive rect.  The unshifted point is theta-fixed,
         so on a box B it is a crop of theta applied to it on floor(B / s)."""
-        n = r.cell_count()
-        if n > cell_cap:
-            raise CapExceeded(f"window of {n} cells exceeds cap {cell_cap}")
+        n, cap = r.cell_count(), substitution.DEFAULT_CELL_CAP
+        if n > cap:
+            raise CapExceeded(f"window of {n} cells exceeds cap {cap}")
         b = r.translate(vsub(zero(self.dim), self.shift))
         seed, s = self.seed.pattern(), self.theta.size
         boxes = []  # B, floor(B / s), ... down to a box inside {-1, 0}^d

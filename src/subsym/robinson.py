@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from .errors import CapExceeded, ScopeError, ValidationError
 from .lattice import IntMatrix, Rect, SignedPerm, vsub
 from .specio import ppm_image
-from .substitution import _moved, _run_starts
+from .substitution import _moved, _relabel_table, _run_starts
 
 # Edge indices.
 N, E, S, W = 0, 1, 2, 3
@@ -327,7 +327,8 @@ def verify_patch(patch: RobinsonPatch) -> list[Violation]:
 
 ORIENTATIONS = ("NE", "NW", "SE", "SW")
 _EDGE_IDX = {"N": N, "E": E, "S": S, "W": W}
-_DEFAULT_SUPERTILE_CAP = 8
+_SUPERTILE_ORDER_CAP = 8
+_WINDOW_RADIUS_CAP = 256
 
 
 def _find_tile(pred) -> int:
@@ -421,12 +422,12 @@ def _supertile_rows(n: int) -> dict[str, list[bytes]]:
     return level
 
 
-def supertile(n: int, orient: str = "NE", cap: int = _DEFAULT_SUPERTILE_CAP) -> RobinsonPatch:
+def supertile(n: int, orient: str = "NE") -> RobinsonPatch:
     """The (2^n - 1)-sided cross-like block, anchored at (0, 0)."""
     if orient not in ORIENTATIONS:
         raise ValidationError(f"orientation must be one of {ORIENTATIONS}")
-    if not 1 <= n <= cap:
-        raise CapExceeded(f"supertile order {n} outside [1, {cap}]")
+    if not 1 <= n <= _SUPERTILE_ORDER_CAP:
+        raise CapExceeded(f"supertile order {n} outside [1, {_SUPERTILE_ORDER_CAP}]")
     side = (1 << n) - 1
     return RobinsonPatch(Rect.box((side, side)), b"".join(_supertile_rows(n)[orient]), (0, 0))
 
@@ -471,27 +472,23 @@ def _half_row(blocks: dict[str, list[bytes]], y: int, n: int, vertical: bool, ea
     return _limit_row(blocks, ("N" if y > 0 else "S") + ("E" if east else "W"), abs(y) - 1, n)
 
 
-def four_quadrant_window(
-    n: int, arm_config: str = "vertical", cap: int = 256
-) -> RobinsonPatch:
+def four_quadrant_window(n: int, arm_config: str = "vertical") -> RobinsonPatch:
     """(2N+1)^2 window of the four-infinite-supertile point around the origin.
 
     The four quadrants are separated by a row and a column of kind-1 tiles;
     the strip named by `arm_config` has all its tiles in one orientation,
     the other points toward the center.
     """
-    return _shifted_window(n, 0, arm_config, cap)
+    return _shifted_window(n, 0, arm_config)
 
 
-def _shifted_window(
-    n: int, dy_right: int, arm_config: str = "vertical", cap: int = 256
-) -> RobinsonPatch:
+def _shifted_window(n: int, dy_right: int, arm_config: str = "vertical") -> RobinsonPatch:
     """The four-supertile window with the open right half-plane (x >= 1)
     shifted vertically by dy_right, built row by row."""
     if arm_config not in ("vertical", "horizontal"):
         raise ValidationError("arm_config must be 'vertical' or 'horizontal'")
-    if not 1 <= n <= cap:
-        raise CapExceeded(f"window radius {n} outside [1, {cap}]")
+    if not 1 <= n <= _WINDOW_RADIUS_CAP:
+        raise CapExceeded(f"window radius {n} outside [1, {_WINDOW_RADIUS_CAP}]")
     vertical, blocks = arm_config == "vertical", _supertile_rows(n.bit_length())
     rows = []
     for y in range(-n, n + 1):
@@ -504,14 +501,14 @@ def _shifted_window(
     return RobinsonPatch(Rect((-n, -n), (n, n)), b"".join(rows), (1, 1))
 
 
-def fracture_shift_demo(n: int, k: int, cap: int = 256) -> RobinsonPatch:
+def fracture_shift_demo(n: int, k: int) -> RobinsonPatch:
     """Re-glue the right half-plane of the four-quadrant point shifted by
     (0, 2k); the result still verifies, demonstrating the vertical fracture.
 
     Only the vertical-uniform strip absorbs a vertical shift, so the demo
     always builds on that configuration.
     """
-    return _shifted_window(n, 2 * k, "vertical", cap)
+    return _shifted_window(n, 2 * k, "vertical")
 
 
 # ---------------------------------------------------------------------------
@@ -551,9 +548,8 @@ class PatchSymmetry:
         # a signed permutation sends opposite corners of the box to opposite corners
         u, v = self.a.apply(patch.rect.lo), self.a.apply(patch.rect.hi)
         rect = Rect(tuple(map(min, u, v)), tuple(map(max, u, v)))
-        relabel = bytes(self.table) + bytes(range(len(self.table), 256))
         idx = _moved(patch.rect.extent(), self.a)
-        tiles = bytes(map(patch.tiles.__getitem__, idx)).translate(relabel)
+        tiles = bytes(map(patch.tiles.__getitem__, idx)).translate(_relabel_table(self.table))
         parity = tuple(c % 2 for c in self.a.apply(patch.parity))
         return RobinsonPatch(rect, tiles, parity)  # type: ignore[arg-type]
 
@@ -611,6 +607,8 @@ def torus_tiling_search(
         raise ScopeError("torus periods must be even to keep the cross coset consistent")
     if w < 2 or h < 2:
         raise ValidationError("torus periods must be >= 2")
+    if not time_cap > 0:  # also rejects nan, which would never time out
+        raise ValidationError(f"torus time cap must be > 0, got {time_cap}")
     if w * h > TORUS_CELL_CAP:
         raise CapExceeded(f"torus search capped at {TORUS_CELL_CAP} cells")
 

@@ -15,9 +15,10 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
+from . import substitution
 from .errors import ValidationError
 from .lattice import Rect, Vec
-from .substitution import DEFAULT_CELL_CAP, Alphabet, Pattern, RectSubstitution, _run_starts
+from .substitution import Alphabet, Pattern, RectSubstitution, _run_starts
 
 _REQUIRED_KEYS = {"name", "dim", "size", "alphabet", "rules"}
 
@@ -49,6 +50,8 @@ def parse_spec(text: str) -> SubstitutionSpec:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise _fail("$", f"not valid JSON ({exc.msg} at line {exc.lineno})") from None
+    except RecursionError:
+        raise _fail("$", "not valid JSON (nested too deeply)") from None
     if not isinstance(obj, dict):
         raise _fail("$", "top level must be an object")
     unknown = set(obj) - _REQUIRED_KEYS
@@ -124,9 +127,17 @@ def spec_digest(spec: SubstitutionSpec) -> str:
     return hashlib.sha256(canonical_text(spec).encode()).hexdigest()[:16]
 
 
+def read_utf8(path: str) -> str:
+    """The text of a file, which must be UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError:
+        raise ValidationError(f"{path}: not UTF-8 text") from None
+
+
 def load_spec_file(path: str) -> SubstitutionSpec:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_spec(f.read())
+    return parse_spec(read_utf8(path))
 
 
 BUNDLED = ("tm1d", "tm2d", "tm3d", "cyc3", "rig3", "dbl")
@@ -238,9 +249,9 @@ def ppm_image(extent: Vec, cells: bytes, scale: int) -> bytes:
     if scale < 1:
         raise ValidationError("ppm scale must be >= 1")
     w, h = extent
-    if w * h * scale * scale > DEFAULT_CELL_CAP:
-        pixels = f"{w * scale}x{h * scale}"
-        raise ValidationError(f"ppm of {pixels} pixels exceeds cap {DEFAULT_CELL_CAP}")
+    cap = substitution.DEFAULT_CELL_CAP
+    if w * h * scale * scale > cap:
+        raise ValidationError(f"ppm of {w * scale}x{h * scale} pixels exceeds cap {cap}")
     scaled = [color * scale for color in _load_palette()]
     rows = [b"".join(map(scaled.__getitem__, cells[i : i + w])) for i in _run_starts(extent, (0, 0), extent)]
     return b"P6\n%d %d\n255\n" % (w * scale, h * scale) + b"".join(r for r in reversed(rows) for _ in range(scale))

@@ -17,8 +17,9 @@ from typing import Iterator, Sequence
 from .errors import CapExceeded, ScopeError, ValidationError
 from .lattice import Rect, SignedPerm, Vec, spow, vadd, vmul, vsub, zero
 
-#: Default cap on materialized pattern cells; theta^m grows exponentially,
-#: beyond this callers must go through the lazy point queries.
+#: The cap on materialized cells: theta^m grows exponentially, and beyond
+#: this callers must go through the lazy point queries.  Every cell-count
+#: check reads it as `substitution.DEFAULT_CELL_CAP` when it runs.
 DEFAULT_CELL_CAP = 2**26
 
 
@@ -95,9 +96,6 @@ class Pattern:
 
     def translate(self, v: Vec) -> "Pattern":
         return Pattern(vadd(self.anchor, v), self.extent, self.cells)
-
-    def normalized(self) -> "Pattern":
-        return Pattern(zero(self.dim), self.extent, self.cells)
 
     def key(self) -> tuple[Vec, bytes]:
         """Anchor-free canonical form."""
@@ -205,6 +203,12 @@ def _moved(extent: Vec, a: SignedPerm) -> list[int]:
     return idx
 
 
+def _relabel_table(tau: Sequence[int]) -> bytes:
+    """`bytes.translate` table of the symbol map tau: p after q is
+    `bytes(q).translate(_relabel_table(p))`."""
+    return bytes(tau) + bytes(range(len(tau), 256))
+
+
 def _inflate(theta: RectSubstitution, p: Pattern) -> Pattern:
     """`apply` without the cell cap."""
     s, origin = theta.size, zero(p.dim)
@@ -230,21 +234,19 @@ def apply(theta: RectSubstitution, p: Pattern) -> Pattern:
     return _inflate(theta, p)
 
 
-def _check_power_cap(theta: RectSubstitution, m: int, cell_cap: int) -> None:
+def _check_power_cap(theta: RectSubstitution, m: int) -> None:
     per_rule = math.prod(x**m for x in theta.size)
-    if per_rule * len(theta.alphabet) > cell_cap:
+    if per_rule * len(theta.alphabet) > DEFAULT_CELL_CAP:
         raise CapExceeded(f"theta^{m} needs {per_rule} cells per rule")
 
 
-def _powers(
-    theta: RectSubstitution, top: int, cell_cap: int = DEFAULT_CELL_CAP
-) -> Iterator[RectSubstitution]:
+def _powers(theta: RectSubstitution, top: int) -> Iterator[RectSubstitution]:
     """theta, theta^2, ..., theta^top, each built from the one before by one
     `apply` of theta per rule; ends before the first power over the cell cap."""
     theta_m = theta
     for m in range(1, top + 1):
         try:
-            _check_power_cap(theta, m, cell_cap)
+            _check_power_cap(theta, m)
         except CapExceeded:
             return
         if m > 1:
@@ -253,12 +255,12 @@ def _powers(
         yield theta_m
 
 
-def power(theta: RectSubstitution, m: int, cell_cap: int = DEFAULT_CELL_CAP) -> RectSubstitution:
+def power(theta: RectSubstitution, m: int) -> RectSubstitution:
     """theta^m with rules materialized eagerly."""
     if m < 1:
         raise ValidationError("power requires m >= 1")
-    _check_power_cap(theta, m, cell_cap)
-    for theta_m in _powers(theta, m, cell_cap):
+    _check_power_cap(theta, m)
+    for theta_m in _powers(theta, m):
         pass
     return theta_m
 
@@ -426,12 +428,6 @@ class SeedCycles:
     @property
     def on_cycles(self) -> tuple[Seed, ...]:
         return tuple(s for c in self.cycles for s in c)
-
-    def period_of(self, seed: Seed) -> int | None:
-        for c in self.cycles:
-            if seed in c:
-                return len(c)
-        return None
 
 
 def fixed_seeds(theta: RectSubstitution) -> SeedCycles:

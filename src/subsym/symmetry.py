@@ -25,12 +25,12 @@ from .lattice import Rect, SignedPerm, Vec, signed_perm_group, spow
 from .points import HalfSpacePair, half_space_fracture_pair
 from .language import DEFAULT_MAX_DEPTH, _grow
 from .substitution import (
-    DEFAULT_CELL_CAP,
     Pattern,
     RectSubstitution,
     _moved,
     _perm_order,
     _powers,
+    _relabel_table,
     corner_fixing_power,
     is_bijective,
     is_primitive,
@@ -72,11 +72,6 @@ def _assert_subgroup(perms: list[Relabeling], n: int) -> None:
 def compose_relabelings(p: Relabeling, q: Relabeling) -> Relabeling:
     """p after q."""
     return tuple(p[q[i]] for i in range(len(p)))
-
-
-def _relabel_table(tau: Relabeling) -> bytes:
-    """`bytes.translate` table of tau: p after q is `bytes(q).translate(_relabel_table(p))`."""
-    return bytes(tau) + bytes(range(len(tau), 256))
 
 
 @dataclass(frozen=True)
@@ -228,10 +223,7 @@ def _tau_str(tau: Relabeling | None) -> str:
 
 
 def extended_symmetry_check(
-    theta: RectSubstitution,
-    a: SignedPerm,
-    depth: int = 3,
-    m_cap: int = ALIGN_POWER_CAP,
+    theta: RectSubstitution, a: SignedPerm, depth: int = 3
 ) -> SymmetryCandidate:
     """Decide how the rigid axis map A interacts with the subshift.
 
@@ -244,11 +236,11 @@ def extended_symmetry_check(
     agreement (VerifiedUpTo - explicitly not a proof).  `depth` must be at
     least 2, the smallest shape compared.
     """
-    return _check_matrices(theta, [a], depth, m_cap)[0]
+    return _check_matrices(theta, [a], depth)[0]
 
 
 def _check_matrices(
-    theta: RectSubstitution, matrices: list[SignedPerm], depth: int, m_cap: int
+    theta: RectSubstitution, matrices: list[SignedPerm], depth: int
 ) -> list[SymmetryCandidate]:
     """`extended_symmetry_check` for each matrix, in one pass over the powers.
 
@@ -265,7 +257,7 @@ def _check_matrices(
         if _size_mismatch(theta.size, a) is not None:
             found[a] = SymmetryCandidate(a, SIZE_MISMATCH)
     open_ = [a for a in matrices if a not in found]
-    top = min(m_cap, max(2 * corner_fixing_power(theta), 2))
+    top = min(ALIGN_POWER_CAP, max(2 * corner_fixing_power(theta), 2))
     for m, theta_m in enumerate(_powers(theta, top), 1):
         for a in open_:
             hits = conjugating_relabelings(theta_m, a)
@@ -299,7 +291,7 @@ def _language_comparison(
     @functools.cache
     def rooted(root: int, sh: Vec) -> set[bytes]:
         roots = [Pattern.single(origin, root)]
-        return _grow(theta, roots, sh, DEFAULT_MAX_DEPTH, DEFAULT_CELL_CAP)[0]
+        return _grow(theta, roots, sh, DEFAULT_MAX_DEPTH)[0]
 
     base = {sh: rooted(0, sh) for sh in shapes}
     first_witness: tuple[Pattern, str] | None = None
@@ -344,18 +336,14 @@ class SymReport:
         return f"psi_image_order={self.psi_image_order} split={self.split}"
 
 
-def sym_group_report(
-    theta: RectSubstitution, depth: int = 3, threads: int = 1
-) -> SymReport:
+def sym_group_report(theta: RectSubstitution, depth: int = 3) -> SymReport:
     """Run the symmetry check over the whole hyperoctahedral group.
 
     The ExactYes subset is checked for closure under composition, including
     compatibility of the relabelings; a nonempty subset of a finite group
-    closed under composition is a subgroup, so inverses follow.  `threads` is
-    accepted for compatibility and starts no thread: each matrix costs
-    milliseconds of interpreter-bound work that threads cannot overlap.
+    closed under composition is a subgroup, so inverses follow.
     """
-    results = _check_matrices(theta, signed_perm_group(theta.dim), depth, ALIGN_POWER_CAP)
+    results = _check_matrices(theta, signed_perm_group(theta.dim), depth)
     exact = [c for c in results if c.verdict == EXACT_YES]
     closure_ok = _closure_ok(results)
 

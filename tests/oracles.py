@@ -17,12 +17,12 @@ import itertools
 import math
 
 from subsym import robinson as rob
+from subsym import substitution
 from subsym.errors import CapExceeded, ValidationError
 from subsym.language import patch_language
 from subsym.lattice import Rect, mat_inverse_unimodular, mat_vec, signed_perm_group, spow, vadd, vmul
 from subsym.robinson import E, N, S, W, RobinsonPatch, Violation
 from subsym.substitution import (
-    DEFAULT_CELL_CAP,
     Pattern,
     RectSubstitution,
     Seed,
@@ -220,12 +220,12 @@ def language_comparison_oracle(theta, a, depth):
 # ---------------------------------------------------------------------------
 
 
-def power_oracle(theta, m, cell_cap=DEFAULT_CELL_CAP):
+def power_oracle(theta, m):
     """theta^m, each rule inflated m - 1 times from theta's."""
     if m < 1:
         raise ValidationError("power requires m >= 1")
     per_rule = math.prod(x**m for x in theta.size)
-    if per_rule * len(theta.alphabet) > cell_cap:
+    if per_rule * len(theta.alphabet) > substitution.DEFAULT_CELL_CAP:
         raise CapExceeded(f"theta^{m} needs {per_rule} cells per rule")
     if m == 1:
         return theta
@@ -238,14 +238,14 @@ def power_oracle(theta, m, cell_cap=DEFAULT_CELL_CAP):
     return RectSubstitution(theta.alphabet, spow(theta.size, m), tuple(rules))
 
 
-def extended_symmetry_check_oracle(theta, a, depth=3, m_cap=ALIGN_POWER_CAP):
+def extended_symmetry_check_oracle(theta, a, depth=3):
     """Validate theta, then try every alignment power, each built from theta."""
     if depth < 2:
         raise ValidationError("depth must be >= 2: no shape below 2 is compared")
     _require_primitive_bijective(theta, "extended_symmetry_check")
     if _size_mismatch(theta.size, a) is not None:
         return SymmetryCandidate(a, SIZE_MISMATCH)
-    top = min(m_cap, max(2 * corner_fixing_power(theta), 2))
+    top = min(ALIGN_POWER_CAP, max(2 * corner_fixing_power(theta), 2))
     for m in range(1, top + 1):
         try:
             theta_m = power_oracle(theta, m)

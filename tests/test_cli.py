@@ -4,7 +4,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from subsym import specio
+from subsym import specio, substitution
 from subsym.cli import main
 from subsym.errors import ValidationError
 from subsym.specio import (
@@ -184,9 +184,11 @@ def test_lang_cache_entry_without_stats_is_rebuilt(tmp_path):
     argv = ("lang", "tm2d", "--shape", "2,2", "--cache-dir", str(tmp_path))
     fresh = run_cli(*argv)
     (entry,) = tmp_path.glob("lang-*.txt")
-    entry.write_text(fresh[1])  # an entry holding only the dump
-    assert run_cli(*argv) == fresh
-    assert entry.read_text().startswith("# patterns=")
+    # an entry holding only the dump, and one that is not UTF-8
+    for stale in (fresh[1].encode(), b"\xff\xfe# patterns=8\n"):
+        entry.write_bytes(stale)
+        assert run_cli(*argv) == fresh
+        assert entry.read_text().startswith("# patterns=")
 
 
 def test_lang_cache_key_uses_parsed_shape(tmp_path):
@@ -208,7 +210,13 @@ def test_fracture_witness_cli():
 def test_fracture_refuter_cli():
     code, out, _ = run_cli("fracture", "tm2d", "--refute", "1,1", "--threshold", "4")
     assert code == 0
-    assert "refuted direction=1,1 level=4" in out
+    assert "refuted direction=1,1 level=4 block=[-64,48]..[-49,63] " in out
+
+
+def test_fracture_refuter_cli_prints_every_coordinate():
+    code, out, _ = run_cli("fracture", "tm3d", "--refute", "1,1,0", "--threshold", "2")
+    assert code == 0
+    assert "refuted direction=1,1,0 level=3 block=[-64,56,-64]..[-57,63,-57] " in out
 
 
 def test_robinson_supertile_cli(tmp_path):
@@ -280,7 +288,7 @@ def test_ppm_over_pixel_cap_exits_2(tmp_path, argv):
 
 
 def test_ppm_pixel_cap_boundary(monkeypatch):
-    monkeypatch.setattr(specio, "DEFAULT_CELL_CAP", 36)
+    monkeypatch.setattr(substitution, "DEFAULT_CELL_CAP", 36)
     assert specio.ppm_image((2, 2), bytes(4), 3).startswith(b"P6\n6 6\n")
     with pytest.raises(ValidationError, match="exceeds cap 36"):
         specio.ppm_image((2, 2), bytes(4), 4)
@@ -345,12 +353,20 @@ def test_bad_thread_count_exits_2(monkeypatch, argv, env):
         ["robinson", "verify", "{dir}/parity_ab.txt"],
         ["robinson", "verify", "{dir}/parity_0.txt"],
         ["robinson", "verify", "{dir}/anchor_x.txt"],
+        ["analyze", "{dir}/utf16.json"],
+        ["robinson", "verify", "{dir}/utf16.txt"],
+        ["analyze", "{dir}/nested.json"],
+        ["robinson", "torus", "4", "4", "--time-cap", "-1"],
+        ["robinson", "torus", "4", "4", "--time-cap", "nan"],
     ],
 )
 def test_malformed_input_exits_2(tmp_path, argv):
     (tmp_path / "parity_ab.txt").write_text("parity=a,b\n3.0 3.0\n")
     (tmp_path / "parity_0.txt").write_text("parity=0\n3.0 3.0\n")
     (tmp_path / "anchor_x.txt").write_text("parity=0,0\nanchor=1,x\n3.0 3.0\n")
+    (tmp_path / "utf16.json").write_bytes("{}".encode("utf-16"))  # starts with ff fe
+    (tmp_path / "utf16.txt").write_bytes("parity=0,0\n3.0\n".encode("utf-16"))
+    (tmp_path / "nested.json").write_text("[" * 200_000)
     code, out, err = run_cli(*(a.format(dir=tmp_path) for a in argv))
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1

@@ -23,17 +23,20 @@ from oracles import (
 
 from subsym import robinson as rob
 from subsym import substitution
-from subsym.errors import CapExceeded
+from subsym.errors import CapExceeded, ValidationError
+from subsym.language import patch_language
 from subsym.lattice import Rect
 from subsym.points import AddressablePoint
-from subsym.specio import BUNDLED, bundled_substitution
+from subsym.specio import BUNDLED, bundled_substitution, ppm_image
 from subsym.substitution import (
     Pattern,
+    _powers,
     all_seeds,
     apply,
     corner_fixed,
     fixed_seeds,
     is_bijective,
+    power,
 )
 
 
@@ -152,7 +155,30 @@ def test_window_inner_levels_ignore_apply_cap(name, monkeypatch):
     monkeypatch.setattr(substitution, "DEFAULT_CELL_CAP", side**d)
     with pytest.raises(CapExceeded):
         apply(theta, Pattern((0,) * d, (side,) * d, bytes(side**d)))
-    assert x.window(r, cell_cap=side**d) == want
+    assert x.window(r) == want
+
+
+def test_every_materialization_reads_the_one_cell_cap(tm2d, monkeypatch):
+    # each call needs exactly n cells: it passes at a cap of n and is refused at n - 1
+    x = lazy_point(tm2d)
+    calls = [
+        (60, CapExceeded, lambda: apply(tm2d, Pattern((0, 0), (3, 5), bytes(15)))),
+        (128, CapExceeded, lambda: power(tm2d, 3)),
+        (72, CapExceeded, lambda: x.window(Rect((-3, -2), (4, 6)))),
+        (64, CapExceeded, lambda: patch_language(tm2d, (2, 2), max_depth=3)),
+        (24, ValidationError, lambda: ppm_image((2, 3), bytes(6), 2)),
+    ]
+    for n, refusal, call in calls:
+        monkeypatch.setattr(substitution, "DEFAULT_CELL_CAP", n)
+        call()
+        monkeypatch.setattr(substitution, "DEFAULT_CELL_CAP", n - 1)
+        with pytest.raises(refusal):
+            call()
+    # the shared powers end before the first power over the cap
+    monkeypatch.setattr(substitution, "DEFAULT_CELL_CAP", 128)
+    assert len(list(_powers(tm2d, 3))) == 3
+    monkeypatch.setattr(substitution, "DEFAULT_CELL_CAP", 127)
+    assert len(list(_powers(tm2d, 3))) == 2
 
 
 

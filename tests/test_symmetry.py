@@ -409,12 +409,14 @@ def test_shared_powers_equal_power(source):
         assert theta_m == power(theta, m) == power_oracle(theta, m), m
 
 
-def test_shared_powers_stop_at_cell_cap(tm2d):
+def test_shared_powers_stop_at_cell_cap(tm2d, monkeypatch):
     # theta^6 is the first power over a cap of 2 * 4^5 cells, exactly where power raises
-    assert len(list(_powers(tm2d, 24, cell_cap=2 * 4**5))) == 5
+    monkeypatch.setattr(substitution, "DEFAULT_CELL_CAP", 2 * 4**5)
+    assert len(list(_powers(tm2d, 24))) == 5
     with pytest.raises(CapExceeded):
-        power(tm2d, 6, cell_cap=2 * 4**5)
-    assert len(list(_powers(tm2d, 3, cell_cap=1))) == 0
+        power(tm2d, 6)
+    monkeypatch.setattr(substitution, "DEFAULT_CELL_CAP", 1)
+    assert len(list(_powers(tm2d, 3))) == 0
 
 
 def capped_reversal():
@@ -485,12 +487,6 @@ def test_closure_matches_oracle_on_broken_candidates():
             if not ok:
                 failed_by.add(what.split()[0])
     assert failed_by == {"dropped", "replaced", "refuted"}
-
-
-def test_threaded_report_identical(tm2d):
-    rep1 = sym_group_report(tm2d, depth=2, threads=1)
-    rep4 = sym_group_report(tm2d, depth=2, threads=4)
-    assert rep1 == rep4
 
 
 def test_flip_commutes_with_substitution(corpus):
