@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -268,8 +269,18 @@ def cmd_robinson(args) -> int:
     return 1 if violations else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a comma list of integers that starts with a minus sign, such
+    as the `-5,3` of `--shift -5,3`, as a value, as `--shift=-5,3` would.
+    Subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+(,-?\d+)*$|^-\d*\.\d+$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="subsym",
         description="Substitution subshifts and the Robinson tiling: "
         "analysis, symmetry search, fracture witnesses, renders.",

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import substitution
 from .errors import CapExceeded, ScopeError, ValidationError
-from .lattice import Rect, Vec
+from .lattice import Rect, Vec, zero
 from .substitution import (
     Pattern,
     RectSubstitution,
@@ -88,19 +88,63 @@ def patch_language(
 def _grow(theta: RectSubstitution, patches: list[Pattern], shape: Vec,
           max_depth: int) -> tuple[set[bytes], int, bool]:
     """Inflate the roots level by level, collecting shape-windows, until a
-    level adds nothing new; returns (windows, depth reached, stabilized)."""
+    level adds nothing new; returns (windows, depth reached, stabilized).
+
+    With q = ceil((shape - 1) / s) + 1, every shape-window and every
+    q-window of theta(P) lies inside theta of a q-window of P, once P is
+    at least q wide.  So as soon as the patches are that wide and hold no
+    fewer q-window positions than there are q-patterns, the loop keeps
+    only their distinct q-windows and takes each level from those; a
+    window's image is built once and kept in `images` for later levels.
+    The cell cap is still checked on the whole patches.
+    """
     seen: set[bytes] = set()
-    cap = substitution.DEFAULT_CELL_CAP
+    q = tuple(-(-(n - 1) // s) + 1 for n, s in zip(shape, theta.size))
+    windows: set[bytes] | None = None  # the level's distinct q-windows, once switched
+    images: dict[bytes, tuple[set[bytes], set[bytes]]] = {}
+    cells = max((math.prod(p.extent) for p in patches), default=0)
     for depth in range(1, max_depth + 1):
-        if any(p.rect().cell_count() * math.prod(theta.size) > cap for p in patches):
+        cells *= math.prod(theta.size)
+        if cells > substitution.DEFAULT_CELL_CAP:
             raise CapExceeded("language generation exceeded the cell cap")
-        patches = [apply(theta, p) for p in patches]
+        if windows is None and _holds_every_q_pattern(theta, patches, q):
+            windows = {k for p in patches for k in p.subpattern_keys(q)}
         before = len(seen)
-        for p in patches:
-            seen.update(p.subpattern_keys(shape))
+        if windows is None:
+            patches = [apply(theta, p) for p in patches]
+            for p in patches:
+                seen.update(p.subpattern_keys(shape))
+        else:
+            level: set[bytes] = set()
+            for w in windows:
+                image = images.get(w)
+                if image is None:
+                    image = images[w] = _window_image(theta, q, w, shape)
+                seen.update(image[0])
+                level.update(image[1])
+            windows = level
         if depth > 1 and len(seen) == before and seen:
             return seen, depth, True
     return seen, depth, False
+
+
+def _holds_every_q_pattern(theta: RectSubstitution, patches: list[Pattern], q: Vec) -> bool:
+    """Are the patches at least q wide, with no fewer q-window positions
+    than there are q-patterns over the alphabet?"""
+    if any(e < k for p in patches for e, k in zip(p.extent, q)):
+        return False
+    positions = sum(math.prod(e - k + 1 for e, k in zip(p.extent, q)) for p in patches)
+    q_cells = math.prod(q)
+    # |A| >= 2, so the power is only built when it has at most that many bits
+    return q_cells <= positions.bit_length() and len(theta.alphabet) ** q_cells <= positions
+
+
+def _window_image(theta: RectSubstitution, q: Vec, w: bytes,
+                  shape: Vec) -> tuple[set[bytes], set[bytes]]:
+    """The shape-windows and the q-windows of theta(w)."""
+    image = apply(theta, Pattern(zero(len(q)), q, w))
+    keys = set(image.subpattern_keys(shape))
+    return keys, keys if q == shape else set(image.subpattern_keys(q))
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ regenerated the language of every conjugate, or the per-matrix symmetry
 check that rebuilt every theta^m from theta and checked closure with
 `SignedPerm.compose`, or the seed step read through `Pattern.get` and the
 one-digit-per-level walk of `symbol_at` that the per-quadrant tables of
-theta^c replaced.  The differential tests compare the fast paths against
-these.
+theta^c replaced, or the language loop that inflated whole patches where
+`language._grow` now inflates their distinct windows.  The differential
+tests compare the fast paths against these.
 """
 
 import functools
@@ -81,6 +82,23 @@ def subpattern_keys_oracle(p, shape):
         window = Rect(lo, tuple(x + sh - 1 for x, sh in zip(lo, shape)))
         out.append(bytes(p.get(k) for k in window.cells()))
     return out
+
+
+def grow_oracle(theta, patches, shape, max_depth):
+    """`language._grow` inflating every whole patch at every level and
+    hashing every shape-window of it."""
+    seen = set()
+    cap = substitution.DEFAULT_CELL_CAP
+    for depth in range(1, max_depth + 1):
+        if any(p.rect().cell_count() * math.prod(theta.size) > cap for p in patches):
+            raise CapExceeded("language generation exceeded the cell cap")
+        patches = [apply(theta, p) for p in patches]
+        before = len(seen)
+        for p in patches:
+            seen.update(p.subpattern_keys(shape))
+        if depth > 1 and len(seen) == before and seen:
+            return seen, depth, True
+    return seen, depth, False
 
 
 def from_rows_oracle(anchor, rows):

@@ -343,6 +343,36 @@ def test_bad_thread_count_exits_2(monkeypatch, argv, env):
 
 
 @pytest.mark.parametrize(
+    "head, flag, value",
+    [
+        (["point", "tm2d", "--seed", "0,0,0,0", "--window", "3"], "--shift", "-5,3"),
+        (["point", "tm1d", "--seed", "1,0", "--window", "3"], "--shift", "-7"),
+        (["fracture", "tm2d"], "--refute", "-1,1"),
+        (["fracture", "tm2d"], "--refute", "-1,-1"),
+    ],
+)
+def test_negative_list_parses_as_a_separate_argument(head, flag, value):
+    joined = run_cli(*head, f"{flag}={value}")
+    assert joined[0] in (0, 1) and joined[1]
+    assert run_cli(*head, flag, value) == joined
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["point", "tm2d", "--seed", "0,0,0,0", "--shift"],
+        ["point", "tm2d", "--seed", "0,0,0,0", "--shift", "--window", "3"],
+        ["fracture", "tm2d", "--refute"],
+        ["fracture", "tm2d", "--refute", "-x,1"],
+    ],
+)
+def test_missing_list_value_exits_2(argv):
+    code, out, err = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert "expected one argument" in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["lang", "tm2d", "--shape", "2,x"],

@@ -1,7 +1,16 @@
-import pytest
+import math
+import random
 
-from subsym.errors import ScopeError, ValidationError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import grow_oracle
+
+from subsym import language, substitution
+from subsym.errors import CapExceeded, ScopeError, ValidationError
 from subsym.language import (
+    _grow,
+    _root_patterns,
     contains_pattern,
     patch_language,
     periodicity_scan,
@@ -9,8 +18,11 @@ from subsym.language import (
 )
 from subsym.lattice import Rect
 from subsym.points import AddressablePoint
+from subsym.specio import BUNDLED, bundled_substitution
 from subsym.substitution import (
+    Alphabet,
     Pattern,
+    RectSubstitution,
     Seed,
     all_seeds,
     apply,
@@ -116,6 +128,94 @@ def test_contains_pattern_shape_mismatch(tm2d):
     lang = patch_language(tm2d, (2, 2), mode="minimal")
     with pytest.raises(ValidationError):
         contains_pattern(lang, Pattern((0, 0), (2, 3), bytes(6)))
+
+
+# -- growth from distinct windows against the whole-patch loop ---------------------
+
+#: per dimension: shapes whose full-mode growth switches to distinct windows
+#: on the bundled specs of that dimension, and shapes that never switch
+SWITCHING = {1: [(5,)], 2: [(2, 3), (3, 2)], 3: [(2, 2, 2), (2, 2, 3), (3, 3, 3)]}
+WHOLE_PATCH = {1: [(64,)], 2: [(8, 8)], 3: []}
+
+
+def root_sets(theta):
+    """Minimal roots (primitive specs only), full roots, one root per symbol."""
+    sets = {"full": _root_patterns(theta, "full")}
+    try:
+        sets["minimal"] = _root_patterns(theta, "minimal")
+    except ScopeError:
+        pass
+    sets["per-symbol"] = [Pattern.single((0,) * theta.dim, a) for a in range(len(theta.alphabet))]
+    return sets
+
+
+def outcome(grow, *args):
+    try:
+        return grow(*args)
+    except CapExceeded as exc:
+        return "CapExceeded", str(exc)
+
+
+def spy_window_images(monkeypatch):
+    """Record the calls of `language._window_image`, made only once growth has switched."""
+    calls = []
+    real = language._window_image
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(language, "_window_image", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_grow_matches_whole_patch_oracle(name, monkeypatch):
+    theta = bundled_substitution(name)
+    calls = spy_window_images(monkeypatch)
+    for kind, roots in root_sets(theta).items():
+        for switching, shapes in ((True, SWITCHING), (False, WHOLE_PATCH)):
+            for shape in shapes[theta.dim]:
+                calls.clear()
+                for max_depth in (1, 2, 3, 8):
+                    want = grow_oracle(theta, roots, shape, max_depth)
+                    assert _grow(theta, roots, shape, max_depth) == want, (kind, shape, max_depth)
+                if kind == "full":
+                    # the fast path really ran where it should, and only there
+                    assert bool(calls) == switching, shape
+
+
+@pytest.mark.parametrize("name, shape", [("tm2d", (2, 3)), ("tm3d", (2, 2, 2)), ("cyc3", (5,))])
+def test_grow_cap_fires_at_the_oracle_depth(name, shape, monkeypatch):
+    # the cap is checked on the whole patches the loop no longer builds
+    theta = bundled_substitution(name)
+    step = math.prod(theta.size)
+    refused = 0
+    for roots in root_sets(theta).values():
+        cells = max(math.prod(p.extent) for p in roots)
+        for levels in (1, 2):
+            for cap in (cells * step**levels - 1, cells * step**levels):
+                monkeypatch.setattr(substitution, "DEFAULT_CELL_CAP", cap)
+                for max_depth in (1, 2, 3, 8):
+                    want = outcome(grow_oracle, theta, roots, shape, max_depth)
+                    assert outcome(_grow, theta, roots, shape, max_depth) == want
+                    refused += want[0] == "CapExceeded"
+    assert refused
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2), st.integers(2, 3), st.integers(0, 2**32 - 1), st.data())
+def test_grow_matches_oracle_on_random_rules(d, n, seed, data):
+    rng = random.Random(seed)
+    size = tuple(rng.randint(2, 3) for _ in range(d))
+    cells = math.prod(size)
+    rules = tuple(Pattern((0,) * d, size, bytes(rng.randrange(n) for _ in range(cells)))
+                  for _ in range(n))
+    theta = RectSubstitution(Alphabet(tuple("abc"[:n])), size, rules)
+    shape = tuple(data.draw(st.integers(1, 4)) for _ in range(d))
+    max_depth = data.draw(st.integers(1, 5 - d))
+    for roots in ([Pattern.single((0,) * d, 0)], [Pattern.single((0,) * d, a) for a in range(n)]):
+        assert _grow(theta, roots, shape, max_depth) == grow_oracle(theta, roots, shape, max_depth)
 
 
 # -- seed admissibility ---------------------------------------------------------

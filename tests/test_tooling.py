@@ -1,11 +1,13 @@
 """The benchmark's tracer wraps `subsym` functions by name, and its op
-checks compare against the verdicts pinned in `perfbench/pins.json`; a
-change that breaks either shows only in a benchmark run, which this suite
-never starts.  The tracer source is parsed and the pins and spec files are
-read, nothing under perfbench/ is imported, and nothing is written there."""
+checks compare against the verdicts and `lang` dumps pinned in
+`perfbench/pins.json`; a change that breaks either shows only in a
+benchmark run, which this suite never starts.  The tracer source is
+parsed and the pins and spec files are read, nothing under perfbench/ is
+imported, and nothing is written there."""
 
 import ast
 import functools
+import hashlib
 import importlib
 import itertools
 import json
@@ -13,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from subsym.cli import _perm_to_str
+from subsym.cli import _perm_to_str, main
 from subsym.language import patch_language
 from subsym.specio import BUNDLED, build_substitution, bundled_substitution, load_spec_file, parse_spec
 from subsym.symmetry import (
@@ -103,3 +105,15 @@ def test_catalogue_pins_hold(name):
             taus = []
         matrices[_perm_to_str(cand.a)] = {"verdict": cand.describe().partition(",tau=")[0], "taus": taus}
     assert matrices == pin["matrices"]
+
+
+@pytest.mark.parametrize("key", sorted(PINS["lang"]))
+def test_lang_pins_hold(key, capsys):
+    # the benchmark's `lang` check: stats-line count and the digest of the dump
+    pin = PINS["lang"][key]
+    spec_name, shape, mode = key.split(":")
+    assert main(["lang", spec_name, "--shape", shape, "--mode", mode]) == 0
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == pin["patterns"]
+    assert err.startswith(f"# patterns={pin['patterns']} ")
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == pin["digest"]
