@@ -146,8 +146,7 @@ def cmd_point(args) -> int:
     seed = Seed(theta.dim, seed_syms)
     shift = _parse_ints(args.shift) if args.shift else (0,) * theta.dim
     x = AddressablePoint(theta_cf, seed, shift)
-    r = args.window
-    rect = Rect((-r,) * theta.dim, (r - 1,) * theta.dim)
+    rect = Rect.centered(theta.dim, args.window)
     print(f"corner_fixing_power={m}")
     sys.stdout.write(specio.render_pattern_text(x.window(rect)))
     return 0

@@ -255,11 +255,6 @@ def quadrant_cell_of(k: Vec) -> Vec:
     return tuple(0 if x >= 0 else -1 for x in k)
 
 
-def _cell_of_sign(u: Vec) -> Vec:
-    """Seed cell sitting inside the quadrant with sign vector u."""
-    return tuple(0 if ui == 1 else -1 for ui in u)
-
-
 @dataclass(frozen=True)
 class ContradictionPair:
     """Two points matching everywhere except on one quadrant.
@@ -275,7 +270,7 @@ class ContradictionPair:
     complement_on_quadrant: bool
 
     def expected_equal(self, k: Vec) -> bool:
-        return quadrant_cell_of(k) != _cell_of_sign(self.quadrant_sign)
+        return quadrant_cell_of(k) != quadrant_cell_of(self.quadrant_sign)
 
 
 def contradiction_pair(
@@ -291,7 +286,7 @@ def contradiction_pair(
         raise ScopeError("contradiction_pair requires a bijective substitution")
     if any(ui not in (-1, 1) for ui in u) or len(u) != theta.dim:
         raise ScopeError("u must be a +-1 sign vector of the right dimension")
-    cell = _cell_of_sign(u)
+    cell = quadrant_cell_of(u)
     seed_x = base_seed if base_seed is not None else Seed.constant(theta.dim, 0)
     a = seed_x.corner(cell)
     b = (a + 1) % len(theta.alphabet)

@@ -17,7 +17,6 @@ Local rules:
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass, field
 
@@ -134,11 +133,15 @@ class RobinsonTile:
     paths: tuple[_Path, ...] = field(repr=False)
 
     def token(self) -> str:
-        return f"{self.kind}.{self.rot}" + ("M" if self.mirror else "")
+        return _token(self.kind, self.rot, self.mirror)
 
 
-def _build_tiles() -> tuple[list[RobinsonTile], dict[Signature, int], dict[tuple[int, int, int], int]]:
-    """The 28 tiles, their ids by signature, and by (kind, rot, mirror) spelling."""
+def _token(kind: int, rot: int, mirror: int) -> str:
+    return f"{kind}.{rot}" + ("M" if mirror else "")
+
+
+def _build_tiles() -> tuple[list[RobinsonTile], dict[tuple[int, int, int], int]]:
+    """The 28 tiles, and their ids by (kind, rot, mirror) spelling."""
     tiles: list[RobinsonTile] = []
     by_sig: dict[Signature, int] = {}
     by_spelling: dict[tuple[int, int, int], int] = {}
@@ -155,48 +158,37 @@ def _build_tiles() -> tuple[list[RobinsonTile], dict[Signature, int], dict[tuple
         raise AssertionError(
             f"decoration table self-check failed: {len(tiles)} distinct tiles"
         )
-    return tiles, by_sig, by_spelling
+    return tiles, by_spelling
 
 
-TILES, _SIG_TO_ID, _SPELLING_TO_ID = _build_tiles()
+TILES, _SPELLING_TO_ID = _build_tiles()
 _TOKENS = tuple(t.token() for t in TILES)
+#: Tile id by token, one entry for each of the 40 spellings.
+_TOKEN_TO_ID = {_token(*spelling): tid for spelling, tid in _SPELLING_TO_ID.items()}
 CROSS_KIND = 3
+_CROSSES = frozenset(t.tid for t in TILES if t.kind == CROSS_KIND)
+_ALL = frozenset(range(len(TILES)))
+#: Tiles allowed by rules (2)-(3) at (x, y), indexed by ((y - p2) % 2, (x - p1) % 2):
+#: the cross coset holds crosses, its diagonal offset anything, the other two no cross.
+_COSET_TILES = ((_CROSSES, _ALL - _CROSSES), (_ALL - _CROSSES, _ALL))
 
 
 def enumerate_tiles() -> list[RobinsonTile]:
     return list(TILES)
 
 
-@functools.lru_cache(maxsize=64)  # a patch file repeats a few dozen spellings
 def tile_by_token(token: str) -> RobinsonTile:
-    mirror = 1 if token.endswith("M") else 0
-    body = token[:-1] if mirror else token
     try:
-        kind_s, rot_s = body.split(".")
-        # the table holds every kind 1-5 with every rotation 0-3
-        return TILES[_SPELLING_TO_ID[(int(kind_s), int(rot_s), mirror)]]
-    except (ValueError, KeyError):
+        return TILES[_TOKEN_TO_ID[token]]
+    except KeyError:
         raise ValidationError(f"bad tile token {token!r}") from None
 
 
-def _sig_rot(sig: Signature) -> Signature:
-    flip = lambda marks: frozenset((4 - p, c, s) for p, c, s in marks)
-    return (flip(sig[E]), sig[S], flip(sig[W]), sig[N])
-
-
-def _sig_mir(sig: Signature) -> Signature:
-    flip = lambda marks: frozenset((4 - p, c, s) for p, c, s in marks)
-    return (flip(sig[N]), sig[W], flip(sig[S]), sig[E])
-
-
-def _table_from(sig_map) -> tuple[int, ...]:
-    return tuple(_SIG_TO_ID[sig_map(t.sig)] for t in TILES)
-
-
 #: Quarter-turn rotation acting on the alphabet.
-ROTATE_TABLE = _table_from(_sig_rot)
-#: Horizontal-axis-inverting reflection acting on the alphabet.
-MIRROR_TABLE = _table_from(_sig_mir)
+ROTATE_TABLE = tuple(_SPELLING_TO_ID[(t.kind, (t.rot + 1) % 4, t.mirror)] for t in TILES)
+#: Horizontal-axis-inverting reflection acting on the alphabet: mirroring
+#: rot^r after mirror^m gives rot^-r after mirror^(1-m).
+MIRROR_TABLE = tuple(_SPELLING_TO_ID[(t.kind, -t.rot % 4, 1 - t.mirror)] for t in TILES)
 
 
 def _heads(marks) -> frozenset:
@@ -239,7 +231,7 @@ def matches(a: int | RobinsonTile, b: int | RobinsonTile, direction: str) -> boo
 
 
 def is_cross(tid: int) -> bool:
-    return TILES[tid].kind == CROSS_KIND
+    return tid in _CROSSES
 
 
 # ---------------------------------------------------------------------------
@@ -306,18 +298,17 @@ def verify_patch(patch: RobinsonPatch) -> list[Violation]:
     rows = patch.rows()
     for j, (row, above) in enumerate(zip(rows, rows[1:] + [b""])):
         y = y0 + j
+        allowed = _COSET_TILES[(y - p2) % 2]
         for i, t in enumerate(row):
             x = x0 + i
             if i + 1 < len(row) and not _EAST_OK[t][row[i + 1]]:
                 out.append(Violation("mismatch", (x, y), "east neighbor"))
             if above and not _NORTH_OK[t][above[i]]:
                 out.append(Violation("mismatch", (x, y), "north neighbor"))
-            on_coset = (x % 2, y % 2) == (p1, p2)
-            if on_coset and not is_cross(t):
-                out.append(Violation("coset_not_cross", (x, y), TILES[t].token()))
-            if is_cross(t) and not on_coset:
-                if (x % 2, y % 2) != ((p1 + 1) % 2, (p2 + 1) % 2):
-                    out.append(Violation("stray_cross", (x, y), TILES[t].token()))
+            if t not in allowed[(x - p1) % 2]:
+                # a disallowed cross is off both cross cosets; a disallowed non-cross is on the coset
+                kind = "stray_cross" if t in _CROSSES else "coset_not_cross"
+                out.append(Violation(kind, (x, y), _TOKENS[t]))
     return out
 
 
@@ -363,6 +354,11 @@ def _rail_quarter(orient: str, edge: int) -> int:
     return reds[0]
 
 
+def _pointing_tile(kind: int, edge: int) -> int:
+    """The tile of `kind` whose only black arrow head is on `edge`."""
+    return _find_tile(lambda t: t.kind == kind and _black_head_edges(t) == frozenset({edge}))
+
+
 def _arm_tile(orient: str, edge: int, crossing: bool) -> int:
     """Arm cell tile: rail kinds (5/2) along the L-arrow directions, blank
     kinds (1/4) along the other two; crossing cells receive the flanking
@@ -376,10 +372,7 @@ def _arm_tile(orient: str, edge: int, crossing: bool) -> int:
             and _black_head_edges(t) == frozenset({edge})
             and (q, RED, "h") in t.sig[edge]
         )
-    kind = 4 if crossing else 1
-    return _find_tile(
-        lambda t: t.kind == kind and _black_head_edges(t) == frozenset({edge})
-    )
+    return _pointing_tile(4 if crossing else 1, edge)
 
 
 _ARM_TILES = {
@@ -459,10 +452,7 @@ def _limit_row(blocks: dict[str, list[bytes]], orient: str, d: int, width: int) 
     return row[-width:] if west else row[:width]
 
 
-_TILE1_POINTING = {
-    e: _find_tile(lambda t, e=e: t.kind == 1 and _black_head_edges(t) == frozenset({e}))
-    for e in range(4)
-}
+_TILE1_POINTING = {e: _pointing_tile(1, e) for e in range(4)}
 
 
 def _half_row(blocks: dict[str, list[bytes]], y: int, n: int, vertical: bool, east: bool) -> bytes:
@@ -612,20 +602,11 @@ def torus_tiling_search(
     if w * h > TORUS_CELL_CAP:
         raise CapExceeded(f"torus search capped at {TORUS_CELL_CAP} cells")
 
-    crosses = frozenset(t.tid for t in TILES if t.kind == CROSS_KIND)
-    non_crosses = frozenset(range(28)) - crosses
     p1, p2 = parity[0] % 2, parity[1] % 2
 
     cells = [(x, y) for y in range(h) for x in range(w)]
     idx = {c: i for i, c in enumerate(cells)}
-    domains: list[set[int]] = []
-    for x, y in cells:
-        if (x % 2, y % 2) == (p1, p2):
-            domains.append(set(crosses))
-        elif (x % 2, y % 2) == ((p1 + 1) % 2, (p2 + 1) % 2):
-            domains.append(set(range(28)))
-        else:
-            domains.append(set(non_crosses))
+    domains = [set(_COSET_TILES[(y - p2) % 2][(x - p1) % 2]) for x, y in cells]
 
     # directed arcs: (i, j, table) meaning table[a][b] must hold for a@i, b@j
     arcs = []

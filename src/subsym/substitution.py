@@ -97,10 +97,6 @@ class Pattern:
     def translate(self, v: Vec) -> "Pattern":
         return Pattern(vadd(self.anchor, v), self.extent, self.cells)
 
-    def key(self) -> tuple[Vec, bytes]:
-        """Anchor-free canonical form."""
-        return (self.extent, self.cells)
-
     def subpattern(self, r: Rect) -> "Pattern":
         if not self.rect().contains_rect(r):
             raise ValidationError("subpattern rect outside pattern support")
@@ -432,8 +428,10 @@ class SeedCycles:
 
 def fixed_seeds(theta: RectSubstitution) -> SeedCycles:
     """All cycles of seed_step; a seed on a cycle of length L is theta^L-fixed."""
-    stepper = _seed_stepper(theta)
     n, corners = len(theta.alphabet), 1 << theta.dim
+    if n**corners * corners > DEFAULT_CELL_CAP:
+        raise CapExceeded(f"fixed_seeds would step {n}^{corners} seeds of {corners} cells")
+    stepper = _seed_stepper(theta)
     step = {syms: stepper(syms) for syms in itertools.product(range(n), repeat=corners)}
     cycles: list[tuple[Seed, ...]] = []
     seen: set[tuple[int, ...]] = set()

@@ -381,19 +381,6 @@ def _closure_ok(candidates: list[SymmetryCandidate]) -> bool:
 
 
 @dataclass(frozen=True)
-class HalfSpace:
-    """{k : +-<k, normal> >= threshold}."""
-
-    normal: Vec
-    threshold: int
-    side: int  # +1 or -1
-
-    def contains(self, k: Vec) -> bool:
-        v = sum(x * y for x, y in zip(k, self.normal))
-        return self.side * v >= self.threshold
-
-
-@dataclass(frozen=True)
 class FractureWitness:
     pair: HalfSpacePair
     window: Rect
@@ -410,7 +397,7 @@ def fracture_normal_witness(
 ) -> FractureWitness:
     """Package an axis fracture pair with window-level verification masks."""
     pair = half_space_fracture_pair(theta, axis)
-    rect = Rect((-window,) * theta.dim, (window - 1,) * theta.dim)
+    rect = Rect.centered(theta.dim, window)
     wx = pair.x.window(rect)
     wy = pair.y.window(rect)
     upper = Rect(tuple(0 if i == axis else lo for i, lo in enumerate(rect.lo)), rect.hi)
@@ -468,8 +455,7 @@ def non_axis_fracture_refuter(
     if threshold < 1:
         raise ValidationError("threshold must be >= 1")
 
-    upper = HalfSpace(v, threshold, +1)
-    lower = HalfSpace(v, threshold, -1)
+    win = Rect((-window,) * theta.dim, (window,) * theta.dim)
     s = theta.size
     for m in range(1, 40):
         side = spow(s, m)
@@ -487,11 +473,10 @@ def non_axis_fracture_refuter(
             if not lo_t <= _dot(t, v) <= hi_t:
                 continue
             block = Rect(t, tuple(x + L - 1 for x, L in zip(t, side)))
-            win = Rect((-window,) * theta.dim, (window,) * theta.dim)
             if not win.contains_rect(block):
                 continue
-            up_cells = [k for k in block.cells() if upper.contains(k)]
-            low_cells = [k for k in block.cells() if lower.contains(k)]
+            up_cells = [k for k in block.cells() if _dot(k, v) >= threshold]
+            low_cells = [k for k in block.cells() if _dot(k, v) <= -threshold]
             assert up_cells and low_cells
             return RefuterReport(
                 v,

@@ -9,8 +9,9 @@ check that rebuilt every theta^m from theta and checked closure with
 `SignedPerm.compose`, or the seed step read through `Pattern.get` and the
 one-digit-per-level walk of `symbol_at` that the per-quadrant tables of
 theta^c replaced, or the language loop that inflated whole patches where
-`language._grow` now inflates their distinct windows.  The differential
-tests compare the fast paths against these.
+`language._grow` now inflates their distinct windows, or the dihedral
+action on Robinson edge signatures that the spelling tables replaced.
+The differential tests compare the fast paths against these.
 """
 
 import functools
@@ -396,12 +397,33 @@ def verify_patch_oracle(patch):
             if y < y1 and not rob._NORTH_OK[t][patch.get(x, y + 1)]:
                 out.append(Violation("mismatch", (x, y), "north neighbor"))
             on_coset = (x % 2, y % 2) == (p1, p2)
-            if on_coset and not rob.is_cross(t):
+            is_cross = rob.TILES[t].kind == rob.CROSS_KIND
+            if on_coset and not is_cross:
                 out.append(Violation("coset_not_cross", (x, y), rob.TILES[t].token()))
-            if rob.is_cross(t) and not on_coset:
+            if is_cross and not on_coset:
                 if (x % 2, y % 2) != ((p1 + 1) % 2, (p2 + 1) % 2):
                     out.append(Violation("stray_cross", (x, y), rob.TILES[t].token()))
     return out
+
+
+def _flip(marks):
+    return frozenset((4 - p, c, s) for p, c, s in marks)
+
+
+def sig_rot(sig):
+    """The edge signature of the quarter-turned tile."""
+    return (_flip(sig[E]), sig[S], _flip(sig[W]), sig[N])
+
+
+def sig_mir(sig):
+    """The edge signature of the mirrored tile."""
+    return (_flip(sig[N]), sig[W], _flip(sig[S]), sig[E])
+
+
+def dihedral_table_oracle(sig_map):
+    """The tile table of a signature map: tile t goes to the tile whose signature is sig_map(t.sig)."""
+    by_sig = {t.sig: t.tid for t in rob.TILES}
+    return tuple(by_sig[sig_map(t.sig)] for t in rob.TILES)
 
 
 def patch_symmetry_apply_oracle(g, patch):

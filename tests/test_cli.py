@@ -294,6 +294,14 @@ def test_ppm_pixel_cap_boundary(monkeypatch):
         specio.ppm_image((2, 2), bytes(4), 4)
 
 
+def test_seed_enumeration_over_cap_exits_2(monkeypatch):
+    # tm2d steps 16 seeds of 4 cells; nothing else analyze runs comes near 63 cells
+    monkeypatch.setattr(substitution, "DEFAULT_CELL_CAP", 63)
+    code, out, err = run_cli("analyze", "tm2d")
+    assert code == 2 and "seed_cycles" not in out
+    assert err.startswith("error:") and "seeds of 4 cells" in err and err.count("\n") == 1
+
+
 def test_robinson_renders(tmp_path):
     ppm = tmp_path / "st.ppm"
     code, _, _ = run_cli("robinson", "supertile", "2", "--render", "ppm",
@@ -372,6 +380,10 @@ def test_missing_list_value_exits_2(argv):
     assert "expected one argument" in err
 
 
+#: spellings of tile 1.0 that int() would read; only the 40 kind.rot[M] spellings are tokens
+NON_CANONICAL_TOKENS = ("01.0", "+1.0", "1.-0", "1.00", "\u0661.0")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -388,6 +400,8 @@ def test_missing_list_value_exits_2(argv):
         ["analyze", "{dir}/nested.json"],
         ["robinson", "torus", "4", "4", "--time-cap", "-1"],
         ["robinson", "torus", "4", "4", "--time-cap", "nan"],
+        ["fracture", "tm2d", "--refute", "1,1", "--window", "-5"],
+        *(["robinson", "verify", f"{{dir}}/token_{i}.txt"] for i in range(len(NON_CANONICAL_TOKENS))),
     ],
 )
 def test_malformed_input_exits_2(tmp_path, argv):
@@ -397,6 +411,8 @@ def test_malformed_input_exits_2(tmp_path, argv):
     (tmp_path / "utf16.json").write_bytes("{}".encode("utf-16"))  # starts with ff fe
     (tmp_path / "utf16.txt").write_bytes("parity=0,0\n3.0\n".encode("utf-16"))
     (tmp_path / "nested.json").write_text("[" * 200_000)
+    for i, token in enumerate(NON_CANONICAL_TOKENS):
+        (tmp_path / f"token_{i}.txt").write_text(f"parity=1,1\n3.0 {token}\n", encoding="utf-8")
     code, out, err = run_cli(*(a.format(dir=tmp_path) for a in argv))
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1

@@ -2,6 +2,7 @@ import itertools
 from collections import Counter
 
 import pytest
+from oracles import dihedral_table_oracle, sig_mir, sig_rot
 
 from subsym.errors import CapExceeded, ScopeError, ValidationError
 from subsym.lattice import Rect
@@ -80,9 +81,14 @@ def test_rotation_mirror_tables_are_dihedral():
 def test_sig_transforms_agree_with_path_transforms():
     for t in TILES:
         rotated = rob._signature_of(rob._transform_paths(t.paths, 1, 0))
-        assert rotated == rob._sig_rot(t.sig)
+        assert rotated == sig_rot(t.sig)
         mirrored = rob._signature_of(rob._transform_paths(t.paths, 0, 1))
-        assert mirrored == rob._sig_mir(t.sig)
+        assert mirrored == sig_mir(t.sig)
+
+
+def test_spelling_tables_equal_signature_oracle():
+    assert rob.ROTATE_TABLE == dihedral_table_oracle(sig_rot)
+    assert rob.MIRROR_TABLE == dihedral_table_oracle(sig_mir)
 
 
 def test_token_roundtrip():
@@ -92,6 +98,20 @@ def test_token_roundtrip():
         tile_by_token("9.0")
     with pytest.raises(ValidationError):
         tile_by_token("nonsense")
+
+
+def test_every_spelling_is_a_token():
+    # 5 kinds x 4 rotations x 2 mirrors: 40 spellings of the 28 tiles
+    for kind, rot, mirror in itertools.product(range(1, 6), range(4), (0, 1)):
+        token = f"{kind}.{rot}" + ("M" if mirror else "")
+        paths = rob._transform_paths(rob._BASE_PATHS[kind], rot, mirror)
+        assert tile_by_token(token).sig == rob._signature_of(paths), token
+
+
+@pytest.mark.parametrize("token", ["01.0", "+1.0", "1.-0", "1.00", "\u0661.0", "1.0 "])
+def test_only_the_40_spellings_are_tokens(token):
+    with pytest.raises(ValidationError, match="bad tile token"):
+        tile_by_token(token)
 
 
 # -- matching ----------------------------------------------------------------

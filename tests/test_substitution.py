@@ -1,7 +1,8 @@
 import pytest
 from oracles import seed_step_oracle
 
-from subsym.errors import ScopeError, ValidationError
+from subsym import substitution
+from subsym.errors import CapExceeded, ScopeError, ValidationError
 from subsym.lattice import Rect
 from subsym.substitution import (
     Alphabet,
@@ -207,6 +208,17 @@ def test_fixed_seeds_tm1d(tm1d):
 def test_fixed_seeds_tm2d(tm2d):
     theta2 = power(tm2d, 2)
     assert len(fixed_seeds(theta2).fixed) == 16  # 2^(2^2)
+
+
+def test_fixed_seeds_cap_counts_every_seed_cell(tm2d, monkeypatch):
+    # 2 symbols on 2^2 corners: 16 seeds of 4 cells, checked before any is stepped
+    theta2 = power(tm2d, 2)
+    monkeypatch.setattr(substitution, "DEFAULT_CELL_CAP", 64)
+    assert len(fixed_seeds(theta2).fixed) == 16
+    monkeypatch.setattr(substitution, "DEFAULT_CELL_CAP", 63)
+    monkeypatch.setattr(substitution, "_seed_stepper", None)
+    with pytest.raises(CapExceeded, match="2\\^4 seeds of 4 cells"):
+        fixed_seeds(theta2)
 
 
 def test_fixed_seeds_dbl(dbl):

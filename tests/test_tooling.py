@@ -117,3 +117,23 @@ def test_lang_pins_hold(key, capsys):
     assert len(out.splitlines()) == pin["patterns"]
     assert err.startswith(f"# patterns={pin['patterns']} ")
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == pin["digest"]
+
+
+ROBINSON_PINS = [("assemble", key) for key in sorted(PINS["robinson"]["assemble"])] + [
+    ("torus", size) for size in sorted(PINS["robinson"]["torus"])
+]
+
+
+@pytest.mark.parametrize("section,key", ROBINSON_PINS, ids=[f"{s}:{k}" for s, k in ROBINSON_PINS])
+def test_robinson_pins_hold(section, key, capsys):
+    # the benchmark's `assemble` and `torus` checks: the patch digest, or the decision count
+    pin = PINS["robinson"][section][key]
+    if section == "assemble":
+        assert main(["robinson", *key.split()]) == 0
+        out, err = capsys.readouterr()
+        assert err == "violations=0\n"
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == pin
+    else:
+        assert main(["robinson", "torus", *key.split("x")]) == 0
+        out, _ = capsys.readouterr()
+        assert out.startswith(f"torus {key}: unsat decisions={pin} elapsed=")
