@@ -225,13 +225,7 @@ def _robinson_render(args, patch: rob.RobinsonPatch) -> None:
 
 
 def cmd_robinson(args) -> int:
-    if args.rob_cmd == "supertile":
-        patch = rob.supertile(args.n, args.orient)
-    elif args.rob_cmd == "window":
-        patch = rob.four_quadrant_window(args.n, args.arm_config)
-    elif args.rob_cmd == "fracture":
-        patch = rob.fracture_shift_demo(args.n, args.k)
-    elif args.rob_cmd == "torus":
+    if args.rob_cmd == "torus":
         res = rob.torus_tiling_search(
             args.w, args.h, parity=(0, 0), time_cap=args.time_cap
         )
@@ -241,27 +235,26 @@ def cmd_robinson(args) -> int:
         )
         if res.status == "sat":
             print("counterexample:")
-            for y in range(args.h - 1, -1, -1):
-                print(
-                    " ".join(
-                        rob.TILES[res.assignment[x + args.w * y]].token()
-                        for x in range(args.w)
-                    )
-                )
+            grid = rob.RobinsonPatch(Rect.box((args.w, args.h)), res.assignment, res.parity)
+            print(rob.save_patch_text(grid).split("\n", 2)[2], end="")  # the rows, no headers
             return 1
         if res.status == "timeout":
             print("inconclusive(timeout)")
         return 0
-    elif args.rob_cmd == "verify":
+    if args.rob_cmd == "verify":
         patch = rob.load_patch_text(specio.read_utf8(args.file))
         violations = rob.verify_patch(patch)
         print(f"violations={len(violations)}")
         for v in violations[:50]:
             print(f"  {v.kind} at {v.at}: {v.detail}")
         return 1 if violations else 0
-    else:  # pragma: no cover
-        return 2
 
+    if args.rob_cmd == "supertile":
+        patch = rob.supertile(args.n, args.orient)
+    elif args.rob_cmd == "window":
+        patch = rob.four_quadrant_window(args.n, args.arm_config)
+    else:
+        patch = rob.fracture_shift_demo(args.n, args.k)
     violations = rob.verify_patch(patch)
     _robinson_render(args, patch)
     print(f"violations={len(violations)}", file=sys.stderr)

@@ -4,8 +4,9 @@ The five base tiles are transcribed as arrow paths on a 4x4 quarter-unit
 grid; edge signatures (which arrow heads/tails touch which edge, on which
 channel, in which color) are derived from the paths, and the 28-symbol
 alphabet is the set of distinct signatures under the dihedral action.
-Correctness of the transcription is enforced behaviorally by the test
-suite (28-count, supertile recursion verifies, torus search is UNSAT).
+The test suite checks the transcription behaviorally (28-count, every
+supertile verifies). The torus search's `unsat` is not evidence for it:
+its propagation prunes too much (see `torus_tiling_search`).
 
 Local rules:
 
@@ -317,102 +318,72 @@ def verify_patch(patch: RobinsonPatch) -> list[Violation]:
 # ---------------------------------------------------------------------------
 
 ORIENTATIONS = ("NE", "NW", "SE", "SW")
-_EDGE_IDX = {"N": N, "E": E, "S": S, "W": W}
 _SUPERTILE_ORDER_CAP = 8
 _WINDOW_RADIUS_CAP = 256
 
 
-def _find_tile(pred) -> int:
-    hits = [t.tid for t in TILES if pred(t)]
-    if len(hits) != 1:
-        raise AssertionError(f"tile selection not unique: {hits}")
-    return hits[0]
+def _ids(tokens: str) -> tuple[int, ...]:
+    return tuple(_TOKEN_TO_ID[t] for t in tokens.split())
 
 
-def _black_head_edges(t: RobinsonTile) -> frozenset[int]:
-    return frozenset(e for e in range(4) if (2, BLACK, "h") in t.sig[e])
+#: The center cross of the NE supertile, whose L-arrow opens north and east.
+_NE_CROSS = _TOKEN_TO_ID["3.0"]
+#: The (plain, crossing) cells of its arms toward N, E, S and W: rails (kinds
+#: 5/2) along the L-arrow, blanks (kinds 1/4) pointing out along the other two.
+_NE_ARMS = tuple(map(_ids, ("5.2M 2.2M", "5.1 2.1", "1.0 4.0", "1.3 4.3")))
+#: The kind-1 tile whose black arrow points across edge N, E, S or W.
+_TILE1_POINTING = _ids("1.2 1.1 1.0 1.3")
+#: `bytes.translate` tables of the reflections x -> -x and y -> -y (rot^2 after x -> -x).
+_FLIP_X = _relabel_table(MIRROR_TABLE)
+_FLIP_Y = _relabel_table([ROTATE_TABLE[ROTATE_TABLE[t]] for t in MIRROR_TABLE])
 
 
-def _red_head_edges(t: RobinsonTile) -> frozenset[int]:
-    return frozenset(
-        e for e in range(4) if any(c == RED for _, c, s in t.sig[e] if s == "h")
-    )
+def _oriented(rows: list[bytes], orient: str) -> list[bytes]:
+    """The NE-facing block `rows` (bottom first) reflected to face `orient`:
+    upside down to face south, left to right to face west."""
+    if orient[0] == "S":
+        rows = [r.translate(_FLIP_Y) for r in reversed(rows)]
+    if orient[1] == "W":
+        rows = [r.translate(_FLIP_X)[::-1] for r in rows]
+    return rows
 
 
 def cross_tile(orient: str) -> int:
-    """The cross whose L-arrow opens toward the two letters of `orient`."""
-    want = frozenset(_EDGE_IDX[ch] for ch in orient)
-    return _find_tile(
-        lambda t: t.kind == CROSS_KIND and _red_head_edges(t) == want
-    )
+    """The cross whose L-arrow opens toward the two letters of `orient`:
+    the order-1 supertile, the NE cross reflected."""
+    return supertile(1, orient).tiles[0]
 
 
-def _rail_quarter(orient: str, edge: int) -> int:
-    sig = TILES[cross_tile(orient)].sig[edge]
-    reds = [p for p, c, s in sig if c == RED and s == "h"]
-    assert len(reds) == 1
-    return reds[0]
-
-
-def _pointing_tile(kind: int, edge: int) -> int:
-    """The tile of `kind` whose only black arrow head is on `edge`."""
-    return _find_tile(lambda t: t.kind == kind and _black_head_edges(t) == frozenset({edge}))
-
-
-def _arm_tile(orient: str, edge: int, crossing: bool) -> int:
-    """Arm cell tile: rail kinds (5/2) along the L-arrow directions, blank
-    kinds (1/4) along the other two; crossing cells receive the flanking
-    red channels on their side rails."""
-    rail = edge in {_EDGE_IDX[ch] for ch in orient}
-    if rail:
-        q = _rail_quarter(orient, edge)
-        kind = 2 if crossing else 5
-        return _find_tile(
-            lambda t: t.kind == kind
-            and _black_head_edges(t) == frozenset({edge})
-            and (q, RED, "h") in t.sig[edge]
-        )
-    return _pointing_tile(4 if crossing else 1, edge)
-
-
-_ARM_TILES = {
-    (o, e, c): _arm_tile(o, e, c)
-    for o in ORIENTATIONS
-    for e in range(4)
-    for c in (False, True)
-}
-
-_CROSS = {o: cross_tile(o) for o in ORIENTATIONS}
-
-
-def _arm_run(orient: str, edge: int, n: int, length: int) -> bytes:
-    """The `length` outermost cells of the order-n arm toward `edge`, outer end first.
+def _arm_run(edge: int, n: int, length: int) -> bytes:
+    """The `length` outermost cells of the order-n NE arm toward `edge`, outer end first.
 
     The crossing cell sits 2^(n-2) cells from the center: the middle one of
     the 2^(n-1) - 1 arm cells, so a whole arm reads the same from either end.
     """
-    crossing = (1 << (n - 2)) - 1
-    return bytes(_ARM_TILES[(orient, edge, i == crossing)] for i in range(length))
+    plain, crossing = _NE_ARMS[edge]
+    middle = (1 << (n - 2)) - 1
+    return bytes(crossing if i == middle else plain for i in range(length))
 
 
-def _supertile_rows(n: int) -> dict[str, list[bytes]]:
-    """Rows, bottom first, of the order-n supertile of each orientation.
+def _supertile_rows(n: int) -> list[bytes]:
+    """Rows, bottom first, of the order-n NE supertile.
 
-    Order k is the four inward-facing order-(k-1) supertiles, named after
-    the corner they face whatever the orientation is, joined by the arm
-    row and the arm column (Robinson 1971).
+    Order k is four inward-facing order-(k-1) supertiles, named after the
+    corner they face, joined by the arm row and the arm column around the
+    central cross (Robinson 1971). The NE one sits at the lower left, and
+    the NW, SE and SW ones are its mirror images (`_oriented`), so only the
+    NE hierarchy is ever assembled.
     """
-    level = {o: [bytes([_CROSS[o]])] for o in ORIENTATIONS}
+    rows = [bytes([_NE_CROSS])]
     for k in range(2, n + 1):
         c = (1 << (k - 1)) - 1
-        ne, nw, se, sw = (level[o] for o in ORIENTATIONS)
-        level = {
-            o: [a + bytes([t]) + b for a, t, b in zip(ne, _arm_run(o, S, k, c), nw)]
-            + [_arm_run(o, W, k, c) + bytes([_CROSS[o]]) + _arm_run(o, E, k, c)]
-            + [a + bytes([t]) + b for a, t, b in zip(se, _arm_run(o, N, k, c), sw)]
-            for o in ORIENTATIONS
-        }
-    return level
+        nw, se, sw = (_oriented(rows, o) for o in ORIENTATIONS[1:])
+        rows = (
+            [a + bytes([t]) + b for a, t, b in zip(rows, _arm_run(S, k, c), nw)]
+            + [_arm_run(W, k, c) + bytes([_NE_CROSS]) + _arm_run(E, k, c)]
+            + [a + bytes([t]) + b for a, t, b in zip(se, _arm_run(N, k, c), sw)]
+        )
+    return rows
 
 
 def supertile(n: int, orient: str = "NE") -> RobinsonPatch:
@@ -422,40 +393,41 @@ def supertile(n: int, orient: str = "NE") -> RobinsonPatch:
     if not 1 <= n <= _SUPERTILE_ORDER_CAP:
         raise CapExceeded(f"supertile order {n} outside [1, {_SUPERTILE_ORDER_CAP}]")
     side = (1 << n) - 1
-    return RobinsonPatch(Rect.box((side, side)), b"".join(_supertile_rows(n)[orient]), (0, 0))
+    rows = _oriented(_supertile_rows(n), orient)
+    return RobinsonPatch(Rect.box((side, side)), b"".join(rows), (0, 0))
 
 
-def _limit_row(blocks: dict[str, list[bytes]], orient: str, d: int, width: int) -> bytes:
+def _limit_row(blocks: list[bytes], orient: str, d: int, width: int) -> bytes:
     """The `width` cells nearest the corner of row d (counted from the
     corner) of the quadrant-filling limit supertile `orient`.
 
     The limit is the union of the order-n supertiles `orient` that share
-    that corner, since the corner block of each is the one before it.  Row
-    d is reached by one level per base-2 digit of d, down to the smallest
-    order m at least `width` wide; `blocks` is `_supertile_rows(m)`.
+    that corner, since the corner block of each is the one before it.  The
+    walk runs down the NE hierarchy, one level per base-2 digit of d, to the
+    smallest order m at least `width` wide; `blocks` is `_supertile_rows(m)`.
+    A south-facing block is an NE block upside down, so entering the one
+    above an arm row flips one bit and counts d from its corner again; the
+    row found is reflected to face `orient` at the end.
     """
-    west = orient[1] == "W"  # a west-facing block has its corner at the right end
     m = width.bit_length()
     n = max(m, (d + 1).bit_length())
-    y = d if orient[0] == "N" else (1 << n) - 2 - d
+    flip = orient[0] == "S"
     while n > m:
         c = (1 << (n - 1)) - 1
-        if y == c:
-            run = _arm_run(orient, E if west else W, n, width)
-            return run[::-1] if west else run
-        top = y > c
-        if top:
-            y -= c + 1
-        orient = ("S" if top else "N") + ("W" if west else "E")  # faces the center
+        if d == c:  # the arm row
+            row = _arm_run(W, n, width)
+            break
+        if d > c:  # the south-facing block above the arm row
+            d, flip = 2 * c - d, not flip
         n -= 1
-    row = blocks[orient][y]
-    return row[-width:] if west else row[:width]
+    else:
+        row = blocks[d][:width]
+    if flip:
+        row = row.translate(_FLIP_Y)
+    return row.translate(_FLIP_X)[::-1] if orient[1] == "W" else row
 
 
-_TILE1_POINTING = {e: _pointing_tile(1, e) for e in range(4)}
-
-
-def _half_row(blocks: dict[str, list[bytes]], y: int, n: int, vertical: bool, east: bool) -> bytes:
+def _half_row(blocks: list[bytes], y: int, n: int, vertical: bool, east: bool) -> bytes:
     """Cells x = 1..n (east) or x = -n..-1 of row y of the four-supertile point."""
     if y == 0:  # the horizontal strip: uniform, or pointing toward the center
         return bytes([_TILE1_POINTING[W if east and vertical else E]]) * n
@@ -588,10 +560,12 @@ def torus_tiling_search(
     parity: tuple[int, int] = (0, 0),
     time_cap: float = 60.0,
 ) -> TorusResult:
-    """Exhaustive backtracking search for a w x h torus tiling.
+    """Backtracking search for a w x h torus tiling.
 
-    UNSAT certifies there is no doubly periodic point with these periods;
-    a SAT assignment would be a counterexample and is returned verbatim.
+    A `sat` assignment would be a counterexample and is returned verbatim.
+    An `unsat` is not a certificate: `ac3` re-queues each arc with the
+    direction flag as seen from the revised cell, so it reads transposed
+    tables and can prune real solutions.
     """
     if w % 2 or h % 2:
         raise ScopeError("torus periods must be even to keep the cross coset consistent")

@@ -3,10 +3,11 @@
 Each function is the per-cell code that the row kernel in
 `subsym.substitution` replaced (index_of arithmetic on a throwaway
 Pattern), or that the block assembly in `subsym.robinson` replaced (one
-recursion per cell), or the language fallback of `subsym.symmetry` that
-regenerated the language of every conjugate, or the per-matrix symmetry
-check that rebuilt every theta^m from theta and checked closure with
-`SignedPerm.compose`, or the seed step read through `Pattern.get` and the
+recursion per cell, over tiles picked by edge-signature predicates, where
+the module reads the NE tiles from tokens and mirrors them), or the
+language fallback of `subsym.symmetry` that regenerated the language of
+every conjugate, or the per-matrix symmetry check that rebuilt every
+theta^m from theta and checked closure with `SignedPerm.compose`, or the seed step read through `Pattern.get` and the
 one-digit-per-level walk of `symbol_at` that the per-quadrant tables of
 theta^c replaced, or the language loop that inflated whole patches where
 `language._grow` now inflates their distinct windows, or the dihedral
@@ -303,23 +304,68 @@ def sym_group_report_oracle(theta, depth=3):
 
 
 # ---------------------------------------------------------------------------
-# Robinson: one recursion per cell
+# Robinson: one recursion per cell, over tiles picked by edge signature
 # ---------------------------------------------------------------------------
+
+
+def black_head_edges(t):
+    """The edges carrying the head of a tile's black middle arrow."""
+    return frozenset(e for e in range(4) if (2, rob.BLACK, "h") in t.sig[e])
+
+
+def red_head_edges(t):
+    return frozenset(e for e in range(4) if any(c == rob.RED and s == "h" for _, c, s in t.sig[e]))
+
+
+def _find_tile(pred):
+    hits = [t.tid for t in rob.TILES if pred(t)]
+    assert len(hits) == 1, f"tile selection not unique: {hits}"
+    return hits[0]
+
+
+_EDGE_IDX = {"N": N, "E": E, "S": S, "W": W}
+
+
+@functools.cache
+def cross_pick(orient):
+    """The cross whose red L-arrow heads cross the two edges named by `orient`."""
+    want = frozenset(_EDGE_IDX[ch] for ch in orient)
+    return _find_tile(lambda t: t.kind == rob.CROSS_KIND and red_head_edges(t) == want)
+
+
+@functools.cache
+def pointing_pick(kind, edge):
+    """The tile of `kind` whose only black arrow head is on `edge`."""
+    return _find_tile(lambda t: t.kind == kind and black_head_edges(t) == {edge})
+
+
+@functools.cache
+def arm_pick(orient, edge, crossing):
+    """Arm cell tile: rail kinds (5/2) along the L-arrow directions, blank
+    kinds (1/4) along the other two; crossing cells receive the flanking
+    red channels on their side rails."""
+    if edge not in {_EDGE_IDX[ch] for ch in orient}:
+        return pointing_pick(4 if crossing else 1, edge)
+    (q,) = (p for p, c, s in rob.TILES[cross_pick(orient)].sig[edge] if c == rob.RED and s == "h")
+    kind = 2 if crossing else 5
+    return _find_tile(
+        lambda t: t.kind == kind and black_head_edges(t) == {edge} and (q, rob.RED, "h") in t.sig[edge]
+    )
 
 
 def supertile_cell(n, orient, x, y):
     """Tile id at local position (x, y) of the order-n supertile."""
     if n == 1:
-        return rob.cross_tile(orient)
+        return cross_pick(orient)
     c = (1 << (n - 1)) - 1
     if x == c and y == c:
-        return rob.cross_tile(orient)
+        return cross_pick(orient)
     if x == c or y == c:
         if x == c:
             edge, t = (N, y - c) if y > c else (S, c - y)
         else:
             edge, t = (E, x - c) if x > c else (W, c - x)
-        return rob._ARM_TILES[(orient, edge, t == 1 << (n - 2))]
+        return arm_pick(orient, edge, t == 1 << (n - 2))
     qx, qy = x > c, y > c
     sub = {(False, False): "NE", (True, False): "NW", (False, True): "SE", (True, True): "SW"}[(qx, qy)]
     return supertile_cell(n - 1, sub, x - (c + 1) if qx else x, y - (c + 1) if qy else y)
@@ -352,7 +398,7 @@ def infinite_supertile_cell(orient, dx, dy):
 def four_quadrant_cell(x, y, uniform, dy_right=0):
     """One cell of the four-supertile point, optionally with the open right
     half-plane (x >= 1) shifted vertically by dy_right."""
-    pointing = rob._TILE1_POINTING
+    pointing = {e: pointing_pick(1, e) for e in range(4)}
     if x >= 1 and dy_right:
         return four_quadrant_cell(x, y - dy_right, uniform, 0)
     if x == 0 and y == 0:

@@ -3,7 +3,10 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from subsym import robinson as rob
 from subsym import specio, substitution
 from subsym.cli import main
 from subsym.errors import ValidationError
@@ -250,6 +253,74 @@ def test_robinson_torus_cli():
     code, out, _ = run_cli("robinson", "torus", "2", "2")
     assert code == 0
     assert "unsat" in out
+
+
+def test_robinson_torus_sat_prints_the_counterexample(monkeypatch):
+    # the rows are the assignment's tokens, top row first, as in a patch file body
+    res = rob.TorusResult("sat", 4, 2, (0, 0), (0, 5, 10, 27, 3, 8, 13, 20), 7, 0.5)
+    monkeypatch.setattr(rob, "torus_tiling_search", lambda *args, **kwargs: res)
+    code, out, err = run_cli("robinson", "torus", "4", "2")
+    assert code == 1 and err == ""
+    assert out == (
+        "torus 4x2: sat decisions=7 elapsed=0.50s\n"
+        "counterexample:\n"
+        "1.3 2.0M 3.1 5.0\n"
+        "1.0 2.1 2.2M 5.3M\n"
+    )
+
+
+_TILE_TOKENS = [t.token() for t in rob.TILES]
+_JUNK = st.one_of(
+    st.sampled_from(["3.0M", "9.9", "01.0", "1.4", "x", "=", ",", "parity=0,0", "anchor=1,x"]),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def _patch_files(draw):
+    """Patch file bytes: random tokens in rectangular rows, or a supertile's own
+    rows, under parity and anchor headers, with junk headers, junk tokens and
+    ragged rows mixed in; now and then raw bytes."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.binary(max_size=40))
+
+    def maybe_junk(good):
+        return draw(_JUNK) if draw(st.integers(0, 7)) == 0 else good
+
+    pair = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(lambda v: "{},{}".format(*v))
+    lines = [maybe_junk("parity=" + draw(pair))]
+    if draw(st.booleans()):
+        lines.append(maybe_junk("anchor=" + draw(pair)))
+    if draw(st.booleans()):
+        n, orient = draw(st.integers(1, 3)), draw(st.sampled_from(rob.ORIENTATIONS))
+        rows = [ln.split() for ln in rob.save_patch_text(rob.supertile(n, orient)).splitlines()[2:]]
+    else:
+        width = draw(st.integers(1, 4))
+        rows = draw(st.lists(st.lists(st.sampled_from(_TILE_TOKENS), min_size=width, max_size=width), max_size=4))
+    if rows and draw(st.integers(0, 3)) == 0:
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if draw(st.booleans()):  # ragged
+            row[:] = row[:-1] if draw(st.booleans()) else row + ["3.0"]
+        else:
+            row[draw(st.integers(0, len(row) - 1))] = draw(_JUNK)
+    sep = draw(st.sampled_from([" ", "  ", "\t"]))
+    return "\n".join(lines + [sep.join(r) for r in rows]).encode()
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_patch_files())
+def test_robinson_verify_fuzz(tmp_path, data):
+    path = tmp_path / "patch.txt"
+    path.write_bytes(data)
+    code, out, err = run_cli("robinson", "verify", str(path))
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out + err
+    if code == 2:
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    else:
+        assert err == ""
+        count = int(out.splitlines()[0].removeprefix("violations="))
+        assert (count > 0) == (code == 1)
 
 
 @pytest.mark.parametrize("w, h", [("0", "4"), ("-2", "4"), ("4", "0"), ("2", "-2")])

@@ -2,13 +2,12 @@ import itertools
 from collections import Counter
 
 import pytest
-from oracles import dihedral_table_oracle, sig_mir, sig_rot
+from oracles import black_head_edges, cross_pick, dihedral_table_oracle, red_head_edges, sig_mir, sig_rot
 
 from subsym.errors import CapExceeded, ScopeError, ValidationError
 from subsym.lattice import Rect
 from subsym import robinson as rob
 from subsym.robinson import (
-    BLACK,
     E,
     N,
     RED,
@@ -31,14 +30,6 @@ from subsym.robinson import (
     torus_tiling_search,
     verify_patch,
 )
-
-
-def black_head_edges(t):
-    return {e for e in range(4) if (2, BLACK, "h") in t.sig[e]}
-
-
-def red_head_edges(t):
-    return {e for e in range(4) if any(c == RED and s == "h" for _, c, s in t.sig[e])}
 
 
 # -- alphabet ---------------------------------------------------------------
@@ -201,6 +192,25 @@ def test_supertile_center_is_oriented_cross():
             st = supertile(n, orient)
             c = 2 ** (n - 1) - 1
             assert st.get(c, c) == cross_tile(orient)
+
+
+@pytest.mark.parametrize("orient", rob.ORIENTATIONS)
+def test_supertile_is_the_reflected_ne_supertile(orient):
+    # x -> -x to face west, y -> -y to face south
+    signs = (int(orient[1] == "W"), int(orient[0] == "S"))
+    g = next(g for g in dihedral_group() if g.a.perm == (0, 1) and g.a.signs == signs)
+    for n in range(1, 9):
+        image = g.apply(supertile(n, "NE"))
+        # re-anchor to (0, 0): the move is by 2^n - 2 or 0 per axis, so the parity stays
+        moved = rob.RobinsonPatch(Rect.box(image.rect.extent()), image.tiles, image.parity)
+        assert supertile(n, orient) == moved, n
+
+
+def test_cross_tile_is_the_signature_pick():
+    for orient in rob.ORIENTATIONS:
+        assert cross_tile(orient) == cross_pick(orient)
+    with pytest.raises(ValidationError):
+        cross_tile("EN")
 
 
 def test_supertile_cap():
