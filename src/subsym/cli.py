@@ -8,6 +8,7 @@ given spec + flags; `--threads` is validated but starts no threads.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import os
 import re
@@ -271,7 +272,11 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d+(,-?\d+)*$|^-\d*\.\d+$")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by later ones:
+    parsing reads it without changing it, and `main` may run many times in
+    one process."""
     ap = _Parser(
         prog="subsym",
         description="Substitution subshifts and the Robinson tiling: "

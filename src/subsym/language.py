@@ -8,9 +8,26 @@ Two generation modes:
   seed dynamics keep on a cycle, i.e. the seeds that actually head
   finite limit points.
 
-Generation accumulates over k and stops once a depth adds nothing new.
-That stopping rule is a heuristic, so results carry a `stabilized` flag
-rather than a completeness claim.
+Generation accumulates the shape-windows of theta^k(roots) over k = 1, 2, ...
+and stops at the first depth K + 1 >= 2 that adds none to a nonempty set.
+The result is then flagged `stabilized`, and it is complete: no later
+depth adds a window either.  Without the flag (`max_depth` came first) it
+may be incomplete.
+
+Why the stopping rule is a proof.  Let n be the shape, s the size and
+q = ceil((n - 1) / s) + 1, all per axis, so q <= n.  A q-window
+or an n-window of theta(P) covers at most q cells of P per axis, so it
+lies in theta(w) for a q-window w of P once P is at least q wide.  The
+roots share one extent (every caller's do), so the depth-k patches do
+too, and they never shrink.  The windows S seen by depth K are nonempty,
+so the depth-K patches are at least n wide, and so is every later one;
+each q-window of such a patch lies in one of its n-windows.  Let C be the
+q-windows of the n-windows in S: the q-windows of the depths j <= K whose
+patches are n wide.  For w in C, a q-window of depth j, the q-windows and
+n-windows of theta(w) are windows of depth j + 1 <= K + 1; depth K + 1
+added no n-window, so they lie in C and in S.  By induction over k >= K,
+every q-window of depth k lies in C and every n-window of depth k + 1 in
+S.  `_grow` uses the same q-window fact to inflate only distinct windows.
 """
 
 from __future__ import annotations
@@ -89,6 +106,7 @@ def _grow(theta: RectSubstitution, patches: list[Pattern], shape: Vec,
           max_depth: int) -> tuple[set[bytes], int, bool]:
     """Inflate the roots level by level, collecting shape-windows, until a
     level adds nothing new; returns (windows, depth reached, stabilized).
+    A stabilized result holds every window of every level (module docstring).
 
     With q = ceil((shape - 1) / s) + 1, every shape-window and every
     q-window of theta(P) lies inside theta of a q-window of P, once P is

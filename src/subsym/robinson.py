@@ -169,9 +169,13 @@ _TOKEN_TO_ID = {_token(*spelling): tid for spelling, tid in _SPELLING_TO_ID.item
 CROSS_KIND = 3
 _CROSSES = frozenset(t.tid for t in TILES if t.kind == CROSS_KIND)
 _ALL = frozenset(range(len(TILES)))
+_TILE_IDS = bytes(range(len(TILES)))
 #: Tiles allowed by rules (2)-(3) at (x, y), indexed by ((y - p2) % 2, (x - p1) % 2):
 #: the cross coset holds crosses, its diagonal offset anything, the other two no cross.
 _COSET_TILES = ((_CROSSES, _ALL - _CROSSES), (_ALL - _CROSSES, _ALL))
+#: The same table as `bytes.translate` deletions: the cells of one class are
+#: allowed exactly when deleting the class's tiles from them leaves nothing.
+_COSET_BYTES = tuple(tuple(bytes(sorted(tiles)) for tiles in row) for row in _COSET_TILES)
 
 
 def enumerate_tiles() -> list[RobinsonTile]:
@@ -200,24 +204,29 @@ def _tails(marks) -> frozenset:
     return frozenset((p, c) for p, c, s in marks if s == "t")
 
 
-def _matches_once(a_sig, b_sig, a_edge: int, b_edge: int) -> bool:
-    # Complementary jigsaw matching: every head meets a tail and every
-    # tail receives a head (a dent left unfilled would be a hole).
-    am, bm = a_sig[a_edge], b_sig[b_edge]
-    return _heads(am) == _tails(bm) and _heads(bm) == _tails(am)
+def _edge_classes(a_edge: int, b_edge: int) -> tuple[bytes, bytes]:
+    """`bytes.translate` tables of rule (1) across one pair of edges: tile b
+    fits across edge `a_edge` of tile a exactly when a's class in the first
+    table equals b's class in the second.
+
+    The matching is complementary (every head meets a tail and every tail
+    receives a head; a dent left unfilled would be a hole), so a's class is
+    its (heads, tails) on `a_edge` and b's is its (tails, heads) on `b_edge`.
+    Bytes past the alphabet get a class per table that matches nothing.
+    """
+    classes: dict[tuple[frozenset, frozenset], int] = {}
+    a_keys = [(_heads(t.sig[a_edge]), _tails(t.sig[a_edge])) for t in TILES]
+    b_keys = [(_tails(t.sig[b_edge]), _heads(t.sig[b_edge])) for t in TILES]
+    a_side, b_side = (bytes(classes.setdefault(k, len(classes)) for k in keys) for keys in (a_keys, b_keys))
+    pad = 256 - len(TILES)
+    return a_side + b"\xfe" * pad, b_side + b"\xff" * pad
 
 
-def _build_compat() -> tuple[list[list[bool]], list[list[bool]]]:
-    east = [[False] * 28 for _ in range(28)]
-    north = [[False] * 28 for _ in range(28)]
-    for a in TILES:
-        for b in TILES:
-            east[a.tid][b.tid] = _matches_once(a.sig, b.sig, E, W)
-            north[a.tid][b.tid] = _matches_once(a.sig, b.sig, N, S)
-    return east, north
-
-
-_EAST_OK, _NORTH_OK = _build_compat()
+_EAST_CLASS, _WEST_CLASS = _edge_classes(E, W)
+_NORTH_CLASS, _SOUTH_CLASS = _edge_classes(N, S)
+#: Rule (1) per pair of tiles: `_EAST_OK[a][b]` (`_NORTH_OK[a][b]`) says b can sit east (north) of a.
+_EAST_OK = [[_EAST_CLASS[a] == _WEST_CLASS[b] for b in _TILE_IDS] for a in _TILE_IDS]
+_NORTH_OK = [[_NORTH_CLASS[a] == _SOUTH_CLASS[b] for b in _TILE_IDS] for a in _TILE_IDS]
 
 
 def matches(a: int | RobinsonTile, b: int | RobinsonTile, direction: str) -> bool:
@@ -264,7 +273,13 @@ class RobinsonPatch:
             raise ValidationError("robinson patches are two-dimensional")
         if len(self.tiles) != self.rect.cell_count():
             raise ValidationError("tile buffer does not match support")
-        object.__setattr__(self, "tiles", bytes(self.tiles))
+        try:
+            tiles = bytes(self.tiles)
+        except ValueError:  # an id outside [0, 256)
+            tiles = None
+        if tiles is None or tiles.translate(None, _TILE_IDS):
+            raise ValidationError(f"tile ids must be in [0, {len(TILES)})")
+        object.__setattr__(self, "tiles", tiles)
         object.__setattr__(self, "parity", (self.parity[0] % 2, self.parity[1] % 2))
 
     @property
@@ -292,14 +307,29 @@ class RobinsonPatch:
 
 
 def verify_patch(patch: RobinsonPatch) -> list[Violation]:
-    """All rule violations inside the patch (empty list means locally valid)."""
+    """All rule violations inside the patch (empty list means locally valid).
+
+    Each row is first checked whole, in C: rule (1) as equal edge-class
+    strings on the two sides of its east and north edges, rules (2)-(3) as
+    deletions of the allowed tiles from its two cell classes.  Only a row
+    that fails is walked cell by cell, so violations come out in cell order.
+    """
     out: list[Violation] = []
     x0, y0 = patch.rect.lo
     p1, p2 = patch.parity
+    c = (p1 - x0) % 2  # row[c::2] are the cells with (x - p1) % 2 == 0
     rows = patch.rows()
     for j, (row, above) in enumerate(zip(rows, rows[1:] + [b""])):
         y = y0 + j
-        allowed = _COSET_TILES[(y - p2) % 2]
+        coset = (y - p2) % 2
+        if (
+            row[:-1].translate(_EAST_CLASS) == row[1:].translate(_WEST_CLASS)
+            and (not above or row.translate(_NORTH_CLASS) == above.translate(_SOUTH_CLASS))
+            and not row[c::2].translate(None, _COSET_BYTES[coset][0])
+            and not row[1 - c :: 2].translate(None, _COSET_BYTES[coset][1])
+        ):
+            continue
+        allowed = _COSET_TILES[coset]
         for i, t in enumerate(row):
             x = x0 + i
             if i + 1 < len(row) and not _EAST_OK[t][row[i + 1]]:
@@ -679,8 +709,11 @@ def load_patch_text(text: str) -> RobinsonPatch:
         raise ValidationError("patch rows must be nonempty and of equal length")
     (width,), height = widths, len(body)
     rect = Rect(anchor, (anchor[0] + width - 1, anchor[1] + height - 1))
-    # one row of tokens at a time, bottom row first: the first bad token in cell order is reported
-    tiles = b"".join(bytes(tile_by_token(t).tid for t in ln.split()) for ln in reversed(body))
+    # bottom row first, each left to right: the first bad token in cell order is reported
+    try:
+        tiles = b"".join(bytes(map(_TOKEN_TO_ID.__getitem__, ln.split())) for ln in reversed(body))
+    except KeyError as exc:
+        raise ValidationError(f"bad tile token {exc.args[0]!r}") from None
     return RobinsonPatch(rect, tiles, (p1, p2))
 
 

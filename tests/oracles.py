@@ -430,6 +430,18 @@ def subpatch_oracle(patch, r):
     return RobinsonPatch(r, tuple(patch.get(x, y) for x, y in r.cells()), patch.parity)
 
 
+_SWAP_SENSE = {"h": "t", "t": "h"}
+
+
+@functools.cache
+def edge_fits(a, b, a_edge, b_edge):
+    """Rule (1) read off the signatures: tile b fits across edge `a_edge` of
+    tile a (b's edge `b_edge`) when b's marks there are a's with every head
+    and tail swapped."""
+    am, bm = rob.TILES[a].sig[a_edge], rob.TILES[b].sig[b_edge]
+    return bm == {(p, c, _SWAP_SENSE[s]) for p, c, s in am}
+
+
 def verify_patch_oracle(patch):
     """Every rule violation, cell by cell in cell order."""
     out = []
@@ -438,9 +450,9 @@ def verify_patch_oracle(patch):
     for y in range(y0, y1 + 1):
         for x in range(x0, x1 + 1):
             t = patch.get(x, y)
-            if x < x1 and not rob._EAST_OK[t][patch.get(x + 1, y)]:
+            if x < x1 and not edge_fits(t, patch.get(x + 1, y), E, W):
                 out.append(Violation("mismatch", (x, y), "east neighbor"))
-            if y < y1 and not rob._NORTH_OK[t][patch.get(x, y + 1)]:
+            if y < y1 and not edge_fits(t, patch.get(x, y + 1), N, S):
                 out.append(Violation("mismatch", (x, y), "north neighbor"))
             on_coset = (x % 2, y % 2) == (p1, p2)
             is_cross = rob.TILES[t].kind == rob.CROSS_KIND

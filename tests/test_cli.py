@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from subsym import robinson as rob
 from subsym import specio, substitution
-from subsym.cli import main
+from subsym.cli import build_parser, main
 from subsym.errors import ValidationError
 from subsym.specio import (
     canonical_text,
@@ -389,6 +389,34 @@ def test_robinson_renders(tmp_path):
 def test_usage_error_exit_code():
     code, _, _ = run_cli("no-such-command")
     assert code == 2
+
+
+ISOLATION_CALLS = [
+    ["fracture", "tm2d", "--refute"],  # a parse error inside a subcommand
+    ["--help"],
+    ["robinson", "torus", "--help"],
+    ["fracture", "tm2d", "--refute", "-1,1"],
+    ["--threads", "0", "aut", "tm2d"],
+    ["aut", "tm2d"],
+    ["robinson", "torus", "4"],
+    ["point", "tm2d", "--seed", "0,0,0,0", "--window", "2", "--shift", "-5,3"],
+    ["point", "tm2d", "--seed", "0,0,0,0"],  # the defaults, after a call that set them
+    ["sym", "tm1d"],
+    ["fracture", "tm2d", "--refute"],
+]
+
+
+def test_repeated_main_calls_see_no_earlier_state():
+    # main shares one parser across calls: no default, func or prog may leak
+    fresh = []
+    for argv in ISOLATION_CALLS:
+        build_parser.cache_clear()
+        fresh.append(run_cli(*argv))
+    build_parser.cache_clear()
+    assert [run_cli(*argv) for argv in ISOLATION_CALLS] == fresh
+    assert [code for code, _, _ in fresh] == [2, 0, 0, 0, 2, 0, 2, 0, 0, 0, 2]
+    assert fresh[0][2].startswith("usage: subsym fracture ")
+    assert fresh[2][1].startswith("usage: subsym robinson torus ")
 
 
 def test_file_spec_loading(tmp_path):

@@ -218,6 +218,29 @@ def test_grow_matches_oracle_on_random_rules(d, n, seed, data):
         assert _grow(theta, roots, shape, max_depth) == grow_oracle(theta, roots, shape, max_depth)
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 2), st.integers(2, 3), st.integers(0, 2**32 - 1), st.data())
+def test_stabilized_language_is_closed(d, n, seed, data):
+    # the closure argument of the module docstring: once _grow reports a
+    # stabilized language, four more levels of whole patches add no window
+    rng = random.Random(seed)
+    size = tuple(rng.randint(2, 4 - d) for _ in range(d))
+    cells = math.prod(size)
+    rules = tuple(Pattern((0,) * d, size, bytes(rng.randrange(n) for _ in range(cells)))
+                  for _ in range(n))
+    theta = RectSubstitution(Alphabet(tuple("abc"[:n])), size, rules)
+    shape = tuple(data.draw(st.integers(1, 5 - d)) for _ in range(d))
+    for roots in ([Pattern.single((0,) * d, 0)], [Pattern.single((0,) * d, a) for a in range(n)]):
+        seen, depth, stabilized = _grow(theta, roots, shape, 8)
+        if not stabilized or cells ** (depth + 4) > 2**15:
+            continue
+        patches = roots
+        for level in range(1, depth + 5):
+            patches = [apply(theta, p) for p in patches]
+            if level > depth:
+                assert all(seen.issuperset(p.subpattern_keys(shape)) for p in patches), level
+
+
 # -- seed admissibility ---------------------------------------------------------
 
 def test_tm2d_seed_admissibility_golden(tm2d):

@@ -2,7 +2,15 @@ import itertools
 from collections import Counter
 
 import pytest
-from oracles import black_head_edges, cross_pick, dihedral_table_oracle, red_head_edges, sig_mir, sig_rot
+from oracles import (
+    black_head_edges,
+    cross_pick,
+    dihedral_table_oracle,
+    edge_fits,
+    red_head_edges,
+    sig_mir,
+    sig_rot,
+)
 
 from subsym.errors import CapExceeded, ScopeError, ValidationError
 from subsym.lattice import Rect
@@ -127,6 +135,24 @@ def test_cross_east_arm():
 def test_matches_requires_direction():
     with pytest.raises(ValidationError):
         matches(0, 0, "S")
+
+
+@pytest.mark.parametrize(
+    "ok, a_class, b_class, a_edge, b_edge",
+    [
+        (rob._EAST_OK, rob._EAST_CLASS, rob._WEST_CLASS, E, W),
+        (rob._NORTH_OK, rob._NORTH_CLASS, rob._SOUTH_CLASS, N, S),
+    ],
+)
+def test_edge_tables_equal_signature_matching(ok, a_class, b_class, a_edge, b_edge):
+    for a, b in itertools.product(range(len(TILES)), repeat=2):
+        fits = edge_fits(a, b, a_edge, b_edge)
+        assert ok[a][b] == (a_class[a] == b_class[b]) == fits, (a, b)
+    # six edge classes per direction; a byte past the alphabet fits nothing
+    assert len(set(a_class[: len(TILES)])) == len(set(b_class[: len(TILES)])) == 6
+    assert len(a_class) == len(b_class) == 256
+    assert not set(a_class[len(TILES) :]) & set(b_class)
+    assert not set(b_class[len(TILES) :]) & set(a_class)
 
 
 # -- supertiles ---------------------------------------------------------------
@@ -398,6 +424,12 @@ def test_patch_text_roundtrip():
     text = save_patch_text(patch)
     assert text.startswith("parity=1,1\nanchor=-5,-5\n")
     assert load_patch_text(text) == patch
+
+
+@pytest.mark.parametrize("tiles", [bytes([0, 200]), bytes([28, 0]), [0, 256], [-1, 0]])
+def test_patch_rejects_ids_outside_the_alphabet(tiles):
+    with pytest.raises(ValidationError, match="tile ids"):
+        rob.RobinsonPatch(Rect.box((2, 1)), tiles, (0, 0))
 
 
 def test_patch_text_bad_header():

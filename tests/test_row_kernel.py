@@ -275,7 +275,9 @@ def test_dihedral_images_match_oracle():
 
 
 def test_verify_patch_matches_oracle_on_swaps():
-    # the CLI prints the first 50 violations, so the list must agree in order too
+    # the CLI prints the first 50 violations, so the list must agree in order too;
+    # each defective patch is also moved to a random anchor, negative ones included,
+    # so both phases of the cross coset against the row start are checked
     rng = random.Random(11)
     for trial in range(60):
         patch = rng.choice(rob.dihedral_group()).apply(rng.choice(_sample_patches()))
@@ -284,8 +286,22 @@ def test_verify_patch_matches_oracle_on_swaps():
             i, j = rng.randrange(len(tiles)), rng.randrange(len(tiles))
             tiles[i], tiles[j] = tiles[j], tiles[i]
         parity = (rng.randint(0, 1), rng.randint(0, 1))
-        defective = rob.RobinsonPatch(patch.rect, bytes(tiles), parity)
-        assert rob.verify_patch(defective) == verify_patch_oracle(defective), trial
+        lo = (rng.randint(-7, 7), rng.randint(-7, 7))
+        moved = Rect(lo, tuple(a + e - 1 for a, e in zip(lo, patch.rect.extent())))
+        for rect in (patch.rect, moved):
+            defective = rob.RobinsonPatch(rect, bytes(tiles), parity)
+            assert rob.verify_patch(defective) == verify_patch_oracle(defective), trial
+
+
+@pytest.mark.parametrize("extent", [(1, 1), (2, 1), (1, 2)])
+def test_verify_patch_matches_oracle_on_every_small_patch(extent):
+    # every tile pair at every phase of anchor and parity: each rule, alone in its row
+    n = math.prod(extent)
+    for tiles in itertools.product(range(len(rob.TILES)), repeat=n):
+        for lo, parity in itertools.product(((0, 0), (-1, 2)), ((0, 0), (0, 1), (1, 0), (1, 1))):
+            rect = Rect(lo, tuple(a + e - 1 for a, e in zip(lo, extent)))
+            patch = rob.RobinsonPatch(rect, bytes(tiles), parity)
+            assert rob.verify_patch(patch) == verify_patch_oracle(patch), (tiles, lo, parity)
 
 
 def test_patch_stores_tile_ids_as_bytes():
