@@ -126,10 +126,8 @@ def cmd_patch(args) -> int:
     patch = theta_m.rule(sym)
     if args.render == "txt":
         _write_out(args, specio.render_pattern_text(patch))
-    elif args.render == "ppm":
+    else:  # argparse allows only "txt" and "ppm"
         _write_out(args, specio.render_pattern_ppm(patch, scale=args.scale), binary=True)
-    else:
-        raise SubsymError(f"unsupported render {args.render!r} for substitution patches")
     return 0
 
 

@@ -28,7 +28,6 @@ from .substitution import _moved, _relabel_table, _run_starts
 
 # Edge indices.
 N, E, S, W = 0, 1, 2, 3
-EDGE_NAMES = "NESW"
 BLACK, RED = "K", "R"
 
 # A path: (color, points in quarter units, heads) with heads 'end' or 'both'.
@@ -167,15 +166,14 @@ _TOKENS = tuple(t.token() for t in TILES)
 #: Tile id by token, one entry for each of the 40 spellings.
 _TOKEN_TO_ID = {_token(*spelling): tid for spelling, tid in _SPELLING_TO_ID.items()}
 CROSS_KIND = 3
-_CROSSES = frozenset(t.tid for t in TILES if t.kind == CROSS_KIND)
-_ALL = frozenset(range(len(TILES)))
 _TILE_IDS = bytes(range(len(TILES)))
-#: Tiles allowed by rules (2)-(3) at (x, y), indexed by ((y - p2) % 2, (x - p1) % 2):
-#: the cross coset holds crosses, its diagonal offset anything, the other two no cross.
-_COSET_TILES = ((_CROSSES, _ALL - _CROSSES), (_ALL - _CROSSES, _ALL))
-#: The same table as `bytes.translate` deletions: the cells of one class are
-#: allowed exactly when deleting the class's tiles from them leaves nothing.
-_COSET_BYTES = tuple(tuple(bytes(sorted(tiles)) for tiles in row) for row in _COSET_TILES)
+_CROSSES = bytes(t.tid for t in TILES if t.kind == CROSS_KIND)
+_NON_CROSSES = _TILE_IDS.translate(None, _CROSSES)
+#: Rules (2)-(3): the tiles allowed at (x, y), indexed by ((y - p2) % 2, (x - p1) % 2).
+#: The cross coset holds crosses, its diagonal offset anything, the other two no cross.
+#: As `bytes.translate` deletions, the cells of one class are allowed exactly
+#: when deleting the class's tiles from them leaves nothing.
+_COSET_TILES = ((_CROSSES, _NON_CROSSES), (_NON_CROSSES, _TILE_IDS))
 
 
 def enumerate_tiles() -> list[RobinsonTile]:
@@ -224,24 +222,24 @@ def _edge_classes(a_edge: int, b_edge: int) -> tuple[bytes, bytes]:
 
 _EAST_CLASS, _WEST_CLASS = _edge_classes(E, W)
 _NORTH_CLASS, _SOUTH_CLASS = _edge_classes(N, S)
-#: Rule (1) per pair of tiles: `_EAST_OK[a][b]` (`_NORTH_OK[a][b]`) says b can sit east (north) of a.
-_EAST_OK = [[_EAST_CLASS[a] == _WEST_CLASS[b] for b in _TILE_IDS] for a in _TILE_IDS]
-_NORTH_OK = [[_NORTH_CLASS[a] == _SOUTH_CLASS[b] for b in _TILE_IDS] for a in _TILE_IDS]
 
 
 def matches(a: int | RobinsonTile, b: int | RobinsonTile, direction: str) -> bool:
     """Can tile b sit east (or north) of tile a?"""
     ai = a.tid if isinstance(a, RobinsonTile) else a
     bi = b.tid if isinstance(b, RobinsonTile) else b
+    if direction not in ("E", "N"):
+        raise ValidationError(f"direction must be 'E' or 'N', got {direction!r}")
+    if not (0 <= ai < len(TILES) and 0 <= bi < len(TILES)):
+        raise ValidationError(f"tile ids must be in [0, {len(TILES)})")
     if direction == "E":
-        return _EAST_OK[ai][bi]
-    if direction == "N":
-        return _NORTH_OK[ai][bi]
-    raise ValidationError(f"direction must be 'E' or 'N', got {direction!r}")
+        return _EAST_CLASS[ai] == _WEST_CLASS[bi]
+    return _NORTH_CLASS[ai] == _SOUTH_CLASS[bi]
 
 
 def is_cross(tid: int) -> bool:
-    return tid in _CROSSES
+    # `in` on bytes raises for an int outside [0, 256)
+    return 0 <= tid < len(TILES) and tid in _CROSSES
 
 
 # ---------------------------------------------------------------------------
@@ -325,16 +323,18 @@ def verify_patch(patch: RobinsonPatch) -> list[Violation]:
         if (
             row[:-1].translate(_EAST_CLASS) == row[1:].translate(_WEST_CLASS)
             and (not above or row.translate(_NORTH_CLASS) == above.translate(_SOUTH_CLASS))
-            and not row[c::2].translate(None, _COSET_BYTES[coset][0])
-            and not row[1 - c :: 2].translate(None, _COSET_BYTES[coset][1])
+            and not row[c::2].translate(None, _COSET_TILES[coset][0])
+            and not row[1 - c :: 2].translate(None, _COSET_TILES[coset][1])
         ):
             continue
         allowed = _COSET_TILES[coset]
+        east, west = row.translate(_EAST_CLASS), row.translate(_WEST_CLASS)
+        north, south = row.translate(_NORTH_CLASS), above.translate(_SOUTH_CLASS)
         for i, t in enumerate(row):
             x = x0 + i
-            if i + 1 < len(row) and not _EAST_OK[t][row[i + 1]]:
+            if i + 1 < len(row) and east[i] != west[i + 1]:
                 out.append(Violation("mismatch", (x, y), "east neighbor"))
-            if above and not _NORTH_OK[t][above[i]]:
+            if above and north[i] != south[i]:
                 out.append(Violation("mismatch", (x, y), "north neighbor"))
             if t not in allowed[(x - p1) % 2]:
                 # a disallowed cross is off both cross cosets; a disallowed non-cross is on the coset
@@ -592,10 +592,16 @@ def torus_tiling_search(
 ) -> TorusResult:
     """Backtracking search for a w x h torus tiling.
 
+    Cell i is (i % w, i // w). Its domain starts as the tiles rules (2)-(3)
+    allow there, and each neighbour entry `(j, mine, theirs)` holds rule (1)
+    as the class tables of i and of j: a tile a at i has support in j when
+    `mine[a]` is the class of some tile of j under `theirs`.
+
     A `sat` assignment would be a counterexample and is returned verbatim.
-    An `unsat` is not a certificate: `ac3` re-queues each arc with the
-    direction flag as seen from the revised cell, so it reads transposed
-    tables and can prune real solutions.
+    An `unsat` is not a certificate: after revising i, `ac3` re-queues each
+    neighbour k as `(k, i, mine_i, theirs_k)`, the class tables as seen
+    from i, so it revises k against transposed tables and can prune real
+    solutions.  The fix (ROADMAP item 2) is to swap those two tables.
     """
     if w % 2 or h % 2:
         raise ScopeError("torus periods must be even to keep the cross coset consistent")
@@ -607,51 +613,39 @@ def torus_tiling_search(
         raise CapExceeded(f"torus search capped at {TORUS_CELL_CAP} cells")
 
     p1, p2 = parity[0] % 2, parity[1] % 2
-
-    cells = [(x, y) for y in range(h) for x in range(w)]
-    idx = {c: i for i, c in enumerate(cells)}
-    domains = [set(_COSET_TILES[(y - p2) % 2][(x - p1) % 2]) for x, y in cells]
-
-    # directed arcs: (i, j, table) meaning table[a][b] must hold for a@i, b@j
-    arcs = []
-    for x, y in cells:
-        i = idx[(x, y)]
-        arcs.append((i, idx[((x + 1) % w, y)], _EAST_OK))
-        arcs.append((i, idx[(x, (y + 1) % h)], _NORTH_OK))
-    neighbors: list[list[tuple[int, list[list[bool]], bool]]] = [[] for _ in cells]
-    for i, j, table in arcs:
-        neighbors[i].append((j, table, True))
-        neighbors[j].append((i, table, False))
+    n = w * h
+    domains = [set(_COSET_TILES[(i // w - p2) % 2][(i % w - p1) % 2]) for i in range(n)]
+    neighbors: list[list[tuple[int, bytes, bytes]]] = [[] for _ in range(n)]
+    for i in range(n):
+        x, y = i % w, i // w
+        for j, mine, theirs in (
+            (y * w + (x + 1) % w, _EAST_CLASS, _WEST_CLASS),
+            ((y + 1) % h * w + x, _NORTH_CLASS, _SOUTH_CLASS),
+        ):
+            neighbors[i].append((j, mine, theirs))
+            neighbors[j].append((i, theirs, mine))
 
     start = time.monotonic()
     decisions = 0
 
-    def revise(i: int, j: int, table, forward: bool) -> bool:
-        """Prune values of i lacking support in j; True if changed."""
-        di, dj = domains[i], domains[j]
-        if forward:
-            bad = {a for a in di if not any(table[a][b] for b in dj)}
-        else:
-            bad = {a for a in di if not any(table[b][a] for b in dj)}
-        if bad:
-            di -= bad
-        return bool(bad)
-
     def ac3() -> bool:
-        queue = [(i, j, t, fwd) for i in range(len(cells)) for (j, t, fwd) in neighbors[i]]
+        queue = [(i, j, mine, theirs) for i in range(n) for (j, mine, theirs) in neighbors[i]]
         while queue:
-            i, j, t, fwd = queue.pop()
-            if revise(i, j, t, fwd):
+            i, j, mine, theirs = queue.pop()
+            support = {theirs[b] for b in domains[j]}
+            bad = {a for a in domains[i] if mine[a] not in support}
+            if bad:
+                domains[i] -= bad
                 if not domains[i]:
                     return False
-                queue.extend((k, i, tt, fw) for (k, tt, fw) in neighbors[i])
+                queue.extend((k, i, mine_i, theirs_k) for (k, mine_i, theirs_k) in neighbors[i])
         return True
 
     def solve() -> str:
         nonlocal decisions
         if time.monotonic() - start > time_cap:
             return "timeout"
-        open_cells = [i for i in range(len(cells)) if len(domains[i]) > 1]
+        open_cells = [i for i in range(n) if len(domains[i]) > 1]
         if not open_cells:
             return "sat"
         i = min(open_cells, key=lambda c: (len(domains[c]), c))
@@ -663,16 +657,13 @@ def torus_tiling_search(
                 res = solve()
                 if res != "unsat":
                     return res
-            for c in range(len(cells)):
-                domains[c] = saved[c]
+            domains[:] = saved
         return "unsat"
 
     if not ac3():
         return TorusResult("unsat", w, h, (p1, p2), None, decisions, time.monotonic() - start)
     status = solve()
-    assignment = None
-    if status == "sat":
-        assignment = tuple(next(iter(domains[idx[(x, y)]])) for y in range(h) for x in range(w))
+    assignment = tuple(next(iter(d)) for d in domains) if status == "sat" else None
     return TorusResult(status, w, h, (p1, p2), assignment, decisions, time.monotonic() - start)
 
 

@@ -11,7 +11,9 @@ theta^m from theta and checked closure with `SignedPerm.compose`, or the seed st
 one-digit-per-level walk of `symbol_at` that the per-quadrant tables of
 theta^c replaced, or the language loop that inflated whole patches where
 `language._grow` now inflates their distinct windows, or the dihedral
-action on Robinson edge signatures that the spelling tables replaced.
+action on Robinson edge signatures that the spelling tables replaced, or
+the set-domain torus search over pairwise rule (1) tables that the
+search over edge-class tables replaced.
 The differential tests compare the fast paths against these.
 """
 
@@ -148,35 +150,44 @@ def seed_step_oracle(theta, seed):
     return Seed(theta.dim, tuple(syms))
 
 
-@functools.lru_cache(maxsize=16)
-def _position_maps(theta):
-    return {k: position_map(theta, k) for k in theta.support().cells()}
+@functools.lru_cache(maxsize=64)
+def _quadrant_maps(theta, u):
+    """The position map of theta read by each base-s digit in quadrant u,
+    digits in cell order: a digit on a sign-flipped axis reads patch
+    position s - 1 - digit."""
+    s = theta.size
+    return [
+        position_map(theta, tuple(d if ui == 0 else si - 1 - d for d, ui, si in zip(digit, u, s)))
+        for digit in Rect.box(s).cells()
+    ]
 
 
 def symbol_at_oracle(x, k, depth=None):
     """Symbol of point x at k by one position map of theta per base-s digit.
 
     The coordinate is routed to the quadrant of its seed cell and made a
-    non-negative in-quadrant offset; a digit on a sign-flipped axis reads
-    patch position s - 1 - digit.  With `depth` the walk reads exactly that
-    many digits (and asserts that they cover the offset), else it stops at
-    the last non-zero one.
+    non-negative in-quadrant offset, whose digits pick the quadrant's
+    position maps.  With `depth` the walk reads exactly that many digits
+    (and asserts that they cover the offset), else it stops at the last
+    non-zero one.
     """
-    maps, s = _position_maps(x.theta), x.theta.size
+    s = x.theta.size
     w = tuple(a - b for a, b in zip(k, x.shift))
     u = tuple(0 if c >= 0 else -1 for c in w)
+    maps = _quadrant_maps(x.theta, u)
     rest = [c if ui == 0 else -1 - c for c, ui in zip(w, u)]
-    digits = []
-    while any(rest) if depth is None else len(digits) < depth:
-        digit = []
+    walk = []
+    while any(rest) if depth is None else len(walk) < depth:
+        index, stride = 0, 1
         for i, b in enumerate(s):
             rest[i], r = divmod(rest[i], b)
-            digit.append(r)
-        digits.append(tuple(digit))
+            index += r * stride
+            stride *= b
+        walk.append(maps[index])
     assert not any(rest), "oracle depth too small"
     sym = x.seed.corner(u)
-    for digit in reversed(digits):
-        sym = maps[tuple(dd if ui == 0 else si - 1 - dd for dd, ui, si in zip(digit, u, s))][sym]
+    for table in reversed(walk):
+        sym = table[sym]
     return sym
 
 
@@ -462,6 +473,74 @@ def verify_patch_oracle(patch):
                 if (x % 2, y % 2) != ((p1 + 1) % 2, (p2 + 1) % 2):
                     out.append(Violation("stray_cross", (x, y), rob.TILES[t].token()))
     return out
+
+
+def torus_search_oracle(w, h, parity=(0, 0)):
+    """(status, decisions, assignment) of the set-domain torus search over
+    pairwise rule (1) tables read off the signatures, with no time cap.
+
+    It keeps the search's re-queue: after revising i, neighbour k is
+    revised against i with the direction flag as seen from i.
+    """
+    tiles = range(len(rob.TILES))
+    east_ok = [[edge_fits(a, b, E, W) for b in tiles] for a in tiles]
+    north_ok = [[edge_fits(a, b, N, S) for b in tiles] for a in tiles]
+    cells = [(x, y) for y in range(h) for x in range(w)]
+    idx = {c: i for i, c in enumerate(cells)}
+    crosses = {t for t in tiles if rob.TILES[t].kind == rob.CROSS_KIND}
+
+    def allowed(x, y):
+        coset = ((x - parity[0]) % 2, (y - parity[1]) % 2)
+        if coset == (0, 0):
+            return set(crosses)
+        return set(tiles) if coset == (1, 1) else set(tiles) - crosses
+
+    domains = [allowed(x, y) for x, y in cells]
+    neighbors = [[] for _ in cells]
+    for x, y in cells:
+        i = idx[(x, y)]
+        for j, table in ((idx[((x + 1) % w, y)], east_ok), (idx[(x, (y + 1) % h)], north_ok)):
+            neighbors[i].append((j, table, True))
+            neighbors[j].append((i, table, False))
+    decisions = 0
+
+    def revise(i, j, table, forward):
+        di, dj = domains[i], domains[j]
+        if forward:
+            bad = {a for a in di if not any(table[a][b] for b in dj)}
+        else:
+            bad = {a for a in di if not any(table[b][a] for b in dj)}
+        di -= bad
+        return bool(bad)
+
+    def ac3():
+        queue = [(i, j, t, fwd) for i in range(len(cells)) for (j, t, fwd) in neighbors[i]]
+        while queue:
+            i, j, t, fwd = queue.pop()
+            if revise(i, j, t, fwd):
+                if not domains[i]:
+                    return False
+                queue.extend((k, i, tt, fw) for (k, tt, fw) in neighbors[i])
+        return True
+
+    def solve():
+        nonlocal decisions
+        open_cells = [i for i in range(len(cells)) if len(domains[i]) > 1]
+        if not open_cells:
+            return "sat"
+        i = min(open_cells, key=lambda c: (len(domains[c]), c))
+        for val in sorted(domains[i]):
+            decisions += 1
+            saved = [set(d) for d in domains]
+            domains[i] = {val}
+            if ac3() and solve() == "sat":
+                return "sat"
+            domains[:] = saved
+        return "unsat"
+
+    status = solve() if ac3() else "unsat"
+    assignment = tuple(next(iter(d)) for d in domains) if status == "sat" else None
+    return status, decisions, assignment
 
 
 def _flip(marks):

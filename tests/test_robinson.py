@@ -10,6 +10,7 @@ from oracles import (
     red_head_edges,
     sig_mir,
     sig_rot,
+    torus_search_oracle,
 )
 
 from subsym.errors import CapExceeded, ScopeError, ValidationError
@@ -137,17 +138,27 @@ def test_matches_requires_direction():
         matches(0, 0, "S")
 
 
+@pytest.mark.parametrize("tid", [-28, -1, 28, 255, 256])
+def test_ids_outside_the_alphabet(tid):
+    for direction in ("E", "N"):
+        for a, b in ((tid, 0), (0, tid)):
+            with pytest.raises(ValidationError, match="tile ids"):
+                matches(a, b, direction)
+    assert rob.is_cross(tid) is False
+
+
 @pytest.mark.parametrize(
-    "ok, a_class, b_class, a_edge, b_edge",
+    "direction, a_class, b_class, a_edge, b_edge",
     [
-        (rob._EAST_OK, rob._EAST_CLASS, rob._WEST_CLASS, E, W),
-        (rob._NORTH_OK, rob._NORTH_CLASS, rob._SOUTH_CLASS, N, S),
+        ("E", rob._EAST_CLASS, rob._WEST_CLASS, E, W),
+        ("N", rob._NORTH_CLASS, rob._SOUTH_CLASS, N, S),
     ],
+    ids=["E", "N"],
 )
-def test_edge_tables_equal_signature_matching(ok, a_class, b_class, a_edge, b_edge):
+def test_edge_tables_equal_signature_matching(direction, a_class, b_class, a_edge, b_edge):
     for a, b in itertools.product(range(len(TILES)), repeat=2):
         fits = edge_fits(a, b, a_edge, b_edge)
-        assert ok[a][b] == (a_class[a] == b_class[b]) == fits, (a, b)
+        assert matches(a, b, direction) == (a_class[a] == b_class[b]) == fits, (a, b)
     # six edge classes per direction; a byte past the alphabet fits nothing
     assert len(set(a_class[: len(TILES)])) == len(set(b_class[: len(TILES)])) == 6
     assert len(a_class) == len(b_class) == 256
@@ -405,6 +416,14 @@ def test_torus_6x6_unsat_or_timeout():
     res = torus_tiling_search(6, 6, time_cap=60.0)
     assert res.status in ("unsat", "timeout")
     assert res.status == "unsat"  # in practice it closes immediately
+
+
+@pytest.mark.parametrize("w", range(2, 11, 2))
+def test_torus_search_matches_oracle(w):
+    for h in range(2, 11, 2):
+        for parity in itertools.product((0, 1), repeat=2):
+            res = torus_tiling_search(w, h, parity)
+            assert (res.status, res.decisions, res.assignment) == torus_search_oracle(w, h, parity), (h, parity)
 
 
 def test_torus_odd_periods_rejected():

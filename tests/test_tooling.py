@@ -1,9 +1,9 @@
 """The benchmark's tracer wraps `subsym` functions by name, and its op
-checks compare against the verdicts and `lang` dumps pinned in
-`perfbench/pins.json`; a change that breaks either shows only in a
-benchmark run, which this suite never starts.  The tracer source is
-parsed and the pins and spec files are read, nothing under perfbench/ is
-imported, and nothing is written there."""
+checks compare against the verdicts, `lang` dumps and Robinson patch
+digests pinned in `perfbench/pins.json`; a change that breaks any of
+them shows only in a benchmark run, which this suite never starts.  The
+tracer source is parsed and the pins and spec files are read, nothing
+under perfbench/ is imported, and nothing is written there."""
 
 import ast
 import functools
@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from subsym import robinson as rob
 from subsym.cli import _perm_to_str, main
 from subsym.language import patch_language
 from subsym.specio import BUNDLED, build_substitution, bundled_substitution, load_spec_file, parse_spec
@@ -119,20 +120,32 @@ def test_lang_pins_hold(key, capsys):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == pin["digest"]
 
 
-ROBINSON_PINS = [("assemble", key) for key in sorted(PINS["robinson"]["assemble"])] + [
-    ("torus", size) for size in sorted(PINS["robinson"]["torus"])
+ROBINSON_PINS = [
+    (section, key) for section in ("assemble", "torus", "verify_inputs") for key in sorted(PINS["robinson"][section])
 ]
+
+
+@functools.cache
+def verify_source(src, size, variant):
+    if src == "supertile":
+        return rob.supertile(size, variant)
+    return rob.four_quadrant_window(size, variant)
 
 
 @pytest.mark.parametrize("section,key", ROBINSON_PINS, ids=[f"{s}:{k}" for s, k in ROBINSON_PINS])
 def test_robinson_pins_hold(section, key, capsys):
-    # the benchmark's `assemble` and `torus` checks: the patch digest, or the decision count
+    # the benchmark's `assemble`, `torus` and verify-input checks: the patch
+    # digest, the decision count, or the digest of a dihedral image's text
     pin = PINS["robinson"][section][key]
     if section == "assemble":
         assert main(["robinson", *key.split()]) == 0
         out, err = capsys.readouterr()
         assert err == "violations=0\n"
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == pin
+    elif section == "verify_inputs":
+        src, size, variant, g = key.split(":")
+        text = rob.save_patch_text(rob.dihedral_group()[int(g)].apply(verify_source(src, int(size), variant)))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == pin
     else:
         assert main(["robinson", "torus", *key.split("x")]) == 0
         out, _ = capsys.readouterr()
