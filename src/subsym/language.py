@@ -28,13 +28,18 @@ n-windows of theta(w) are windows of depth j + 1 <= K + 1; depth K + 1
 added no n-window, so they lie in C and in S.  By induction over k >= K,
 every q-window of depth k lies in C and every n-window of depth k + 1 in
 S.  `_grow` uses the same q-window fact to inflate only distinct windows.
+It never builds the image theta(w) of such a window w as a pattern: one
+gather through a cached index plan per (size, q, shape) reads all the
+windows of theta(w) out of the rules of w's cells laid end to end.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import substitution
 from .errors import CapExceeded, ScopeError, ValidationError
@@ -43,6 +48,8 @@ from .substitution import (
     Pattern,
     RectSubstitution,
     Seed,
+    _run_starts,
+    _strides,
     apply,
     fixed_seeds,
     is_primitive,
@@ -159,10 +166,53 @@ def _holds_every_q_pattern(theta: RectSubstitution, patches: list[Pattern], q: V
 
 def _window_image(theta: RectSubstitution, q: Vec, w: bytes,
                   shape: Vec) -> tuple[set[bytes], set[bytes]]:
-    """The shape-windows and the q-windows of theta(w)."""
-    image = apply(theta, Pattern(zero(len(q)), q, w))
-    keys = set(image.subpattern_keys(shape))
-    return keys, keys if q == shape else set(image.subpattern_keys(q))
+    """The shape-windows and the q-windows of theta(w), gathered through
+    `_window_plan` from the rules of w's cells laid end to end."""
+    rules = b"".join(map([r.cells for r in theta.rules].__getitem__, w))
+    keys = _gather(rules, _window_plan(theta.size, q, shape))
+    return keys, keys if q == shape else _gather(rules, _window_plan(theta.size, q, q))
+
+
+@functools.lru_cache(maxsize=64)
+def _window_plan(size: Vec, q: Vec, shape: Vec) -> tuple[itemgetter | None, int]:
+    """(getter, cells per window) that reads every shape-window of theta(w),
+    for a q-window w, out of `b"".join(rules[a] for a in w)`; the getter is
+    None when no window fits.
+
+    Cell m * s + k of theta(w) is cell k of the rule of w's cell m: entry
+    flat(m) * prod(s) + flat(k) of that concatenation.  The windows follow
+    one another in the getter's output, each in cell order.
+    """
+    extent = tuple(n * s for n, s in zip(q, size))
+    offsets = tuple(e - n + 1 for e, n in zip(extent, shape))
+    if min(offsets) < 1:
+        return None, math.prod(shape)
+    block = math.prod(size)
+    axes = [
+        [x // s * qs * block + x % s * ks for x in range(n * s)]
+        for s, n, qs, ks in zip(size, q, _strides(q), _strides(size))
+    ]
+    # the entry of each cell of theta(w), in cell order (axis 0 fastest)
+    entry = [sum(t) for t in itertools.product(*reversed(axes))]
+    origin, width = zero(len(q)), shape[0]
+    runs = _run_starts(extent, origin, shape)
+    plan = [
+        e
+        for base in _run_starts(extent, origin, offsets)
+        for x in range(base, base + offsets[0])
+        for run in runs
+        for e in entry[x + run : x + run + width]
+    ]
+    return itemgetter(*plan), math.prod(shape)
+
+
+def _gather(cells: bytes, plan: tuple[itemgetter | None, int]) -> set[bytes]:
+    """The distinct windows that a `_window_plan` reads from `cells`."""
+    getter, n = plan
+    if getter is None:
+        return set()
+    flat = bytes(getter(cells))
+    return {flat[i : i + n] for i in range(0, len(flat), n)}
 
 
 @dataclass(frozen=True)

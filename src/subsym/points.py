@@ -5,7 +5,10 @@ seed dynamics fix, inflated forever, then translated.  Such a point is
 also fixed by theta^c, so symbol queries walk the base-s^c digits of the
 coordinate through per-quadrant tables of theta^c (one per theta, cached,
 64 KiB at most unless theta's own tables are larger): a lookup costs
-O(depth / c) table hits and no patch is ever materialized.
+O(depth / c) table hits and no patch is ever materialized.  The digits
+are split off k at a time: one `divmod` per chunk, whose k terms come
+from a per-axis chunk table with no more entries than a rule of theta^c
+has cells.  Both tables are built on the first query of a theta.
 """
 
 from __future__ import annotations
@@ -82,13 +85,19 @@ DIGIT_TABLE_BYTES = 1 << 16
 @functools.lru_cache(maxsize=16)
 def _digit_tables(
     theta: RectSubstitution,
-) -> tuple[Vec, tuple[int, ...], tuple[tuple[bytes, ...], ...]]:
-    """(s^c, flat strides of s^c, rules of theta^c per quadrant) for the largest
-    c >= 1 whose tables fit DIGIT_TABLE_BYTES (c = 1 if even theta's do not).
+) -> tuple[Vec, tuple[tuple[bytes, ...], ...], tuple[tuple[tuple[int, ...], ...], ...]]:
+    """(s^c, rules of theta^c per quadrant, chunk table per axis) for the
+    largest c >= 1 whose rules fit DIGIT_TABLE_BYTES (c = 1 if even theta's
+    do not).
 
     Quadrant q is the q-th seed cell u of `corner_order`; its rules are those of
     theta^c reflected on every axis with u_i = -1, so that a non-negative
     in-quadrant offset reads its digits straight through them.
+
+    The chunk table of an axis with base b and flat stride t maps each
+    k-digit chunk r < b^k, for the largest k with b^k <= prod(s^c) (no more
+    entries than one rule of theta^c has cells), to its k terms digit * t,
+    low digit first.
     """
     d, block = theta.dim, math.prod(theta.size)
     c = 1
@@ -99,7 +108,19 @@ def _digit_tables(
     for u in corner_order(d):
         idx = _moved(bases, SignedPerm(tuple(range(d)), tuple(-ui for ui in u)))
         quadrants.append(tuple(bytes(map(r.cells.__getitem__, idx)) for r in theta_c.rules))
-    return bases, _strides(bases), tuple(quadrants)
+    cells, chunks = math.prod(bases), []
+    for b, t in zip(bases, _strides(bases)):
+        terms = [r * t for r in range(b)]
+        table = [(x,) for x in terms]
+        while len(table) * b <= cells:
+            table = [low + (high,) for high in terms for low in table]
+        chunks.append(tuple(table))
+    return bases, tuple(quadrants), tuple(chunks)
+
+
+def _require_dim(v: Vec, d: int, what: str) -> None:
+    if len(v) != d:
+        raise ValidationError(f"{what} {v} does not have {d} coordinates")
 
 
 class AddressablePoint:
@@ -120,8 +141,8 @@ class AddressablePoint:
                 "seed is not fixed by the substitution; "
                 "replace theta by a corner-fixing power first"
             )
-        if shift is not None and len(shift) != theta.dim:
-            raise ValidationError(f"shift {shift} does not have {theta.dim} coordinates")
+        if shift is not None:
+            _require_dim(shift, theta.dim, "shift")
         self.theta = theta
         self.seed = seed
         self.shift = shift if shift is not None else zero(theta.dim)
@@ -132,6 +153,7 @@ class AddressablePoint:
         return self.theta.dim
 
     def with_shift(self, v: Vec) -> "AddressablePoint":
+        _require_dim(v, self.theta.dim, "shift")
         clone = AddressablePoint.__new__(AddressablePoint)
         clone.theta = self.theta
         clone.seed = self.seed
@@ -145,32 +167,37 @@ class AddressablePoint:
         The coordinate is routed to the quadrant of the seed cell it falls
         in and turned into a non-negative in-quadrant offset (x or ~x per
         axis), whose base-s^c digits are read from the top down through that
-        quadrant's rules of theta^c.  Axes with fewer digits are padded with
-        0, and so is the expansion past the last digit: the seed is fixed by
-        theta^c, so the result does not depend on the depth.
+        quadrant's rules of theta^c.  The digits come k at a time, one
+        `divmod` per chunk, as their terms digit * stride from the axis's
+        chunk table.  Axes with fewer digits are padded with 0, and so is
+        the expansion past the last digit: the seed is fixed by theta^c, so
+        the result does not depend on the depth.
         """
+        _require_dim(k, len(self.shift), "coordinate")
         if self._tables is None:
             self._tables = _digit_tables(self.theta)
-        bases, strides, quadrants = self._tables
+        _, quadrants, chunks = self._tables
         q, axes = 0, []
-        for x, v, b, st in zip(k, self.shift, bases, strides):
+        for x, v, chunk in zip(k, self.shift, chunks):
             x -= v
             # a 1 bit per non-negative axis, first axis highest: u's place in corner_order
             q = q << 1 | (x >= 0)
             x = x if x >= 0 else ~x
-            digits = []
+            terms, radix = [], len(chunk)
             while x:
-                x, r = divmod(x, b)
-                digits.append(r * st)
-            axes.append(digits)
+                x, r = divmod(x, radix)
+                terms += chunk[r]
+            axes.append(terms)
+        levels = axes[0] if len(axes) == 1 else list(map(sum, zip_longest(*axes, fillvalue=0)))
         rules, sym = quadrants[q], self.seed.symbols[q]
-        for level in reversed(list(zip_longest(*axes, fillvalue=0))):
-            sym = rules[sym][sum(level)]
+        for i in reversed(levels):
+            sym = rules[sym][i]
         return sym
 
     def window(self, r: Rect) -> Pattern:
         """The point on an inclusive rect.  The unshifted point is theta-fixed,
         so on a box B it is a crop of theta applied to it on floor(B / s)."""
+        _require_dim(r.lo, self.dim, "window corner")
         n, cap = r.cell_count(), substitution.DEFAULT_CELL_CAP
         if n > cap:
             raise CapExceeded(f"window of {n} cells exceeds cap {cap}")
@@ -196,6 +223,7 @@ class AddressablePoint:
 
 
 def shift_point(x: AddressablePoint, k: Vec) -> AddressablePoint:
+    _require_dim(k, x.dim, "shift")
     return x.with_shift(vadd(x.shift, k))
 
 

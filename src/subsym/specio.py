@@ -194,20 +194,17 @@ def parse_language_dump(text: str) -> tuple[tuple[int, ...], frozenset[bytes]]:
 # Text rendering of substitution patterns
 # ---------------------------------------------------------------------------
 
+#: `bytes.translate` table from symbol to glyph: 91 glyphs, then `?`
 _GLYPHS = (
-    "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-    "!#$%&()*+,-./:;<=>?@[]^_`{|}~"
-)
-
-
-def glyph_for(symbol: int) -> str:
-    return _GLYPHS[symbol] if symbol < len(_GLYPHS) else "?"
+    b"0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+    b"!#$%&()*+,-./:;<=>?@[]^_`{|}~"
+).ljust(256, b"?")
 
 
 def render_pattern_text(p: Pattern) -> str:
     """One char per cell; rows printed top to bottom, 3d+ slices separated
     by blank lines (last coordinate outermost)."""
-    text, w = "".join(map(glyph_for, p.cells)), p.extent[0]
+    text, w = p.cells.translate(_GLYPHS).decode("ascii"), p.extent[0]
     rows = [text[i : i + w] for i in _run_starts(p.extent, (0,) * p.dim, p.extent)]
     if p.dim == 1:
         return rows[0] + "\n"

@@ -108,6 +108,9 @@ class Pattern:
         """Cell buffers of every `shape`-window inside this pattern."""
         if any(sh > e for sh, e in zip(shape, self.extent)):
             return
+        if tuple(shape) == self.extent:
+            yield self.cells
+            return
         origin, w, full, cells = zero(self.dim), shape[0], self.extent[0], self.cells
         offsets = tuple(e - sh + 1 for sh, e in zip(shape, self.extent))
         strip_rows = _run_starts(self.extent, origin, shape)
@@ -384,8 +387,15 @@ class Seed:
 
     def pattern(self) -> Pattern:
         """As a 2x...x2 pattern anchored at (-1, ..., -1)."""
-        box = Rect((-1,) * self.dim, (0,) * self.dim)
-        return Pattern(box.lo, box.extent(), bytes(map(self.corner, box.cells())))
+        cells = bytes(map(self.symbols.__getitem__, _seed_cell_order(self.dim)))
+        return Pattern((-1,) * self.dim, (2,) * self.dim, cells)
+
+
+@functools.lru_cache(maxsize=8)
+def _seed_cell_order(d: int) -> tuple[int, ...]:
+    """The `corner_order` place of each seed cell, in cell order (axis 0 fastest)."""
+    place = {u: i for i, u in enumerate(corner_order(d))}
+    return tuple(map(place.__getitem__, Rect((-1,) * d, (0,) * d).cells()))
 
 
 def _seed_stepper(theta: RectSubstitution):

@@ -13,7 +13,11 @@ theta^c replaced, or the language loop that inflated whole patches where
 `language._grow` now inflates their distinct windows, or the dihedral
 action on Robinson edge signatures that the spelling tables replaced, or
 the set-domain torus search over pairwise rule (1) tables that the
-search over edge-class tables replaced.
+search over edge-class tables replaced.  Some are the earlier table
+kernels themselves: the walk of `symbol_at` one theta^c digit per
+`divmod`, the window image of `language._grow` as `apply` plus
+`subpattern_keys`, the per-cell glyph lookup of the text render and
+the seed pattern read one corner lookup per cell.
 The differential tests compare the fast paths against these.
 """
 
@@ -25,7 +29,8 @@ from subsym import robinson as rob
 from subsym import substitution
 from subsym.errors import CapExceeded, ValidationError
 from subsym.language import patch_language
-from subsym.lattice import Rect, mat_inverse_unimodular, mat_vec, signed_perm_group, spow, vadd, vmul
+from subsym.lattice import Rect, mat_inverse_unimodular, mat_vec, signed_perm_group, spow, vadd, vmul, zero
+from subsym.points import _digit_tables
 from subsym.robinson import E, N, S, W, RobinsonPatch, Violation
 from subsym.substitution import (
     Pattern,
@@ -33,6 +38,7 @@ from subsym.substitution import (
     Seed,
     apply,
     corner_fixing_power,
+    _strides,
     corner_order,
     position_map,
 )
@@ -130,6 +136,51 @@ def seed_pattern_oracle(seed):
     for u, sym in zip(corner_order(seed.dim), seed.symbols):
         buf[p.index_of(u)] = sym
     return Pattern((-1,) * seed.dim, ext, bytes(buf))
+
+
+def seed_pattern_by_corner_oracle(seed):
+    """The seed's 2x...x2 pattern, one `Seed.corner` lookup per cell."""
+    box = Rect((-1,) * seed.dim, (0,) * seed.dim)
+    return Pattern(box.lo, box.extent(), bytes(map(seed.corner, box.cells())))
+
+
+def window_image_oracle(theta, q, w, shape):
+    """The shape-windows and the q-windows of theta(w): `apply` on the
+    q-window, then `subpattern_keys` over the image."""
+    image = apply(theta, Pattern(zero(len(q)), q, w))
+    keys = set(image.subpattern_keys(shape))
+    return keys, keys if q == shape else set(image.subpattern_keys(q))
+
+
+_GLYPHS = (
+    "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+    "!#$%&()*+,-./:;<=>?@[]^_`{|}~"
+)
+
+
+def glyph_oracle(symbol):
+    """The text-render character of one symbol; `?` past the glyph list."""
+    return _GLYPHS[symbol] if symbol < len(_GLYPHS) else "?"
+
+
+def digit_walk_oracle(x, k):
+    """`symbol_at` reading one base-s^c digit per `divmod`, through the same
+    per-quadrant rules of theta^c, the levels joined by `zip_longest`."""
+    bases, quadrants, _ = _digit_tables(x.theta)
+    q, axes = 0, []
+    for c, v, b, st in zip(k, x.shift, bases, _strides(bases)):
+        c -= v
+        q = q << 1 | (c >= 0)
+        c = c if c >= 0 else ~c
+        digits = []
+        while c:
+            c, r = divmod(c, b)
+            digits.append(r * st)
+        axes.append(digits)
+    rules, sym = quadrants[q], x.seed.symbols[q]
+    for level in reversed(list(itertools.zip_longest(*axes, fillvalue=0))):
+        sym = rules[sym][sum(level)]
+    return sym
 
 
 def window_oracle(x, r):

@@ -4,12 +4,13 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import grow_oracle
+from oracles import grow_oracle, window_image_oracle
 
 from subsym import language, substitution
 from subsym.errors import CapExceeded, ScopeError, ValidationError
 from subsym.language import (
     _grow,
+    _window_image,
     _root_patterns,
     contains_pattern,
     patch_language,
@@ -216,6 +217,40 @@ def test_grow_matches_oracle_on_random_rules(d, n, seed, data):
     max_depth = data.draw(st.integers(1, 5 - d))
     for roots in ([Pattern.single((0,) * d, 0)], [Pattern.single((0,) * d, a) for a in range(n)]):
         assert _grow(theta, roots, shape, max_depth) == grow_oracle(theta, roots, shape, max_depth)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 3), st.integers(2, 3), st.integers(0, 2**32 - 1), st.data())
+def test_window_image_matches_oracle(d, n, seed, data):
+    # sizes differ across axes, q is the growth's own or any other, shapes go down to one cell
+    rng = random.Random(seed)
+    size = tuple(rng.randint(2, 3) for _ in range(d))
+    rules = tuple(Pattern((0,) * d, size, bytes(rng.randrange(n) for _ in range(math.prod(size))))
+                  for _ in range(n))
+    theta = RectSubstitution(Alphabet(tuple("abc"[:n])), size, rules)
+    shape = tuple(data.draw(st.integers(1, 4)) for _ in range(d))
+    q = tuple(-(-(m - 1) // s) + 1 for m, s in zip(shape, size))
+    if data.draw(st.booleans()):
+        q = tuple(data.draw(st.integers(1, 3)) for _ in range(d))
+    w = bytes(rng.randrange(n) for _ in range(math.prod(q)))
+    assert _window_image(theta, q, w, shape) == window_image_oracle(theta, q, w, shape)
+
+
+@pytest.mark.parametrize("size, q, shape", [
+    ((2, 3), (2, 2), (2, 3)),  # unequal sizes, the growth's q
+    ((2, 3), (2, 2), (2, 2)),  # q == shape
+    ((2, 3), (1, 1), (1, 1)),  # one-cell windows
+    ((3,), (1,), (1,)),
+    ((2, 2, 2), (2, 2, 2), (2, 2, 3)),
+    ((2, 3), (1, 1), (3, 4)),  # no window fits
+])
+def test_window_image_matches_oracle_on_every_window(size, q, shape):
+    rng = random.Random(str(size))
+    rules = tuple(Pattern(tuple(0 for _ in size), size, bytes(rng.randrange(3) for _ in range(math.prod(size))))
+                  for _ in range(3))
+    theta = RectSubstitution(Alphabet(("a", "b", "c")), size, rules)
+    for w in sorted({bytes(rng.randrange(3) for _ in range(math.prod(q))) for _ in range(40)}):
+        assert _window_image(theta, q, w, shape) == window_image_oracle(theta, q, w, shape), w
 
 
 @settings(max_examples=50, deadline=None)

@@ -2,14 +2,17 @@ import contextlib
 import io
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import symbol_at_oracle
+from oracles import digit_walk_oracle, symbol_at_oracle
 
-from subsym import points
+from subsym import language, points
 from subsym.cli import main
 from subsym.errors import ScopeError, ValidationError
 from subsym.lattice import Rect, zero
@@ -29,6 +32,7 @@ from subsym.specio import BUNDLED, bundled_substitution
 from subsym.substitution import (
     Pattern,
     Seed,
+    _strides,
     corner_fixed,
     fixed_seeds,
     is_bijective,
@@ -148,19 +152,22 @@ def eligible(theta):
 
 def probe_coords(x, rng):
     """The quadrant seams at the shift, coordinates one either side of the
-    digit boundaries +-(s^c)^j on each axis and on all axes at once, and
-    random coordinates up to 2^60."""
-    bases, d, v = _digit_tables(x.theta)[0], x.dim, x.shift
+    digit boundaries +-(s^c)^j and of the chunk boundaries +-(b^k)^j (b^k
+    the length of the axis's chunk table) on each axis and on all axes at
+    once, and random coordinates up to 2^60."""
+    bases, _, chunks = _digit_tables(x.theta)
+    d, v = x.dim, x.shift
     coords = list(itertools.product(*((c, c - 1) for c in v)))
-    for j in (1, 2, 3):
-        for sign in (1, -1):
-            for e in (0, -1):
-                offs = [sign * b**j + e for b in bases]
-                coords.append(tuple(c + o for c, o in zip(v, offs)))
-                for i in range(d):
-                    coords.append(tuple(c + (offs[i] if a == i else 0) for a, c in enumerate(v)))
+    for radices in (bases, tuple(map(len, chunks))):
+        for j in (1, 2, 3):
+            for sign in (1, -1):
+                for e in (0, -1):
+                    offs = [sign * b**j + e for b in radices]
+                    coords.append(tuple(c + o for c, o in zip(v, offs)))
+                    for i in range(d):
+                        coords.append(tuple(c + (offs[i] if a == i else 0) for a, c in enumerate(v)))
     coords += [tuple(rng.randint(-(2**60), 2**60) for _ in range(d)) for _ in range(4)]
-    return coords
+    return list(dict.fromkeys(coords))  # a chunk of one digit repeats the digit boundaries
 
 
 def assert_matches_oracle(theta, rng):
@@ -172,7 +179,8 @@ def assert_matches_oracle(theta, rng):
             shift = tuple(size if i % 2 == 0 else -size for i in range(theta.dim))
             x = AddressablePoint(theta, seed, shift)
             for k in probe_coords(x, rng):
-                assert x.symbol_at(k) == symbol_at_oracle(x, k), (seed, shift, k)
+                want = symbol_at_oracle(x, k)
+                assert x.symbol_at(k) == digit_walk_oracle(x, k) == want, (seed, shift, k)
 
 
 @pytest.mark.parametrize("name", sorted(BUNDLED))
@@ -206,7 +214,7 @@ def test_symbol_at_has_no_depth_limit(corpus, two_by_three):
 def test_digit_tables_fill_the_budget(corpus, two_by_three):
     for theta in [*corpus.values(), two_by_three]:
         theta = eligible(theta)
-        bases, strides, quadrants = _digit_tables(theta)
+        bases, quadrants, chunks = _digit_tables(theta)
         per_level = math.prod(theta.size)
         c = round(math.log(math.prod(bases), per_level))
         assert bases == tuple(si**c for si in theta.size)
@@ -216,7 +224,45 @@ def test_digit_tables_fill_the_budget(corpus, two_by_three):
         assert used <= DIGIT_TABLE_BYTES < used * per_level
         # the all-non-negative quadrant is theta^c itself
         assert quadrants[-1] == tuple(r.cells for r in power(theta, c).rules)
+        # one chunk table per axis: the largest k with b^k <= prod(s^c) cells
+        # of a rule of theta^c, the k terms digit * stride of each chunk
+        assert len(chunks) == theta.dim
+        for b, stride, chunk in zip(bases, _strides(bases), chunks):
+            k = len(chunk[0])
+            assert len(chunk) == b**k <= math.prod(bases) < b ** (k + 1)
+            for r, terms in enumerate(chunk):
+                assert terms == tuple(r // b**i % b * stride for i in range(k)), r
     assert _digit_tables.cache_info().maxsize is not None
+
+
+def table_caches():
+    """The lru_caches defined in `points` and `language`."""
+    return [
+        f
+        for module in (points, language)
+        for f in vars(module).values()
+        if hasattr(f, "cache_info") and f.__module__ == module.__name__
+    ]
+
+
+def test_table_caches_are_bounded():
+    caches = table_caches()
+    assert {f.__name__ for f in caches} >= {"_digit_tables", "_window_plan"}
+    assert all(f.cache_info().maxsize is not None for f in caches), caches
+
+
+def test_importing_the_cli_fills_no_table_cache():
+    names = [f"{f.__module__}.{f.__name__}" for f in table_caches()]
+    code = (
+        "import importlib, subsym.cli\n"
+        f"for name in {names!r}:\n"
+        "    module, _, attr = name.rpartition('.')\n"
+        "    print(name, getattr(importlib.import_module(module), attr).cache_info().currsize)\n"
+    )
+    src = os.path.dirname(os.path.dirname(points.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == [f"{name} 0" for name in names]
 
 
 @pytest.fixture
@@ -251,6 +297,8 @@ def test_window_builds_no_tables(tm2d, counted_builds):
     for argv in (
         ["point", "tm2d", "--seed", "0,1,1,0", "--shift=3,-2", "--window", "4"],
         ["fracture", "tm2d", "--axis", "1", "--window", "8"],
+        ["lang", "tm2d", "--shape", "2,3", "--mode", "full"],
+        ["lang", "tm3d", "--shape", "2,2,2", "--mode", "minimal"],
     ):
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(argv) == 0
@@ -267,6 +315,23 @@ def test_shift_moves_symbols(tm1d_point):
     y = shift_point(tm1d_point, (5,))
     for k in range(-8, 8):
         assert y.symbol_at((k,)) == tm1d_point.symbol_at((k - 5,))
+
+
+def test_wrong_length_vectors_are_rejected(tm2d):
+    x = AddressablePoint(eligible(tm2d), Seed(2, (0, 1, 1, 0)), (3, -4))
+    for v in ((), (5,), (5, 3, 7)):
+        with pytest.raises(ValidationError):
+            x.symbol_at(v)
+        with pytest.raises(ValidationError):
+            x.with_shift(v)
+        with pytest.raises(ValidationError):
+            shift_point(x, v)
+        with pytest.raises(ValidationError):
+            AddressablePoint(x.theta, x.seed, v)
+        if v:
+            with pytest.raises(ValidationError):
+                x.window(Rect(v, v))
+    assert x.symbol_at((5, 3)) == symbol_at_oracle(x, (5, 3))
 
 
 def test_phi_fixed_point_is_zero(tm1d_point):

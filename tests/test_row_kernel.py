@@ -11,6 +11,8 @@ from oracles import (
     from_rows_oracle,
     infinite_supertile_cell,
     patch_symmetry_apply_oracle,
+    glyph_oracle,
+    seed_pattern_by_corner_oracle,
     seed_pattern_oracle,
     shifted_window_oracle,
     subpatch_oracle,
@@ -27,9 +29,10 @@ from subsym.errors import CapExceeded, ValidationError
 from subsym.language import patch_language
 from subsym.lattice import Rect
 from subsym.points import AddressablePoint
-from subsym.specio import BUNDLED, bundled_substitution, ppm_image
+from subsym.specio import BUNDLED, bundled_substitution, ppm_image, render_pattern_text
 from subsym.substitution import (
     Pattern,
+    Seed,
     _powers,
     all_seeds,
     apply,
@@ -87,6 +90,8 @@ def test_subpattern_keys_match_oracle(name):
     for shape in itertools.product((1, 2, 3), repeat=theta.dim):
         for p in patterns:
             assert list(p.subpattern_keys(shape)) == subpattern_keys_oracle(p, shape)
+    for p in patterns:  # the whole pattern is its one window
+        assert list(p.subpattern_keys(p.extent)) == subpattern_keys_oracle(p, p.extent) == [p.cells]
 
 
 @pytest.mark.parametrize("name", BUNDLED)
@@ -118,6 +123,18 @@ def test_seed_pattern_matches_oracle(name):
     theta = bundled_substitution(name)
     for seed in all_seeds(theta):
         assert seed.pattern() == seed_pattern_oracle(seed)
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_seed_pattern_matches_the_corner_lookup(d):
+    for symbols in itertools.product(range(3), repeat=1 << d):
+        seed = Seed(d, symbols)
+        assert seed.pattern() == seed_pattern_by_corner_oracle(seed) == seed_pattern_oracle(seed)
+
+
+def test_text_render_glyphs_match_oracle():
+    every_byte = Pattern((0,), (256,), bytes(range(256)))
+    assert render_pattern_text(every_byte) == "".join(map(glyph_oracle, range(256))) + "\n"
 
 
 def window_rects(d):
