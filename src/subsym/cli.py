@@ -51,10 +51,10 @@ def _check_threads(flag: int | None) -> None:
 
 def _load(spec_arg: str) -> tuple[specio.SubstitutionSpec, RectSubstitution]:
     if spec_arg in specio.BUNDLED and not os.path.exists(spec_arg):
-        spec = specio.load_bundled(spec_arg)
+        text = specio.bundled_text(spec_arg)
     else:
-        spec = specio.load_spec_file(spec_arg)
-    return spec, specio.build_substitution(spec)
+        text = specio.read_utf8(spec_arg)
+    return specio.parse_and_build(text)
 
 
 def _write_out(args, data, binary=False) -> None:

@@ -18,8 +18,10 @@ Local rules:
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import CapExceeded, ScopeError, ValidationError
 from .lattice import IntMatrix, Rect, SignedPerm, vsub
@@ -295,8 +297,10 @@ class RobinsonPatch:
     def rows(self, r: Rect | None = None) -> list[bytes]:
         """The rows of the sub-box r (default: the whole patch), bottom first."""
         r = r or self.rect
-        starts = _run_starts(self.rect.extent(), vsub(r.lo, self.rect.lo), r.extent())
-        return [self.tiles[i : i + r.extent()[0]] for i in starts]
+        extent = r.extent()
+        starts = _run_starts(self.rect.extent(), vsub(r.lo, self.rect.lo), extent)
+        width = extent[0]
+        return [self.tiles[i : i + width] for i in starts]
 
     def subpatch(self, r: Rect) -> "RobinsonPatch":
         if not self.rect.contains_rect(r):
@@ -584,6 +588,44 @@ class TorusResult:
     elapsed: float
 
 
+def _support_table(mine: bytes, theirs: bytes) -> tuple[tuple[int, ...], ...]:
+    """Rule (1) supports across one edge, as four tuples indexed by one byte
+    of a tile mask (bit t set for tile t).
+
+    For a set S of tiles at the neighbour, the tiles a with `mine[a] ==
+    theirs[b]` for some b in S are the mask OR of `table[k][S >> 8k & 255]`
+    over k = 0..3.  `fits[b]` is the mask of the tiles that fit b, and each
+    tuple is built by doubling: the entries with bit j set are the ones
+    below 2^j with `fits` of that bit ORed in.
+    """
+    by_class: dict[int, int] = {}
+    for a, c in enumerate(mine[: len(TILES)]):
+        by_class[c] = by_class.get(c, 0) | 1 << a
+    fits = [by_class.get(c, 0) for c in theirs[:32]]  # bytes past the alphabet fit nothing
+    table = []
+    for k in range(0, 32, 8):
+        row = [0]
+        for f in fits[k : k + 8]:
+            row += [r | f for r in row]
+        table.append(tuple(row))
+    return tuple(table)
+
+
+@functools.cache
+def _support_tables() -> dict[tuple[bytes, bytes], tuple[tuple[int, ...], ...]]:
+    """The support table of each ordered pair of class tables that meet
+    across an edge, built on the first torus search, the only reader."""
+    return {
+        (mine, theirs): _support_table(mine, theirs)
+        for pair in ((_EAST_CLASS, _WEST_CLASS), (_NORTH_CLASS, _SOUTH_CLASS))
+        for mine, theirs in (pair, pair[::-1])
+    }
+
+
+#: `_COSET_TILES` as tile masks, the torus search's start domains.
+_COSET_MASKS = tuple(tuple(sum(1 << t for t in tiles) for tiles in row) for row in _COSET_TILES)
+
+
 def torus_tiling_search(
     w: int,
     h: int,
@@ -592,16 +634,21 @@ def torus_tiling_search(
 ) -> TorusResult:
     """Backtracking search for a w x h torus tiling.
 
-    Cell i is (i % w, i // w). Its domain starts as the tiles rules (2)-(3)
-    allow there, and each neighbour entry `(j, mine, theirs)` holds rule (1)
-    as the class tables of i and of j: a tile a at i has support in j when
-    `mine[a]` is the class of some tile of j under `theirs`.
+    Cell i is (i % w, i // w). Its domain is an int with bit t set when
+    tile t is still possible there; it starts as the tiles rules (2)-(3)
+    allow. Each neighbour entry `(j, table)` holds rule (1) as the support
+    table (`_support_table`) of the class tables of i and of j: a tile a at
+    i has support in j when `mine[a]` is the class of some tile of j under
+    `theirs`, so revising i against j is four lookups, an OR and an AND.
+    The branch cell is the open cell with the fewest tiles, lowest index
+    first, and its tiles are tried in ascending id order.
 
     A `sat` assignment would be a counterexample and is returned verbatim.
     An `unsat` is not a certificate: after revising i, `ac3` re-queues each
-    neighbour k as `(k, i, mine_i, theirs_k)`, the class tables as seen
-    from i, so it revises k against transposed tables and can prune real
-    solutions.  The fix (ROADMAP item 2) is to swap those two tables.
+    neighbour k as `(k, i, table)` with i's own entry for k, the support
+    table as seen from i, so it revises k against transposed class tables
+    and can prune real solutions.  The fix (ROADMAP item 2) is to queue k's
+    entry for i instead.
     """
     if w % 2 or h % 2:
         raise ScopeError("torus periods must be even to keep the cross coset consistent")
@@ -614,45 +661,49 @@ def torus_tiling_search(
 
     p1, p2 = parity[0] % 2, parity[1] % 2
     n = w * h
-    domains = [set(_COSET_TILES[(i // w - p2) % 2][(i % w - p1) % 2]) for i in range(n)]
-    neighbors: list[list[tuple[int, bytes, bytes]]] = [[] for _ in range(n)]
+    domains = [_COSET_MASKS[(i // w - p2) % 2][(i % w - p1) % 2] for i in range(n)]
+    support = _support_tables()
+    neighbors: list[list[tuple[int, tuple[tuple[int, ...], ...]]]] = [[] for _ in range(n)]
     for i in range(n):
         x, y = i % w, i // w
         for j, mine, theirs in (
             (y * w + (x + 1) % w, _EAST_CLASS, _WEST_CLASS),
             ((y + 1) % h * w + x, _NORTH_CLASS, _SOUTH_CLASS),
         ):
-            neighbors[i].append((j, mine, theirs))
-            neighbors[j].append((i, theirs, mine))
+            neighbors[i].append((j, support[mine, theirs]))
+            neighbors[j].append((i, support[theirs, mine]))
 
     start = time.monotonic()
     decisions = 0
 
     def ac3() -> bool:
-        queue = [(i, j, mine, theirs) for i in range(n) for (j, mine, theirs) in neighbors[i]]
+        queue = [(i, j, table) for i in range(n) for (j, table) in neighbors[i]]
         while queue:
-            i, j, mine, theirs = queue.pop()
-            support = {theirs[b] for b in domains[j]}
-            bad = {a for a in domains[i] if mine[a] not in support}
-            if bad:
-                domains[i] -= bad
+            i, j, (t0, t1, t2, t3) = queue.pop()
+            dj = domains[j]
+            allowed = t0[dj & 255] | t1[dj >> 8 & 255] | t2[dj >> 16 & 255] | t3[dj >> 24]
+            if domains[i] & ~allowed:
+                domains[i] &= allowed
                 if not domains[i]:
                     return False
-                queue.extend((k, i, mine_i, theirs_k) for (k, mine_i, theirs_k) in neighbors[i])
+                queue.extend((k, i, table_i) for (k, table_i) in neighbors[i])
         return True
 
     def solve() -> str:
         nonlocal decisions
         if time.monotonic() - start > time_cap:
             return "timeout"
-        open_cells = [i for i in range(n) if len(domains[i]) > 1]
+        open_cells = [i for i in range(n) if domains[i] & (domains[i] - 1)]
         if not open_cells:
             return "sat"
-        i = min(open_cells, key=lambda c: (len(domains[c]), c))
-        for val in sorted(domains[i]):
+        i = min(open_cells, key=lambda c: (domains[c].bit_count(), c))
+        d = domains[i]
+        while d:
+            val = d & -d  # the lowest tile id left
+            d ^= val
             decisions += 1
-            saved = [set(d) for d in domains]
-            domains[i] = {val}
+            saved = domains[:]
+            domains[i] = val
             if ac3():
                 res = solve()
                 if res != "unsat":
@@ -663,7 +714,7 @@ def torus_tiling_search(
     if not ac3():
         return TorusResult("unsat", w, h, (p1, p2), None, decisions, time.monotonic() - start)
     status = solve()
-    assignment = tuple(next(iter(d)) for d in domains) if status == "sat" else None
+    assignment = tuple(d.bit_length() - 1 for d in domains) if status == "sat" else None
     return TorusResult(status, w, h, (p1, p2), assignment, decisions, time.monotonic() - start)
 
 
@@ -695,14 +746,15 @@ def load_patch_text(text: str) -> RobinsonPatch:
             anchor = (ax, ay)
     except ValueError:
         raise ValidationError("parity and anchor headers need two integers") from None
-    widths = {len(ln.split()) for ln in body}
+    rows = [ln.split() for ln in body]
+    widths = {len(row) for row in rows}
     if len(widths) != 1:
         raise ValidationError("patch rows must be nonempty and of equal length")
-    (width,), height = widths, len(body)
+    (width,), height = widths, len(rows)
     rect = Rect(anchor, (anchor[0] + width - 1, anchor[1] + height - 1))
     # bottom row first, each left to right: the first bad token in cell order is reported
     try:
-        tiles = b"".join(bytes(map(_TOKEN_TO_ID.__getitem__, ln.split())) for ln in reversed(body))
+        tiles = bytes(map(_TOKEN_TO_ID.__getitem__, chain.from_iterable(reversed(rows))))
     except KeyError as exc:
         raise ValidationError(f"bad tile token {exc.args[0]!r}") from None
     return RobinsonPatch(rect, tiles, (p1, p2))

@@ -46,6 +46,12 @@ def _fail(path: str, msg: str) -> ValidationError:
 
 
 def parse_spec(text: str) -> SubstitutionSpec:
+    return parse_and_build(text)[0]
+
+
+def parse_and_build(text: str) -> tuple[SubstitutionSpec, RectSubstitution]:
+    """The spec in `text` and its substitution, built once: the build is
+    also the last validation step."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -85,8 +91,7 @@ def parse_spec(text: str) -> SubstitutionSpec:
     spec = SubstitutionSpec(
         obj["name"], dim, tuple(size), tuple(alphabet), rules
     )
-    build_substitution(spec)  # validation happens during the build
-    return spec
+    return spec, build_substitution(spec)  # the rule cells are validated during the build
 
 
 def _flatten_rule(node, size, alphabet_idx, path: str, depth: int, out: list) -> None:
@@ -143,15 +148,19 @@ def load_spec_file(path: str) -> SubstitutionSpec:
 BUNDLED = ("tm1d", "tm2d", "tm3d", "cyc3", "rig3", "dbl")
 
 
-def load_bundled(name: str) -> SubstitutionSpec:
+def bundled_text(name: str) -> str:
+    """The JSON text of the bundled spec `name`."""
     if name not in BUNDLED:
         raise ValidationError(f"no bundled spec named {name!r}; have {BUNDLED}")
-    text = resources.files("subsym.data").joinpath(f"specs/{name}.json").read_text()
-    return parse_spec(text)
+    return resources.files("subsym.data").joinpath(f"specs/{name}.json").read_text()
+
+
+def load_bundled(name: str) -> SubstitutionSpec:
+    return parse_spec(bundled_text(name))
 
 
 def bundled_substitution(name: str) -> RectSubstitution:
-    return build_substitution(load_bundled(name))
+    return parse_and_build(bundled_text(name))[1]
 
 
 # ---------------------------------------------------------------------------

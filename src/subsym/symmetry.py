@@ -53,6 +53,11 @@ def relabel_automorphisms(theta: RectSubstitution) -> list[Relabeling]:
     and found by propagating the commutation through every position.
     """
     _require_primitive_bijective(theta, "relabel_automorphisms")
+    return _relabel_group(theta)
+
+
+def _relabel_group(theta: RectSubstitution) -> list[Relabeling]:
+    """`relabel_automorphisms` for a theta already checked primitive and bijective."""
     out = conjugating_relabelings(theta, SignedPerm.identity(theta.dim))
     _assert_subgroup(out, len(theta.alphabet))
     return out
@@ -89,7 +94,7 @@ class AutDescription:
 
 def aut_group_description(theta: RectSubstitution) -> AutDescription:
     _require_primitive_bijective(theta, "aut_group_description")
-    group = tuple(relabel_automorphisms(theta))
+    group = tuple(_relabel_group(theta))
     n = len(theta.alphabet)
     if n == 2:
         assert len(group) in (1, 2), "binary relabel group must be trivial or C2"

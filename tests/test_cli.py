@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from subsym import robinson as rob
-from subsym import specio, substitution
+from subsym import specio, substitution, symmetry
 from subsym.cli import build_parser, main
 from subsym.errors import ValidationError
 from subsym.specio import (
@@ -124,6 +124,27 @@ def test_aut_tm2d():
     assert code == 0
     assert "relabel_group_order=2" in out
     assert "structure=Z^2 x C2" in out
+
+
+@pytest.mark.parametrize("spec", ["tm2d", "file"])
+def test_aut_builds_and_checks_the_spec_once(spec, monkeypatch, tmp_path):
+    if spec == "file":
+        spec = str(tmp_path / "tm2d.json")
+        (tmp_path / "tm2d.json").write_text(canonical_text(load_bundled("tm2d")))
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    for module, name in ((specio, "build_substitution"), (symmetry, "is_primitive")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    code, out, _ = run_cli("aut", spec)
+    assert code == 0 and "relabel_group_order=2" in out
+    assert sorted(calls) == ["build_substitution", "is_primitive"]
 
 
 def test_sym_tm2d():

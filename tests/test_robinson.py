@@ -2,6 +2,8 @@ import itertools
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     black_head_edges,
     cross_pick,
@@ -416,6 +418,33 @@ def test_torus_6x6_unsat_or_timeout():
     res = torus_tiling_search(6, 6, time_cap=60.0)
     assert res.status in ("unsat", "timeout")
     assert res.status == "unsat"  # in practice it closes immediately
+
+
+_CLASS_PAIRS = {
+    "EW": (rob._EAST_CLASS, rob._WEST_CLASS),
+    "WE": (rob._WEST_CLASS, rob._EAST_CLASS),
+    "NS": (rob._NORTH_CLASS, rob._SOUTH_CLASS),
+    "SN": (rob._SOUTH_CLASS, rob._NORTH_CLASS),
+}
+
+
+def test_support_tables_cover_the_four_edge_pairs():
+    assert set(rob._support_tables()) == set(_CLASS_PAIRS.values())
+    for table in rob._support_tables().values():
+        assert [len(row) for row in table] == [256] * 4
+
+
+@pytest.mark.parametrize("pair", sorted(_CLASS_PAIRS))
+@settings(max_examples=150, deadline=None)
+@given(subset=st.sets(st.integers(0, len(TILES) - 1)))
+def test_support_table_matches_class_sets(pair, subset):
+    mine, theirs = _CLASS_PAIRS[pair]
+    mask = sum(1 << b for b in subset)
+    allowed = 0
+    for k, row in enumerate(rob._support_tables()[mine, theirs]):
+        allowed |= row[mask >> 8 * k & 255]
+    classes = {theirs[b] for b in subset}
+    assert allowed == sum(1 << a for a in range(len(TILES)) if mine[a] in classes)
 
 
 @pytest.mark.parametrize("w", range(2, 11, 2))
