@@ -647,8 +647,8 @@ def torus_tiling_search(
     An `unsat` is not a certificate: after revising i, `ac3` re-queues each
     neighbour k as `(k, i, table)` with i's own entry for k, the support
     table as seen from i, so it revises k against transposed class tables
-    and can prune real solutions.  The fix (ROADMAP item 2) is to queue k's
-    entry for i instead.
+    and can prune real solutions.  The fix (the ROADMAP item on a correct
+    torus search) is to queue k's entry for i instead.
     """
     if w % 2 or h % 2:
         raise ScopeError("torus periods must be even to keep the cross coset consistent")

@@ -274,25 +274,34 @@ class PrimitivityReport:
 def is_primitive(theta: RectSubstitution) -> PrimitivityReport:
     """Occurrence-matrix test: some theta^k(a) contains every symbol.
 
-    k is searched up to |A|^2, the standard primitivity bound.
+    k is searched up to |A|^2, the standard primitivity bound.  Each row of
+    the matrix M is a bitmask of symbols.  Once some M^k is positive, every
+    symbol occurs in some rule and every later power is positive too.  So
+    M^(|A|^2 + 1) decides primitivity and gives `missing`, and binary
+    lifting over the squares M^(2^i), up to the first positive one, finds
+    the least such k.
     """
     n = len(theta.alphabet)
-    occ = [[False] * n for _ in range(n)]
-    for a in range(n):
-        for c in set(theta.rule(a).cells):
-            occ[a][c] = True
-    reach = [row[:] for row in occ]
-    for k in range(1, n * n + 1):
-        if all(all(row) for row in reach):
-            return PrimitivityReport(True, k, ())
-        reach = [
-            [any(reach[a][c] and occ[c][b] for c in range(n)) for b in range(n)]
-            for a in range(n)
-        ]
-    missing = tuple(
-        (a, b) for a in range(n) for b in range(n) if not reach[a][b]
-    )
+    full, top = (1 << n) - 1, n * n + 1
+    squares = [[sum(1 << c for c in set(r.cells)) for r in theta.rules]]  # M^(2^i)
+    while squares[-1].count(full) < n and 1 << len(squares) <= top:
+        squares.append(_bool_product(squares[-1], squares[-1]))
+    reach, k = [1 << a for a in range(n)], 0  # M^k, the largest k <= top not positive
+    for i in reversed(range(len(squares))):
+        if k + (1 << i) <= top:
+            step = _bool_product(reach, squares[i])
+            if step.count(full) < n:
+                reach, k = step, k + (1 << i)
+    if k < top:
+        return PrimitivityReport(True, k + 1, ())
+    missing = tuple((a, b) for a in range(n) for b in range(n) if not reach[a] >> b & 1)
     return PrimitivityReport(False, None, missing)
+
+
+def _bool_product(x: list[int], y: list[int]) -> list[int]:
+    """The boolean matrix product x y, rows as bitmasks."""
+    return [functools.reduce(operator.or_, (r for c, r in enumerate(y) if row >> c & 1), 0)
+            for row in x]
 
 
 def position_map(theta: RectSubstitution, k: Vec) -> tuple[int, ...]:

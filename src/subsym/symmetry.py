@@ -15,15 +15,15 @@ replace the n! permutations.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import ScopeError, ValidationError
+from .errors import CapExceeded, ScopeError, ValidationError
 from .lattice import Rect, SignedPerm, Vec, signed_perm_group, spow
 from .points import HalfSpacePair, half_space_fracture_pair
-from .language import DEFAULT_MAX_DEPTH, _grow
+from . import substitution
+from .language import _grow
 from .substitution import (
     Pattern,
     RectSubstitution,
@@ -236,7 +236,7 @@ def extended_symmetry_check(
     power theta^m equal theta^m exactly, the rigid map is a genuine
     extended symmetry (ExactYes).  Such relabelings are fixed by tau(0), so
     `conjugating_relabelings` tries n candidates per power, not n!.
-    Otherwise bounded language comparison for cube shapes up to `depth`
+    Otherwise comparing the complete cube languages of sides up to `depth`
     either finds a witness pattern on one side only (RefutedAt) or reports
     agreement (VerifiedUpTo - explicitly not a proof).  `depth` must be at
     least 2, the smallest shape compared.
@@ -273,41 +273,42 @@ def _check_matrices(
         open_ = [a for a in open_ if a not in found]
         if not open_:
             break
+    languages: dict[int, set[bytes]] = {}  # side -> complete cube language
     for a in open_:
-        found[a] = _language_comparison(theta, a, depth)
+        found[a] = _language_comparison(theta, a, depth, languages)
     return [found[a] for a in matrices]
 
 
 def _language_comparison(
-    theta: RectSubstitution, a: SignedPerm, depth: int
+    theta: RectSubstitution, a: SignedPerm, depth: int, languages: dict[int, set[bytes]]
 ) -> SymmetryCandidate:
-    """Compare the minimal cube languages of theta and of each conjugate
-    (A, tau) theta, tau in lexicographic order.
+    """Compare the cube languages of sides 2..depth of theta and of each
+    conjugate (A, tau) theta, tau in lexicographic order.
 
-    The conjugate's language is moved, not regenerated: its k-th level
-    theta'^k(0) is the (A, tau)-image of theta^k(tau^-1(0)), so the language
-    of theta rooted at tau^-1(0), moved through A and relabeled by tau, is
-    the conjugate's at every level, stopping rule and cell cap included.
+    `languages` maps a side to theta's complete language of that side.  A
+    side not in it is grown from symbol 0 until it stabilizes: each level
+    multiplies the cells by prod(s) >= 2, so a growth that never does
+    raises CapExceeded within the cap's bit length in levels.  A stabilized
+    language holds every window of every theta^k(0), and for primitive
+    theta that is the language of X_theta whatever the root, as theta^p(b)
+    contains 0 for every b.  The conjugate's language is that set moved
+    through A and relabeled by tau, so one set per side serves every tau.
     """
     origin = (0,) * theta.dim
     shapes = [(side,) * theta.dim for side in range(2, depth + 1)]
     moves = {sh: _moved(sh, a) for sh in shapes}
-
-    @functools.cache
-    def rooted(root: int, sh: Vec) -> set[bytes]:
-        roots = [Pattern.single(origin, root)]
-        return _grow(theta, roots, sh, DEFAULT_MAX_DEPTH)[0]
-
-    base = {sh: rooted(0, sh) for sh in shapes}
     first_witness: tuple[Pattern, str] | None = None
     for tau in itertools.permutations(range(len(theta.alphabet))):
         table = _relabel_table(tau)
         for sh in shapes:
-            lang_t = {
-                bytes(map(w.__getitem__, moves[sh])).translate(table)
-                for w in rooted(tau.index(0), sh)
-            }
-            extra, missing = lang_t - base[sh], base[sh] - lang_t
+            if sh[0] not in languages:
+                cap_depth = substitution.DEFAULT_CELL_CAP.bit_length()
+                keys, _, stabilized = _grow(theta, [Pattern.single(origin, 0)], sh, cap_depth)
+                assert stabilized, "a growth below the cell cap did not stabilize"
+                languages[sh[0]] = keys
+            base = languages[sh[0]]
+            lang_t = {bytes(map(w.__getitem__, moves[sh])).translate(table) for w in base}
+            extra, missing = lang_t - base, base - lang_t
             if extra or missing:
                 if first_witness is None:
                     side = "original" if extra else "transformed"
@@ -480,18 +481,17 @@ def non_axis_fracture_refuter(
             block = Rect(t, tuple(x + L - 1 for x, L in zip(t, side)))
             if not win.contains_rect(block):
                 continue
-            up_cells = [k for k in block.cells() if _dot(k, v) >= threshold]
-            low_cells = [k for k in block.cells() if _dot(k, v) <= -threshold]
-            assert up_cells and low_cells
-            return RefuterReport(
-                v,
-                threshold,
-                window,
-                True,
-                StraddlingBlock(
-                    m, block, up_cells[0], low_cells[0], len(up_cells), len(low_cells)
-                ),
-            )
+            if block.cell_count() > substitution.DEFAULT_CELL_CAP:
+                raise CapExceeded(f"the straddling block has {block.cell_count()} cells")
+            first: dict[int, Vec] = {}
+            count = [0, 0, 0]  # by half: 1 for <k, v> >= threshold, -1 for <= -threshold
+            for k in block.cells():
+                half = ((dot := _dot(k, v)) >= threshold) - (dot <= -threshold)
+                first.setdefault(half, k)
+                count[half] += 1
+            assert count[1] and count[-1]
+            straddle = StraddlingBlock(m, block, first[1], first[-1], count[1], count[-1])
+            return RefuterReport(v, threshold, window, True, straddle)
         # a straddling block exists but not inside this window
         need = max(side) * (2 + max(abs(x) for x in v)) + 2 * threshold
         return RefuterReport(v, threshold, window, False, None, need)

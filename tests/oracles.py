@@ -6,7 +6,8 @@ Pattern), or that the block assembly in `subsym.robinson` replaced (one
 recursion per cell, over tiles picked by edge-signature predicates, where
 the module reads the NE tiles from tokens and mirrors them), or the
 language fallback of `subsym.symmetry` that regenerated the language of
-every conjugate, or the per-matrix symmetry check that rebuilt every
+every conjugate, or the primitivity test that stepped the occurrence
+matrix one power at a time, or the per-matrix symmetry check that rebuilt every
 theta^m from theta and checked closure with `SignedPerm.compose`, or the seed step read through `Pattern.get` and the
 one-digit-per-level walk of `symbol_at` that the per-quadrant tables of
 theta^c replaced, or the language loop that inflated whole patches where
@@ -109,6 +110,28 @@ def grow_oracle(theta, patches, shape, max_depth):
         if depth > 1 and len(seen) == before and seen:
             return seen, depth, True
     return seen, depth, False
+
+
+def is_primitive_oracle(theta):
+    """`substitution.is_primitive` stepping the boolean occurrence matrix one
+    power at a time, up to |A|^2, each step an O(|A|^3) product of lists."""
+    n = len(theta.alphabet)
+    occ = [[False] * n for _ in range(n)]
+    for a in range(n):
+        for c in set(theta.rule(a).cells):
+            occ[a][c] = True
+    reach = [row[:] for row in occ]
+    for k in range(1, n * n + 1):
+        if all(all(row) for row in reach):
+            return substitution.PrimitivityReport(True, k, ())
+        reach = [
+            [any(reach[a][c] and occ[c][b] for c in range(n)) for b in range(n)]
+            for a in range(n)
+        ]
+    missing = tuple(
+        (a, b) for a in range(n) for b in range(n) if not reach[a][b]
+    )
+    return substitution.PrimitivityReport(False, None, missing)
 
 
 def from_rows_oracle(anchor, rows):
@@ -267,15 +290,23 @@ def transform_oracle(theta, a, tau):
 
 def language_comparison_oracle(theta, a, depth):
     """The language fallback by regeneration: the minimal cube languages of
-    every conjugate (A, tau) theta, tau in lexicographic order, against theta's."""
+    every conjugate (A, tau) theta, tau in lexicographic order, against
+    theta's, each grown until it stabilizes (or the cell cap stops it)."""
     shapes = [(side,) * theta.dim for side in range(2, depth + 1)]
-    base = {sh: patch_language(theta, sh, mode="minimal") for sh in shapes}
+    max_depth = substitution.DEFAULT_CELL_CAP.bit_length()
+
+    def language(theta, sh):
+        lang = patch_language(theta, sh, mode="minimal", max_depth=max_depth)
+        assert lang.stabilized
+        return lang
+
+    base = {sh: language(theta, sh) for sh in shapes}
     first_witness = None
     for tau in itertools.permutations(range(len(theta.alphabet))):
         cand = transform_oracle(theta, a, tau)
         agree = True
         for sh in shapes:
-            lang_t = patch_language(cand, sh, mode="minimal")
+            lang_t = language(cand, sh)
             extra = lang_t.patterns - base[sh].patterns
             missing = base[sh].patterns - lang_t.patterns
             if extra or missing:
@@ -336,7 +367,7 @@ def extended_symmetry_check_oracle(theta, a, depth=3):
         hits = conjugating_relabelings(theta_m, a)
         if hits:
             return SymmetryCandidate(a, EXACT_YES, tau=hits[0], taus=tuple(hits), align_power=m)
-    return _language_comparison(theta, a, depth)
+    return _language_comparison(theta, a, depth, {})
 
 
 def closure_oracle(candidates):

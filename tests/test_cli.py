@@ -10,6 +10,7 @@ from subsym import robinson as rob
 from subsym import specio, substitution, symmetry
 from subsym.cli import build_parser, main
 from subsym.errors import ValidationError
+from subsym.lattice import Rect
 from subsym.specio import (
     canonical_text,
     dump_language,
@@ -241,6 +242,13 @@ def test_fracture_refuter_cli_prints_every_coordinate():
     code, out, _ = run_cli("fracture", "tm3d", "--refute", "1,1,0", "--threshold", "2")
     assert code == 0
     assert "refuted direction=1,1,0 level=3 block=[-64,56,-64]..[-57,63,-57] " in out
+
+
+def test_fracture_refuter_cli_refuses_a_block_over_the_cell_cap(monkeypatch):
+    # the 1024^3 block is 2^30 cells, 16 times the cap: exit 2 before any cell is read
+    monkeypatch.setattr(Rect, "cells", None)
+    code, out, err = run_cli("fracture", "tm3d", "--refute", "1,1,1", "--threshold", "600", "--window", "2048")
+    assert (code, out, err) == (2, "", "error: the straddling block has 1073741824 cells\n")
 
 
 def test_robinson_supertile_cli(tmp_path):

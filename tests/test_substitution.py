@@ -1,5 +1,10 @@
+import math
+import random
+
 import pytest
-from oracles import seed_step_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import is_primitive_oracle, seed_step_oracle
 
 from subsym import substitution
 from subsym.errors import CapExceeded, ScopeError, ValidationError
@@ -94,6 +99,48 @@ def test_not_primitive_dbl(dbl):
 def test_primitive_cyc3(cyc3):
     rep = is_primitive(cyc3)
     assert rep.primitive and rep.witness_power == 1
+
+
+def symbols(n):
+    return Alphabet(tuple(f"s{a}" for a in range(n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2), st.integers(2, 7), st.integers(0, 2**32 - 1), st.floats(0, 1))
+def test_is_primitive_matches_oracle(d, n, seed, stay):
+    # with probability `stay` a cell keeps its rule's own symbol or the next,
+    # so the draws cover both verdicts and long witness powers
+    rng = random.Random(seed)
+    size = tuple(rng.randint(2, 3) for _ in range(d))
+    rules = tuple(
+        Pattern((0,) * d, size, bytes(
+            rng.choice((a, (a + 1) % n)) if rng.random() < stay else rng.randrange(n)
+            for _ in range(math.prod(size))
+        ))
+        for a in range(n)
+    )
+    theta = RectSubstitution(symbols(n), size, rules)
+    assert is_primitive(theta) == is_primitive_oracle(theta)
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+def test_is_primitive_longest_witness(n):
+    # the n-cycle with one chord has exponent (n - 1)^2 + 1, Wielandt's bound
+    rules = [bytes([(a + 1) % n] * 2) for a in range(n - 1)] + [bytes([0, 1])]
+    theta = RectSubstitution(symbols(n), (2,), tuple(Pattern((0,), (2,), r) for r in rules))
+    assert is_primitive(theta) == is_primitive_oracle(theta)
+    assert is_primitive(theta).witness_power == (n - 1) ** 2 + 1
+
+
+def test_is_primitive_on_the_largest_alphabet():
+    # 255 symbols: one 254-symbol primitive block and a fixed symbol that it never
+    # reaches; the oracle would step 255^2 products of 255^3 list operations
+    n = 255
+    rules = [bytes([a, (a + 1) % (n - 1)]) for a in range(n - 1)] + [bytes([n - 1, n - 1])]
+    theta = RectSubstitution(symbols(n), (2,), tuple(Pattern((0,), (2,), r) for r in rules))
+    rep = is_primitive(theta)
+    assert not rep.primitive and rep.witness_power is None
+    assert rep.missing == tuple((a, n - 1) for a in range(n - 1)) + tuple((n - 1, b) for b in range(n - 1))
 
 
 def test_bijective(tm2d, rig3):

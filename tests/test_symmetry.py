@@ -1,8 +1,11 @@
 import itertools
+import math
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from oracles import (
     closure_oracle,
     language_comparison_oracle,
@@ -298,8 +301,8 @@ def test_refuted_witness_is_genuine(rig3):
     + [f"seed{i}" for i in range(12)],
 )
 def test_language_comparison_matches_oracle(source):
-    # the fallback moves one language per root symbol; the oracle regenerates
-    # the language of each of the n! conjugates
+    # the fallback moves one complete language per cube side; the oracle
+    # regenerates the language of each of the n! conjugates
     theta = substitution_from(source)
     if not (is_primitive(theta).primitive and is_bijective(theta)):
         with pytest.raises(ScopeError):  # the fallback is never reached
@@ -310,7 +313,7 @@ def test_language_comparison_matches_oracle(source):
             continue
         for depth in (2, 3):
             want = language_comparison_oracle(theta, a, depth)
-            assert _language_comparison(theta, a, depth) == want, (a, depth)
+            assert _language_comparison(theta, a, depth, {}) == want, (a, depth)
 
 
 def test_language_comparison_quarter_turns_match_oracle():
@@ -318,7 +321,49 @@ def test_language_comparison_quarter_turns_match_oracle():
     # at both depths take about 30 s of oracle time
     theta = quarter4()
     for a in (SignedPerm((1, 0), (0, 1)), SignedPerm((1, 0), (1, 0))):
-        assert _language_comparison(theta, a, 3) == language_comparison_oracle(theta, a, 3), a
+        assert _language_comparison(theta, a, 3, {}) == language_comparison_oracle(theta, a, 3), a
+
+
+def test_fallback_compares_only_stabilized_languages(monkeypatch):
+    # verified3's side-5 language has not stabilized at depth 8; it does at depth 9
+    grown = []
+    real = sym._grow
+
+    def spy(theta, roots, shape, max_depth):
+        out = real(theta, roots, shape, max_depth)
+        grown.append((shape, out[2]))
+        return out
+
+    monkeypatch.setattr(sym, "_grow", spy)
+    theta = substitution_from("verified3.json")
+    cand = extended_symmetry_check(theta, SignedPerm((0,), (1,)), depth=5)
+    assert cand.describe() == "VerifiedUpTo(5),tau=1,0,2"
+    assert {shape for shape, _ in grown} == {(2,), (3,), (4,), (5,)}
+    assert all(stabilized for _, stabilized in grown), grown
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2), st.integers(2, 4), st.integers(0, 2**32 - 1), st.integers(2, 3))
+def test_stabilized_language_is_the_same_from_every_root(d, n, seed, side):
+    # the fallback grows one language per side from symbol 0 and serves every
+    # tau with it: for primitive theta the complete language has no root
+    rng = random.Random(seed)
+    size = tuple(rng.randint(2, 4 - d) for _ in range(d))
+    columns = [rng.sample(range(n), n) for _ in range(math.prod(size))]  # bijective
+    rules = tuple(Pattern((0,) * d, size, bytes(col[a] for col in columns)) for a in range(n))
+    theta = RectSubstitution(Alphabet(tuple("abcd"[:n])), size, rules)
+    assume(is_primitive(theta).primitive)
+    max_depth = substitution.DEFAULT_CELL_CAP.bit_length()
+    languages = []
+    for b in range(n):
+        try:
+            keys, _, stabilized = sym._grow(theta, [Pattern.single((0,) * d, b)], (side,) * d, max_depth)
+        except CapExceeded:  # some 2-d rules need more levels than the cap allows
+            continue
+        assert stabilized
+        languages.append(keys)
+    assume(len(languages) >= 2)
+    assert all(keys == languages[0] for keys in languages)
 
 
 @pytest.mark.parametrize("depth", [1, 0, -2])
@@ -536,6 +581,28 @@ def test_refuter_other_directions(tm2d):
         vals = [sum(x * y for x, y in zip(k, v)) for k in (blk.lo, blk.hi,
                 (blk.lo[0], blk.hi[1]), (blk.hi[0], blk.lo[1]))]
         assert max(vals) >= n and min(vals) <= -n
+
+
+@pytest.mark.parametrize("name, v, threshold", [
+    ("tm2d", (1, 1), 4), ("tm2d", (1, -2), 7), ("tm2d", (3, 1), 2),
+    ("tm3d", (1, 1, 1), 5), ("tm3d", (2, 0, -1), 3),
+])
+def test_refuter_counts_match_a_recount(name, v, threshold):
+    # the one-pass count against the two lists it replaced
+    block = non_axis_fracture_refuter(bundled_substitution(name), v, threshold, window=64).block
+    dots = [(sum(x * y for x, y in zip(k, v)), k) for k in block.block.cells()]
+    up = [k for dot, k in dots if dot >= threshold]
+    low = [k for dot, k in dots if dot <= -threshold]
+    assert (block.upper_cell, block.lower_cell) == (up[0], low[0])
+    assert (block.upper_count, block.lower_count) == (len(up), len(low))
+
+
+def test_refuter_refuses_a_block_over_the_cell_cap(tm2d, monkeypatch):
+    # the level-11 block is 2048^2 cells; it is refused before a cell is read
+    monkeypatch.setattr(substitution, "DEFAULT_CELL_CAP", 2048 * 2048 - 1)
+    monkeypatch.setattr(Rect, "cells", None)
+    with pytest.raises(CapExceeded, match="4194304 cells"):
+        non_axis_fracture_refuter(tm2d, (1, 1), 600, window=2048)
 
 
 def test_refuter_rejects_axis_direction(tm2d):
