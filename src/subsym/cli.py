@@ -25,7 +25,6 @@ from .substitution import (
     RectSubstitution,
     Seed,
     corner_fixed,
-    corner_fixing_power,
     fixed_seeds,
     is_bijective,
     is_primitive,
@@ -62,11 +61,10 @@ def _write_out(args, data, binary=False) -> None:
         mode = "wb" if binary else "w"
         with open(args.output, mode) as f:
             f.write(data)
+    elif binary:
+        sys.stdout.buffer.write(data)
     else:
-        if binary:
-            sys.stdout.buffer.write(data)
-        else:
-            sys.stdout.write(data)
+        sys.stdout.write(data)
 
 
 def _perm_to_str(a) -> str:
@@ -91,10 +89,9 @@ def cmd_analyze(args) -> int:
     cycles = fixed_seeds(theta)
     print(f"seed_cycles={len(cycles.cycles)} fixed_seeds={len(cycles.fixed)}")
     if bij:
-        m = corner_fixing_power(theta)
-        fixed_m = fixed_seeds(power(theta, m))
+        theta_cf, m = corner_fixed(theta)
         print(f"corner_fixing_power={m}")
-        print(f"fixed_seeds_after_corner_fixing={len(fixed_m.fixed)}")
+        print(f"fixed_seeds_after_corner_fixing={len(fixed_seeds(theta_cf).fixed)}")
     return 0
 
 

@@ -205,7 +205,7 @@ def _moved(extent: Vec, a: SignedPerm) -> list[int]:
 def _relabel_table(tau: Sequence[int]) -> bytes:
     """`bytes.translate` table of the symbol map tau: p after q is
     `bytes(q).translate(_relabel_table(p))`."""
-    return bytes(tau) + bytes(range(len(tau), 256))
+    return bytes.maketrans(bytes(range(len(tau))), bytes(tau))
 
 
 def _inflate(theta: RectSubstitution, p: Pattern) -> Pattern:
@@ -233,34 +233,17 @@ def apply(theta: RectSubstitution, p: Pattern) -> Pattern:
     return _inflate(theta, p)
 
 
-def _check_power_cap(theta: RectSubstitution, m: int) -> None:
+def power(theta: RectSubstitution, m: int) -> RectSubstitution:
+    """theta^m with rules materialized eagerly, each from theta^(m-1)'s."""
+    if m < 1:
+        raise ValidationError("power requires m >= 1")
     per_rule = math.prod(x**m for x in theta.size)
     if per_rule * len(theta.alphabet) > DEFAULT_CELL_CAP:
         raise CapExceeded(f"theta^{m} needs {per_rule} cells per rule")
-
-
-def _powers(theta: RectSubstitution, top: int) -> Iterator[RectSubstitution]:
-    """theta, theta^2, ..., theta^top, each built from the one before by one
-    `apply` of theta per rule; ends before the first power over the cell cap."""
     theta_m = theta
-    for m in range(1, top + 1):
-        try:
-            _check_power_cap(theta, m)
-        except CapExceeded:
-            return
-        if m > 1:
-            rules = tuple(apply(theta, r) for r in theta_m.rules)
-            theta_m = RectSubstitution(theta.alphabet, spow(theta.size, m), rules)
-        yield theta_m
-
-
-def power(theta: RectSubstitution, m: int) -> RectSubstitution:
-    """theta^m with rules materialized eagerly."""
-    if m < 1:
-        raise ValidationError("power requires m >= 1")
-    _check_power_cap(theta, m)
-    for theta_m in _powers(theta, m):
-        pass
+    for k in range(2, m + 1):
+        rules = tuple(apply(theta, r) for r in theta_m.rules)
+        theta_m = RectSubstitution(theta.alphabet, spow(theta.size, k), rules)
     return theta_m
 
 

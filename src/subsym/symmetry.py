@@ -18,10 +18,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import CapExceeded, ScopeError, ValidationError
 from .lattice import Rect, SignedPerm, Vec, signed_perm_group, spow
-from .points import HalfSpacePair, half_space_fracture_pair
+from .points import HalfSpacePair, _require_dim, half_space_fracture_pair
 from . import substitution
 from .language import _grow
 from .substitution import (
@@ -29,9 +30,7 @@ from .substitution import (
     RectSubstitution,
     _moved,
     _perm_order,
-    _powers,
     _relabel_table,
-    corner_fixing_power,
     is_bijective,
     is_primitive,
 )
@@ -167,10 +166,14 @@ def conjugating_relabelings(theta: RectSubstitution, a: SignedPerm) -> list[Rela
     """
     if _size_mismatch(theta.size, a) is not None:
         return []
-    r = _moved(theta.size, a.inverse())  # r[k] = A k, re-anchored
-    rules = [patch.cells for patch in theta.rules]
-    moved = [bytes(map(cells.__getitem__, r)) for cells in rules]  # moved[z][k] = P_r(k)(z)
-    solutions = (_propagate(rules, moved, c) for c in range(len(rules)))
+    return _solve(next(_pair_powers(theta, a)), len(theta.alphabet))
+
+
+def _solve(pairs: frozenset, n: int) -> list[Relabeling]:
+    """`conjugating_relabelings` on distinct pairs (P, Q), translate tables on n symbols."""
+    rules = list(zip(*(p[:n] for p, _ in pairs)))  # rules[x][i] = P_i(x)
+    moved = list(zip(*(q[:n] for _, q in pairs)))  # moved[z][i] = Q_i(z)
+    solutions = (_propagate(rules, moved, c) for c in range(n))
     return [tau for tau in solutions if tau is not None]
 
 
@@ -234,8 +237,8 @@ def extended_symmetry_check(
 
     Fast path: if some relabeling makes the transformed rule table of some
     power theta^m equal theta^m exactly, the rigid map is a genuine
-    extended symmetry (ExactYes).  Such relabelings are fixed by tau(0), so
-    `conjugating_relabelings` tries n candidates per power, not n!.
+    extended symmetry (ExactYes).  It is searched on the position-map pairs
+    of theta^m (`_pair_powers`), n candidates tau(0) per power, not n!.
     Otherwise comparing the complete cube languages of sides up to `depth`
     either finds a witness pattern on one side only (RefutedAt) or reports
     agreement (VerifiedUpTo - explicitly not a proof).  `depth` must be at
@@ -247,36 +250,47 @@ def extended_symmetry_check(
 def _check_matrices(
     theta: RectSubstitution, matrices: list[SignedPerm], depth: int
 ) -> list[SymmetryCandidate]:
-    """`extended_symmetry_check` for each matrix, in one pass over the powers.
-
-    The scope checks and the alignment powers are worked out once.  Each
-    theta^m is built once, from theta^(m-1), and asked for the matrices
-    still without an exact hit; the search ends at the first power over
-    the cell cap.  The rest fall back to language comparison in order.
-    """
+    """`extended_symmetry_check` for each matrix, with the scope checks done once."""
     if depth < 2:
         raise ValidationError("depth must be >= 2: no shape below 2 is compared")
     _require_primitive_bijective(theta, "extended_symmetry_check")
-    found: dict[SignedPerm, SymmetryCandidate] = {}
+    languages: dict[int, set[bytes]] = {}  # side -> complete cube language
+    found = []
     for a in matrices:
         if _size_mismatch(theta.size, a) is not None:
-            found[a] = SymmetryCandidate(a, SIZE_MISMATCH)
-    open_ = [a for a in matrices if a not in found]
-    top = min(ALIGN_POWER_CAP, max(2 * corner_fixing_power(theta), 2))
-    for m, theta_m in enumerate(_powers(theta, top), 1):
-        for a in open_:
-            hits = conjugating_relabelings(theta_m, a)
-            if hits:
-                found[a] = SymmetryCandidate(
-                    a, EXACT_YES, tau=hits[0], taus=tuple(hits), align_power=m
-                )
-        open_ = [a for a in open_ if a not in found]
-        if not open_:
-            break
-    languages: dict[int, set[bytes]] = {}  # side -> complete cube language
-    for a in open_:
-        found[a] = _language_comparison(theta, a, depth, languages)
-    return [found[a] for a in matrices]
+            found.append(SymmetryCandidate(a, SIZE_MISMATCH))
+            continue
+        for m, pairs in enumerate(_pair_powers(theta, a), 1):
+            if hits := _solve(pairs, len(theta.alphabet)):
+                found.append(SymmetryCandidate(a, EXACT_YES, hits[0], tuple(hits), m))
+                break
+        else:
+            found.append(_language_comparison(theta, a, depth, languages))
+    return found
+
+
+def _pair_powers(theta: RectSubstitution, a: SignedPerm) -> Iterator[frozenset]:
+    """The distinct (P_K, P_r(K)), r(K) being A K re-anchored, of theta,
+    theta^2, ..., as translate tables.
+
+    theta^(m+1) has P_(Ms+k) = P_k . P_M and r acts digit-wise, so its pairs
+    are the (p . x, q . y) for (x, y) of theta^m and (p, q) of theta.  A set
+    is a function of the one before: once one repeats, no later power can
+    align.  The sequence also ends at ALIGN_POWER_CAP, and before a bound
+    |pairs| |step| <= prod(s^(m+1)) passes the cell cap at n bytes a pair.
+    """
+    columns = list(zip(*(patch.cells for patch in theta.rules)))  # columns[k] = P_k
+    distinct = set(zip(columns, map(columns.__getitem__, _moved(theta.size, a.inverse()))))
+    step = frozenset((_relabel_table(p), _relabel_table(q)) for p, q in distinct)
+    pairs, seen = step, set()
+    for _ in range(ALIGN_POWER_CAP):
+        yield pairs
+        seen.add(pairs)
+        if len(pairs) * len(step) * len(theta.alphabet) > substitution.DEFAULT_CELL_CAP:
+            return
+        pairs = frozenset((x.translate(p), y.translate(q)) for x, y in pairs for p, q in step)
+        if pairs in seen:
+            return
 
 
 def _language_comparison(
@@ -452,7 +466,8 @@ def non_axis_fracture_refuter(
     possible inflation-grid offset, mirroring how the hierarchical
     structure contradicts a fracture along a non-axis normal.
     """
-    if len(v) != theta.dim or all(x == 0 for x in v):
+    _require_dim(v, theta.dim, "v")
+    if all(x == 0 for x in v):
         raise ValidationError("v must be a nonzero vector")
     if sum(1 for x in v if x != 0) < 2:
         raise ScopeError("v is axis-parallel; only non-axis normals are refutable")
@@ -485,10 +500,15 @@ def non_axis_fracture_refuter(
                 raise CapExceeded(f"the straddling block has {block.cell_count()} cells")
             first: dict[int, Vec] = {}
             count = [0, 0, 0]  # by half: 1 for <k, v> >= threshold, -1 for <= -threshold
-            for k in block.cells():
-                half = ((dot := _dot(k, v)) >= threshold) - (dot <= -threshold)
-                first.setdefault(half, k)
-                count[half] += 1
+            # the cells of an axis-0 run in one half form an interval of it
+            for rest in Rect(block.lo[1:], block.hi[1:]).cells():
+                for half in (1, -1):
+                    a, e = half * v[0], threshold - half * _dot(rest, v[1:])
+                    x0 = max(block.lo[0], -(-e // a)) if a > 0 else block.lo[0]
+                    x1 = min(block.hi[0], e // a) if a < 0 else block.hi[0]
+                    if x0 <= x1 and (a or e <= 0):
+                        first.setdefault(half, (x0,) + rest)
+                        count[half] += x1 - x0 + 1
             assert count[1] and count[-1]
             straddle = StraddlingBlock(m, block, first[1], first[-1], count[1], count[-1])
             return RefuterReport(v, threshold, window, True, straddle)

@@ -8,7 +8,8 @@ the module reads the NE tiles from tokens and mirrors them), or the
 language fallback of `subsym.symmetry` that regenerated the language of
 every conjugate, or the primitivity test that stepped the occurrence
 matrix one power at a time, or the per-matrix symmetry check that rebuilt every
-theta^m from theta and checked closure with `SignedPerm.compose`, or the seed step read through `Pattern.get` and the
+theta^m from theta, read its position maps one cell at a time and checked
+closure with `SignedPerm.compose`, or the seed step read through `Pattern.get` and the
 one-digit-per-level walk of `symbol_at` that the per-quadrant tables of
 theta^c replaced, or the language loop that inflated whole patches where
 `language._grow` now inflates their distinct windows, or the dihedral
@@ -38,7 +39,6 @@ from subsym.substitution import (
     RectSubstitution,
     Seed,
     apply,
-    corner_fixing_power,
     _strides,
     corner_order,
     position_map,
@@ -186,6 +186,22 @@ def glyph_oracle(symbol):
     return _GLYPHS[symbol] if symbol < len(_GLYPHS) else "?"
 
 
+def render_text_oracle(p):
+    """The text render of a pattern of 2 or more dimensions, one cell at a
+    time: each slice of the outer axes under a `[slice ...]` label, its
+    rows top row first."""
+    r = p.rect()
+    blocks = []
+    for outer in Rect(r.lo[2:], r.hi[2:]).cells():
+        rows = [
+            "".join(glyph_oracle(p.get((x, y) + outer)) for x in range(r.lo[0], r.hi[0] + 1))
+            for y in range(r.hi[1], r.lo[1] - 1, -1)
+        ]
+        label = [f"[slice {','.join(map(str, outer))}]"] if outer else []
+        blocks.append("\n".join(label + rows))
+    return "\n\n".join(blocks) + "\n"
+
+
 def digit_walk_oracle(x, k):
     """`symbol_at` reading one base-s^c digit per `divmod`, through the same
     per-quadrant rules of theta^c, the levels joined by `zip_longest`."""
@@ -265,25 +281,27 @@ def symbol_at_oracle(x, k, depth=None):
     return sym
 
 
+def re_anchor(s, a, k):
+    """The image A k of cell k of the box [0, s - 1], moved back into the box."""
+    inv = a.inverse_perm()
+    return tuple(
+        k[inv[j]] if a.signs[inv[j]] == 0 else s[j] - 1 - k[inv[j]]
+        for j in range(a.dim)
+    )
+
+
 def transform_oracle(theta, a, tau):
     """Cell-by-cell conjugation by (A, tau); None when A moves the size vector."""
     s = theta.size
     inv = a.inverse_perm()
     if tuple(s[inv[j]] for j in range(a.dim)) != s:
         return None
-
-    def re_anchor(k):
-        return tuple(
-            k[inv[j]] if a.signs[inv[j]] == 0 else s[j] - 1 - k[inv[j]]
-            for j in range(a.dim)
-        )
-
     new_rules = [None] * len(theta.alphabet)
     for sym in range(len(theta.alphabet)):
         patch = theta.rule(sym)
         buf = bytearray(len(patch.cells))
         for k in Rect.box(s).cells():
-            buf[patch.index_of(re_anchor(k))] = tau[patch.get(k)]
+            buf[patch.index_of(re_anchor(s, a, k))] = tau[patch.get(k)]
         new_rules[tau[sym]] = Pattern(patch.anchor, patch.extent, bytes(buf))
     return RectSubstitution(theta.alphabet, s, tuple(new_rules))
 
@@ -351,22 +369,44 @@ def power_oracle(theta, m):
     return RectSubstitution(theta.alphabet, spow(theta.size, m), tuple(rules))
 
 
+@functools.lru_cache(maxsize=256)
+def position_pairs_oracle(theta_m, a):
+    """The distinct (P_K, P_r(K)) of a materialized theta^m, one cell at a
+    time, with r(K) the re-anchored image of K under A."""
+    s = theta_m.size
+    cells = list(Rect.box(s).cells())
+    columns = dict(zip(cells, zip(*(r.cells for r in theta_m.rules))))  # K -> P_K
+    return frozenset((columns[k], columns[re_anchor(s, a, k)]) for k in cells)
+
+
+_power_once = functools.lru_cache(maxsize=32)(power_oracle)
+
+
 def extended_symmetry_check_oracle(theta, a, depth=3):
-    """Validate theta, then try every alignment power, each built from theta."""
+    """Validate theta, then try every alignment power, each built from theta,
+    until its position-map pairs repeat an earlier power's, a power is over
+    the cell cap, the pair bound passes it or ALIGN_POWER_CAP is reached."""
     if depth < 2:
         raise ValidationError("depth must be >= 2: no shape below 2 is compared")
     _require_primitive_bijective(theta, "extended_symmetry_check")
     if _size_mismatch(theta.size, a) is not None:
         return SymmetryCandidate(a, SIZE_MISMATCH)
-    top = min(ALIGN_POWER_CAP, max(2 * corner_fixing_power(theta), 2))
-    for m in range(1, top + 1):
+    n, seen = len(theta.alphabet), []
+    step = position_pairs_oracle(theta, a)
+    for m in range(1, ALIGN_POWER_CAP + 1):
         try:
-            theta_m = power_oracle(theta, m)
+            theta_m = _power_once(theta, m)
         except CapExceeded:
+            break
+        pairs = position_pairs_oracle(theta_m, a)
+        if pairs in seen:
             break
         hits = conjugating_relabelings(theta_m, a)
         if hits:
             return SymmetryCandidate(a, EXACT_YES, tau=hits[0], taus=tuple(hits), align_power=m)
+        seen.append(pairs)
+        if len(pairs) * len(step) * n > substitution.DEFAULT_CELL_CAP:
+            break
     return _language_comparison(theta, a, depth, {})
 
 
@@ -394,6 +434,18 @@ def sym_group_report_oracle(theta, depth=3):
         "unknown" if any_verified else "no"
     )
     return SymReport(theta.dim, depth, tuple(results), len(exact), split, closure_ok)
+
+
+def straddle_counts_oracle(block, v, threshold):
+    """(upper_cell, lower_cell, upper_count, lower_count) of a straddling
+    block, read one cell at a time: the first cell, in cell order, and the
+    number of cells with <k, v> >= threshold and with <k, v> <= -threshold."""
+    first, count = {}, [0, 0, 0]
+    for k in block.cells():
+        half = ((dot := sum(x * y for x, y in zip(k, v))) >= threshold) - (dot <= -threshold)
+        first.setdefault(half, k)
+        count[half] += 1
+    return first.get(1), first.get(-1), count[1], count[-1]
 
 
 # ---------------------------------------------------------------------------

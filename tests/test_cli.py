@@ -5,6 +5,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles import render_text_oracle
 
 from subsym import robinson as rob
 from subsym import specio, substitution, symmetry
@@ -12,6 +13,7 @@ from subsym.cli import build_parser, main
 from subsym.errors import ValidationError
 from subsym.lattice import Rect
 from subsym.specio import (
+    bundled_substitution,
     canonical_text,
     dump_language,
     load_bundled,
@@ -174,6 +176,39 @@ def test_patch_render_txt():
     assert out.strip() == "01101001"
 
 
+def test_patch_render_txt_labels_the_slices_of_3d():
+    code, out, err = run_cli("patch", "tm3d", "-m", "1")
+    want = render_text_oracle(bundled_substitution("tm3d").rule(0))
+    assert (code, out, err) == (0, want, "")
+    assert out == "[slice 0]\n10\n01\n\n[slice 1]\n01\n10\n"
+
+
+def write_spec(tmp_path, name, size, rules):
+    """A spec file whose rules are lists of rows, bottom row first."""
+    alphabet = sorted(rules)
+    spec = {"alphabet": alphabet, "dim": len(size), "name": name, "rules": rules, "size": list(size)}
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+def test_sym_prints_size_mismatch_for_axes_of_different_sizes(tmp_path):
+    spec = write_spec(tmp_path, "r23", (2, 3), {"0": [["0", "1"]] * 3, "1": [["1", "0"]] * 3})
+    code, out, err = run_cli("sym", spec, "--depth", "2")
+    lines = out.splitlines()
+    assert (code, err, len(lines)) == (0, "", 9)
+    assert lines[4:8] == [f"{signs};21 -> SizeMismatch" for signs in ("++", "+-", "-+", "--")]
+    assert all(line.endswith("ExactYes,tau=0,1") for line in lines[:4])
+
+
+def test_aut_names_a_noncyclic_relabel_group(tmp_path):
+    # a -> (a, a xor 1, a xor 2) commutes with every xor: the Klein four-group
+    spec = write_spec(tmp_path, "xor", (3,), {str(a): [str(a), str(a ^ 1), str(a ^ 2)] for a in range(4)})
+    code, out, err = run_cli("aut", spec)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:2] == ["relabel_group_order=4", "structure=Z^1 x R (order 4)"]
+
+
 def test_point_window():
     code, out, _ = run_cli("point", "tm1d", "--seed", "1,0", "--window", "8")
     assert code == 0
@@ -244,6 +279,20 @@ def test_fracture_refuter_cli_prints_every_coordinate():
     assert "refuted direction=1,1,0 level=3 block=[-64,56,-64]..[-57,63,-57] " in out
 
 
+def test_fracture_refuter_cli_window_too_small():
+    code, out, err = run_cli("fracture", "tm2d", "--refute", "1,1", "--window", "0")
+    assert (code, out, err) == (1, "inconclusive: window too small, need about 56\n", "")
+
+
+@pytest.mark.parametrize("v, message", [
+    ("1,1,1", "v (1, 1, 1) does not have 2 coordinates"),
+    ("1", "v (1,) does not have 2 coordinates"),
+    ("0,0", "v must be a nonzero vector"),
+])
+def test_fracture_refuter_cli_names_the_bad_vector(v, message):
+    assert run_cli("fracture", "tm2d", "--refute", v) == (2, "", f"error: {message}\n")
+
+
 def test_fracture_refuter_cli_refuses_a_block_over_the_cell_cap(monkeypatch):
     # the 1024^3 block is 2^30 cells, 16 times the cap: exit 2 before any cell is read
     monkeypatch.setattr(Rect, "cells", None)
@@ -282,6 +331,14 @@ def test_robinson_torus_cli():
     code, out, _ = run_cli("robinson", "torus", "2", "2")
     assert code == 0
     assert "unsat" in out
+
+
+def test_robinson_torus_timeout_is_inconclusive():
+    code, out, err = run_cli("robinson", "torus", "4", "4", "--time-cap", "1e-9")
+    lines = out.splitlines()
+    assert (code, err, len(lines)) == (0, "", 2)
+    assert lines[0].startswith("torus 4x4: timeout decisions=0 elapsed=")
+    assert lines[1] == "inconclusive(timeout)"
 
 
 def test_robinson_torus_sat_prints_the_counterexample(monkeypatch):

@@ -33,7 +33,6 @@ from subsym.specio import BUNDLED, bundled_substitution, ppm_image, render_patte
 from subsym.substitution import (
     Pattern,
     Seed,
-    _powers,
     all_seeds,
     apply,
     corner_fixed,
@@ -191,11 +190,6 @@ def test_every_materialization_reads_the_one_cell_cap(tm2d, monkeypatch):
         monkeypatch.setattr(substitution, "DEFAULT_CELL_CAP", n - 1)
         with pytest.raises(refusal):
             call()
-    # the shared powers end before the first power over the cap
-    monkeypatch.setattr(substitution, "DEFAULT_CELL_CAP", 128)
-    assert len(list(_powers(tm2d, 3))) == 3
-    monkeypatch.setattr(substitution, "DEFAULT_CELL_CAP", 127)
-    assert len(list(_powers(tm2d, 3))) == 2
 
 
 

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from oracles import (
     closure_oracle,
     language_comparison_oracle,
+    position_pairs_oracle,
     power_oracle,
+    straddle_counts_oracle,
     sym_group_report_oracle,
     transform_oracle,
 )
@@ -23,17 +25,14 @@ from subsym.substitution import (
     Alphabet,
     Pattern,
     RectSubstitution,
-    _powers,
     apply,
     complement_pattern,
     corner_fixed,
-    corner_fixing_power,
     is_bijective,
     is_primitive,
     power,
 )
 from subsym.symmetry import (
-    ALIGN_POWER_CAP,
     EXACT_YES,
     REFUTED_AT,
     SIZE_MISMATCH,
@@ -41,6 +40,7 @@ from subsym.symmetry import (
     SymmetryCandidate,
     _closure_ok,
     _language_comparison,
+    _pair_powers,
     _size_mismatch,
     aut_group_description,
     compose_relabelings,
@@ -215,6 +215,7 @@ def test_transform_size_mismatch(two_by_three):
     out = transformed_substitution(two_by_three, swap, (0, 1))
     assert isinstance(out, SizeMismatch)
     assert out.permuted == (3, 2)
+    assert conjugating_relabelings(two_by_three, swap) == []
 
 
 @pytest.mark.parametrize("name", ["tm1d", "tm2d", "tm3d", "cyc3", "rig3", "quarter4"])
@@ -445,30 +446,70 @@ def test_sym_report_matches_oracle(source):
         assert sym_group_report(theta, depth) == want, depth
 
 
+def read_pairs(pairs, n):
+    """A `_pair_powers` set as (P, Q) tuples on the n symbols."""
+    return {(tuple(p[:n]), tuple(q[:n])) for p, q in pairs}
+
+
+def assert_pair_powers_match_power(theta, top):
+    # each composed set is read from theta^m, and a set that ends the
+    # sequence early is followed by a repeat
+    n = len(theta.alphabet)
+    for a in signed_perm_group(theta.dim):
+        if _size_mismatch(theta.size, a) is not None:
+            continue
+        sets = [read_pairs(p, n) for p in itertools.islice(_pair_powers(theta, a), top)]
+        for m, pairs in enumerate(sets, 1):
+            assert pairs == position_pairs_oracle(power(theta, m), a), (a, m)
+        if len(sets) < top:
+            assert position_pairs_oracle(power(theta, len(sets) + 1), a) in sets, a
+
+
 @pytest.mark.parametrize("source", ["tm1d", "tm2d", "tm3d", "cyc3", "rig3", 5, "quarter4", "seed3"])
 def test_shared_powers_equal_power(source):
     theta = substitution_from(source)
-    shared = list(_powers(theta, 4))
-    assert len(shared) == 4
-    for m, theta_m in enumerate(shared, 1):
-        assert theta_m == power(theta, m) == power_oracle(theta, m), m
+    for m in range(1, 5):
+        assert power(theta, m) == power_oracle(theta, m), m
+    assert_pair_powers_match_power(theta, 4)
 
 
-def test_shared_powers_stop_at_cell_cap(tm2d, monkeypatch):
-    # theta^6 is the first power over a cap of 2 * 4^5 cells, exactly where power raises
+@st.composite
+def bijective_rules(draw):
+    """A random bijective rule, d <= 2, n <= 4, primitive or not."""
+    d = draw(st.integers(1, 2))
+    n = draw(st.integers(2, 4))
+    size = tuple(draw(st.integers(2, 3)) for _ in range(d))
+    cells = math.prod(size)
+    columns = [draw(st.permutations(range(n))) for _ in range(cells)]
+    rules = tuple(Pattern((0,) * d, size, bytes(col[a] for col in columns)) for a in range(n))
+    return RectSubstitution(Alphabet(tuple(map(str, range(n)))), size, rules)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bijective_rules())
+def test_pair_powers_are_read_from_power(theta):
+    assert_pair_powers_match_power(theta, 4)
+
+
+def test_shared_powers_stop_at_cell_cap(tm2d, rig3, monkeypatch):
+    # theta^6 is the first power over a cap of 2 * 4^5 cells
     monkeypatch.setattr(substitution, "DEFAULT_CELL_CAP", 2 * 4**5)
-    assert len(list(_powers(tm2d, 24))) == 5
+    power(tm2d, 5)
     with pytest.raises(CapExceeded):
         power(tm2d, 6)
-    monkeypatch.setattr(substitution, "DEFAULT_CELL_CAP", 1)
-    assert len(list(_powers(tm2d, 3))) == 0
+    # rig3's pair sets hold 3, 5 and 6 pairs, so the next set's bounds are
+    # 3 * 3 * 3 = 27 and 5 * 3 * 3 = 45 bytes
+    ident = SignedPerm.identity(1)
+    assert [len(p) for p in _pair_powers(rig3, ident)] == [3, 5, 6]
+    for cap, powers in ((27, 2), (26, 1), (45, 3), (44, 2)):
+        monkeypatch.setattr(substitution, "DEFAULT_CELL_CAP", cap)
+        assert len(list(_pair_powers(rig3, ident))) == powers, cap
 
 
 def capped_reversal():
-    """A binary 1-d rule of length 330 whose power search ends at the cell cap:
-    theta^3 needs 2 * 330^3 > 2^26 cells while the corner swap puts m = 3 among
-    the alignment powers, and every 3-word occurs in theta(0), so the language
-    fallback stops at theta^2."""
+    """A binary 1-d rule of length 330 whose theta^3 needs 2 * 330^3 > 2^26
+    cells, and every 3-word occurs in theta(0), so the language fallback
+    stops at theta^2."""
     rng = random.Random(7)
     row = [rng.randrange(2) for _ in range(329)] + [1]
     rules = (Pattern((0,), (330,), bytes(row)), Pattern((0,), (330,), bytes(1 - c for c in row)))
@@ -476,30 +517,36 @@ def capped_reversal():
 
 
 def test_cell_cap_ends_power_search():
+    # materializing theta^m would stop at theta^2; the reversal's pair set
+    # repeats there, so no power past the cap could align either
     theta = capped_reversal()
-    assert min(ALIGN_POWER_CAP, 2 * corner_fixing_power(theta)) >= 3  # m = 3 is searched
     power(theta, 2)
     with pytest.raises(CapExceeded):
         power(theta, 3)
     reversal = SignedPerm((0,), (1,))
     assert conjugating_relabelings(power(theta, 2), reversal) == []
+    (pairs,) = _pair_powers(theta, reversal)
+    assert read_pairs(pairs, 2) == position_pairs_oracle(power(theta, 2), reversal)
     rep = sym_group_report(theta, 3)
     assert rep == sym_group_report_oracle(theta, 3)
     assert rep.by_matrix()[reversal].verdict != EXACT_YES
 
 
-def test_report_does_theta_level_work_once(tm3d, monkeypatch):
-    # the per-matrix check called corner_fixing_power 48 times and built theta^2 24 times
-    cfp_calls, applied = [], []
-    real_cfp, real_apply = sym.corner_fixing_power, substitution.apply
-    monkeypatch.setattr(sym, "corner_fixing_power", lambda t: cfp_calls.append(t) or real_cfp(t))
-    monkeypatch.setattr(substitution, "apply", lambda t, p: applied.append(p.extent) or real_apply(t, p))
-    rep = sym_group_report(tm3d, 3)
-    monkeypatch.undo()
-    assert len(cfp_calls) == 1
-    # building theta^m applies theta once to each rule of theta^(m-1)
-    assert applied and all(applied.count(e) == len(tm3d.alphabet) for e in applied)
-    assert rep == sym_group_report_oracle(tm3d, 3)
+def test_report_builds_no_power(monkeypatch):
+    # the alignment search composes position maps and builds no theta^m;
+    # rig3's language fallback inflates through `language`'s own import of apply
+    for name in sorted(BUNDLED):
+        theta = bundled_substitution(name)
+        if not is_primitive(theta).primitive:
+            continue
+        want = sym_group_report_oracle(theta, 3)
+        applied = []
+        real_apply = substitution.apply
+        monkeypatch.setattr(substitution, "apply", lambda t, p: applied.append(p) or real_apply(t, p))
+        monkeypatch.setattr(substitution, "power", None)
+        assert sym_group_report(theta, 3) == want, name
+        monkeypatch.undo()
+        assert applied == [], name
 
 
 def broken_variants(candidates):
@@ -585,16 +632,33 @@ def test_refuter_other_directions(tm2d):
 
 @pytest.mark.parametrize("name, v, threshold", [
     ("tm2d", (1, 1), 4), ("tm2d", (1, -2), 7), ("tm2d", (3, 1), 2),
-    ("tm3d", (1, 1, 1), 5), ("tm3d", (2, 0, -1), 3),
+    ("tm3d", (1, 1, 1), 5), ("tm3d", (2, 0, -1), 3), ("tm3d", (0, 1, -2), 3),
 ])
 def test_refuter_counts_match_a_recount(name, v, threshold):
-    # the one-pass count against the two lists it replaced
+    # the per-run intervals against the per-cell count they replaced
     block = non_axis_fracture_refuter(bundled_substitution(name), v, threshold, window=64).block
-    dots = [(sum(x * y for x, y in zip(k, v)), k) for k in block.block.cells()]
-    up = [k for dot, k in dots if dot >= threshold]
-    low = [k for dot, k in dots if dot <= -threshold]
-    assert (block.upper_cell, block.lower_cell) == (up[0], low[0])
-    assert (block.upper_count, block.lower_count) == (len(up), len(low))
+    got = (block.upper_cell, block.lower_cell, block.upper_count, block.lower_count)
+    assert got == straddle_counts_oracle(block.block, v, threshold)
+
+
+@st.composite
+def refuter_inputs(draw):
+    name = draw(st.sampled_from(["tm2d", "tm3d"]))
+    d = 2 if name == "tm2d" else 3
+    v = tuple(draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)))
+    assume(sum(x != 0 for x in v) >= 2)
+    return name, v, draw(st.integers(1, 12)), draw(st.integers(1, 32 if d == 2 else 16))
+
+
+@settings(max_examples=60, deadline=None)
+@given(refuter_inputs())
+def test_refuter_counts_match_the_cell_oracle(inputs):
+    name, v, threshold, window = inputs
+    rep = non_axis_fracture_refuter(bundled_substitution(name), v, threshold, window=window)
+    if rep.conclusive:
+        block = rep.block
+        got = (block.upper_cell, block.lower_cell, block.upper_count, block.lower_count)
+        assert got == straddle_counts_oracle(block.block, v, threshold)
 
 
 def test_refuter_refuses_a_block_over_the_cell_cap(tm2d, monkeypatch):

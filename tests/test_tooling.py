@@ -150,3 +150,18 @@ def test_robinson_pins_hold(section, key, capsys):
         assert main(["robinson", "torus", *key.split("x")]) == 0
         out, _ = capsys.readouterr()
         assert out.startswith(f"torus {key}: unsat decisions={pin} elapsed=")
+
+
+def test_ci_runs_the_tier1_command():
+    # the workflow's test step runs exactly the command ROADMAP.md gives for Tier-1
+    yaml = pytest.importorskip("yaml")
+    root = Path(__file__).resolve().parents[1]
+    roadmap = (root / "ROADMAP.md").read_text(encoding="utf-8")
+    command = roadmap.split("**Tier-1 verify:** `", 1)[1].split("`", 1)[0]
+    workflow = yaml.safe_load((root / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8"))
+    steps = workflow["jobs"]["tier1"]["steps"]
+    assert [step["run"] for step in steps if step.get("name") == "Tier-1 tests"] == [command]
+    setup = next(step for step in steps if step.get("uses", "").startswith("actions/setup-python"))
+    assert setup["with"]["python-version"] == "3.11"
+    install = next(step["run"] for step in steps if step.get("name") == "Install test dependencies")
+    assert install.split()[-2:] == ["pytest", "hypothesis"]
