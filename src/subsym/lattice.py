@@ -9,6 +9,7 @@ Axes are 0-based throughout the package.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -251,6 +252,7 @@ class SignedPerm:
         )
         return SignedPerm(perm, signs)
 
+    @functools.lru_cache(maxsize=1024)
     def table(self) -> bytes:
         """`bytes.translate` table of the map on the 2d signed axis labels,
         label i + d*s standing for (-1)^s e_i: composing is translating, as
@@ -259,9 +261,10 @@ class SignedPerm:
         labels = bytes(p + d * (s ^ t) for s in (0, 1) for p, t in zip(self.perm, self.signs))
         return labels + bytes(range(2 * d, 256))
 
+    @functools.lru_cache(maxsize=1024)
     def key(self) -> bytes:
         """The images of the d positive axis labels; it determines the map."""
-        return self.table()[: self.dim]
+        return bytes(p + self.dim * t for p, t in zip(self.perm, self.signs))
 
     def inverse(self) -> "SignedPerm":
         inv = self.inverse_perm()
@@ -296,6 +299,11 @@ class SignedPerm:
 
 def signed_perm_group(d: int) -> list[SignedPerm]:
     """All 2^d * d! signed permutations, identity first, no duplicates."""
+    return list(_signed_perm_group(d))
+
+
+@functools.lru_cache(maxsize=8)
+def _signed_perm_group(d: int) -> tuple[SignedPerm, ...]:
     if d < 1:
         raise ValidationError("d must be >= 1")
     if d > 6:
@@ -307,7 +315,7 @@ def signed_perm_group(d: int) -> list[SignedPerm]:
         for signs in itertools.product((0, 1), repeat=d)
         if not (perm == ident.perm and signs == ident.signs)
     ]
-    return [ident] + rest
+    return (ident, *rest)
 
 
 # ---------------------------------------------------------------------------

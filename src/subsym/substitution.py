@@ -282,9 +282,17 @@ def is_primitive(theta: RectSubstitution) -> PrimitivityReport:
 
 
 def _bool_product(x: list[int], y: list[int]) -> list[int]:
-    """The boolean matrix product x y, rows as bitmasks."""
-    return [functools.reduce(operator.or_, (r for c, r in enumerate(y) if row >> c & 1), 0)
-            for row in x]
+    """The boolean matrix product x y, rows as bitmasks: each row ORs the rows
+    of y that its bits pick, read low bit first from `bin` as 0/1 bytes."""
+    return [functools.reduce(operator.or_, itertools.compress(y, _bits(row)), 0) for row in x]
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bits(row: int) -> bytes:
+    """The bits of row, low bit first, one 0/1 byte each."""
+    return bin(row)[:1:-1].encode().translate(_BIT_BYTES)
 
 
 def position_map(theta: RectSubstitution, k: Vec) -> tuple[int, ...]:

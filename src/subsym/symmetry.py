@@ -15,6 +15,7 @@ replace the n! permutations.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -63,14 +64,15 @@ def _relabel_group(theta: RectSubstitution) -> list[Relabeling]:
 
 
 def _assert_subgroup(perms: list[Relabeling], n: int) -> None:
-    # a nonempty finite set of permutations closed under composition is a group
-    group = set(perms)
-    assert tuple(range(n)) in group, "relabeling set lost the identity"
+    # a nonempty finite set of permutations closed under composition is a group;
+    # p after every q is every q translated through p's table
+    rows = list(map(bytes, perms))
+    group = set(rows)
+    assert bytes(range(n)) in group, "relabeling set lost the identity"
     for p in perms:
-        for q in perms:
-            assert compose_relabelings(p, q) in group, (
-                "relabeling set not closed under composition"
-            )
+        assert group.issuperset(map(bytes.translate, rows, itertools.repeat(_relabel_table(p)))), (
+            "relabeling set not closed under composition"
+        )
 
 
 def compose_relabelings(p: Relabeling, q: Relabeling) -> Relabeling:
@@ -131,6 +133,14 @@ def _size_mismatch(size: Vec, a: SignedPerm) -> SizeMismatch | None:
     return SizeMismatch(size, permuted) if permuted != size else None
 
 
+@functools.lru_cache(maxsize=1024)
+def _re_anchoring(size: Vec, a: SignedPerm) -> tuple[int, ...] | SizeMismatch:
+    """r as a flat index, r[k] being the cell A k re-anchored into the box
+    (`_moved(size, A^-1)`), or the SizeMismatch if A moves the size vector."""
+    mismatch = _size_mismatch(size, a)
+    return mismatch if mismatch is not None else tuple(_moved(size, a.inverse()))
+
+
 def transformed_substitution(
     theta: RectSubstitution, a: SignedPerm, tau: Relabeling
 ) -> RectSubstitution | SizeMismatch:
@@ -167,6 +177,11 @@ def conjugating_relabelings(theta: RectSubstitution, a: SignedPerm) -> list[Rela
     if _size_mismatch(theta.size, a) is not None:
         return []
     return _solve(next(_pair_powers(theta, a)), len(theta.alphabet))
+
+
+def _columns(theta: RectSubstitution) -> list[bytes]:
+    """columns[k] = P_k, the position map of cell k as the images of the n symbols."""
+    return list(map(bytes, zip(*(patch.cells for patch in theta.rules))))
 
 
 def _solve(pairs: frozenset, n: int) -> list[Relabeling]:
@@ -250,28 +265,57 @@ def extended_symmetry_check(
 def _check_matrices(
     theta: RectSubstitution, matrices: list[SignedPerm], depth: int
 ) -> list[SymmetryCandidate]:
-    """`extended_symmetry_check` for each matrix, with the scope checks done once."""
+    """`extended_symmetry_check` for each matrix, with the scope checks done once.
+
+    The alignment search of A reads nothing of A but its set of distinct
+    column pairs (P_k, P_r(k)): `_composed_powers` builds every later set
+    from that one and ends on the sets, n and the cell cap alone, and
+    `_solve` reads only a set and n.  So matrices with the same set share
+    one search (the first power with hits, and the hits, or no hit), held
+    in `searches` for this report only.  The language fallback moves cube
+    patterns through A itself, so it stays per matrix.
+    """
     if depth < 2:
         raise ValidationError("depth must be >= 2: no shape below 2 is compared")
     _require_primitive_bijective(theta, "extended_symmetry_check")
+    n, columns = len(theta.alphabet), _columns(theta)
+    searches: dict[frozenset, tuple[int, tuple[Relabeling, ...]] | None] = {}
     languages: dict[int, set[bytes]] = {}  # side -> complete cube language
     found = []
     for a in matrices:
-        if _size_mismatch(theta.size, a) is not None:
+        r = _re_anchoring(theta.size, a)
+        if isinstance(r, SizeMismatch):
             found.append(SymmetryCandidate(a, SIZE_MISMATCH))
             continue
-        for m, pairs in enumerate(_pair_powers(theta, a), 1):
-            if hits := _solve(pairs, len(theta.alphabet)):
-                found.append(SymmetryCandidate(a, EXACT_YES, hits[0], tuple(hits), m))
-                break
+        distinct = frozenset(zip(columns, map(columns.__getitem__, r)))
+        if distinct not in searches:
+            searches[distinct] = _align(distinct, n)
+        if (hit := searches[distinct]) is not None:
+            m, hits = hit
+            found.append(SymmetryCandidate(a, EXACT_YES, hits[0], hits, m))
         else:
             found.append(_language_comparison(theta, a, depth, languages))
     return found
 
 
+def _align(distinct: frozenset, n: int) -> tuple[int, tuple[Relabeling, ...]] | None:
+    """The first alignment power m with a conjugating tau, and every such tau, or None."""
+    for m, pairs in enumerate(_composed_powers(distinct, n), 1):
+        if hits := _solve(pairs, n):
+            return m, tuple(hits)
+    return None
+
+
 def _pair_powers(theta: RectSubstitution, a: SignedPerm) -> Iterator[frozenset]:
     """The distinct (P_K, P_r(K)), r(K) being A K re-anchored, of theta,
-    theta^2, ..., as translate tables.
+    theta^2, ..., as translate tables; A must fix the size vector."""
+    columns = _columns(theta)
+    distinct = frozenset(zip(columns, map(columns.__getitem__, _re_anchoring(theta.size, a))))
+    return _composed_powers(distinct, len(theta.alphabet))
+
+
+def _composed_powers(distinct: frozenset, n: int) -> Iterator[frozenset]:
+    """The pair sets of theta, theta^2, ..., from theta's distinct column pairs.
 
     theta^(m+1) has P_(Ms+k) = P_k . P_M and r acts digit-wise, so its pairs
     are the (p . x, q . y) for (x, y) of theta^m and (p, q) of theta.  A set
@@ -279,14 +323,12 @@ def _pair_powers(theta: RectSubstitution, a: SignedPerm) -> Iterator[frozenset]:
     align.  The sequence also ends at ALIGN_POWER_CAP, and before a bound
     |pairs| |step| <= prod(s^(m+1)) passes the cell cap at n bytes a pair.
     """
-    columns = list(zip(*(patch.cells for patch in theta.rules)))  # columns[k] = P_k
-    distinct = set(zip(columns, map(columns.__getitem__, _moved(theta.size, a.inverse()))))
     step = frozenset((_relabel_table(p), _relabel_table(q)) for p, q in distinct)
     pairs, seen = step, set()
     for _ in range(ALIGN_POWER_CAP):
         yield pairs
         seen.add(pairs)
-        if len(pairs) * len(step) * len(theta.alphabet) > substitution.DEFAULT_CELL_CAP:
+        if len(pairs) * len(step) * n > substitution.DEFAULT_CELL_CAP:
             return
         pairs = frozenset((x.translate(p), y.translate(q)) for x, y in pairs for p, q in step)
         if pairs in seen:
@@ -381,16 +423,25 @@ def _closure_ok(candidates: list[SymmetryCandidate]) -> bool:
 
     Products go through `bytes.translate`: the key of A1 A2 is A2's key
     translated by A1's table, and tau1 tau2 is tau2 translated by tau1's.
+    The pairs are checked in groups: the right pairs (A2, tau2) that share
+    tau2 share the product tau u = tau1 tau2, so for them the predicate
+    reads "every A2 key, translated by A1's table, is a key whose tau set
+    holds u", one `issuperset` against `allowed[u]`.  The matrices of the
+    candidates are distinct, as in every report.
     """
     exact = [c for c in candidates if c.verdict == EXACT_YES]
-    keys = [c.a.key() for c in exact]
-    taus = {key: {bytes(t) for t in c.taus} for key, c in zip(keys, exact)}
-    rights = [(key, bytes(c.tau)) for key, c in zip(keys, exact)]
+    allowed: dict[bytes, set[bytes]] = {}  # tau -> keys whose tau set holds it
+    rights: dict[bytes, list[bytes]] = {}  # tau -> keys of the pairs with that tau
+    for c in exact:
+        key = c.a.key()
+        for t in c.taus:
+            allowed.setdefault(bytes(t), set()).add(key)
+        rights.setdefault(bytes(c.tau), []).append(key)
     for c1 in exact:
         a_table, tau_table = c1.a.table(), _relabel_table(c1.tau)
-        for a_key, tau in rights:
-            product = taus.get(a_key.translate(a_table))
-            if product is None or tau.translate(tau_table) not in product:
+        for tau, keys in rights.items():
+            product_keys = map(bytes.translate, keys, itertools.repeat(a_table))
+            if not allowed.get(tau.translate(tau_table), set()).issuperset(product_keys):
                 return False
     return True
 

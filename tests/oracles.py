@@ -8,8 +8,8 @@ the module reads the NE tiles from tokens and mirrors them), or the
 language fallback of `subsym.symmetry` that regenerated the language of
 every conjugate, or the primitivity test that stepped the occurrence
 matrix one power at a time, or the per-matrix symmetry check that rebuilt every
-theta^m from theta, read its position maps one cell at a time and checked
-closure with `SignedPerm.compose`, or the seed step read through `Pattern.get` and the
+theta^m from theta and read its position maps one cell at a time, or the
+closure and subgroup checks that composed one pair at a time, or the seed step read through `Pattern.get` and the
 one-digit-per-level walk of `symbol_at` that the per-quadrant tables of
 theta^c replaced, or the language loop that inflated whole patches where
 `language._grow` now inflates their distinct windows, or the dihedral
@@ -411,15 +411,32 @@ def extended_symmetry_check_oracle(theta, a, depth=3):
 
 
 def closure_oracle(candidates):
-    """Every product of two ExactYes pairs, composed with `SignedPerm.compose`."""
-    by_a = {c.a: c for c in candidates}
+    """Every product of two ExactYes pairs, one pair at a time: the key of
+    A1 A2 is A2's key translated by A1's table, and tau1 tau2 is tau2
+    translated by tau1's; the product key must be present and its tau set
+    must hold tau1 tau2."""
     exact = [c for c in candidates if c.verdict == EXACT_YES]
-    products = (
-        (by_a[c1.a.compose(c2.a)], compose_relabelings(c1.tau, c2.tau))
-        for c1 in exact
-        for c2 in exact
-    )
-    return all(p.verdict == EXACT_YES and tau in p.taus for p, tau in products)
+    keys = [c.a.key() for c in exact]
+    taus = {key: {bytes(t) for t in c.taus} for key, c in zip(keys, exact)}
+    rights = [(key, bytes(c.tau)) for key, c in zip(keys, exact)]
+    for c1 in exact:
+        a_table, tau_table = c1.a.table(), substitution._relabel_table(c1.tau)
+        for a_key, tau in rights:
+            product = taus.get(a_key.translate(a_table))
+            if product is None or tau.translate(tau_table) not in product:
+                return False
+    return True
+
+
+def assert_subgroup_oracle(perms, n):
+    """`symmetry._assert_subgroup` composing every pair with `compose_relabelings`."""
+    group = set(perms)
+    assert tuple(range(n)) in group, "relabeling set lost the identity"
+    for p in perms:
+        for q in perms:
+            assert compose_relabelings(p, q) in group, (
+                "relabeling set not closed under composition"
+            )
 
 
 def sym_group_report_oracle(theta, depth=3):

@@ -1,12 +1,15 @@
 import itertools
+import json
 import math
 import random
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    assert_subgroup_oracle,
     closure_oracle,
     language_comparison_oracle,
     position_pairs_oracle,
@@ -18,9 +21,10 @@ from oracles import (
 
 from subsym import substitution
 from subsym import symmetry as sym
+from subsym.cli import main
 from subsym.errors import CapExceeded, ScopeError, ValidationError
 from subsym.lattice import Rect, SignedPerm, signed_perm_group
-from subsym.specio import BUNDLED, build_substitution, bundled_substitution, load_spec_file
+from subsym.specio import BUNDLED, build_substitution, bundled_substitution, bundled_text, load_spec_file
 from subsym.substitution import (
     Alphabet,
     Pattern,
@@ -104,6 +108,46 @@ def test_aut_description(tm2d, tm3d, cyc3, rig3):
 def test_aut_description_scope_error(dbl):
     with pytest.raises(ScopeError):
         aut_group_description(dbl)
+
+
+def subgroup_verdict(check, perms, n):
+    """None if `check` accepts perms, else its assertion message."""
+    try:
+        check(perms, n)
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+def test_subgroup_check_matches_oracle():
+    # every subset of S_3, in every order: the translated rows against the
+    # pairwise composition, message for message
+    s3 = list(itertools.permutations(range(3)))
+    verdicts = set()
+    for size in range(1, len(s3) + 1):
+        for perms in itertools.permutations(s3, size):
+            got = subgroup_verdict(sym._assert_subgroup, list(perms), 3)
+            assert got == subgroup_verdict(assert_subgroup_oracle, list(perms), 3), perms
+            verdicts.add(got)
+    assert verdicts == {
+        None,
+        "relabeling set lost the identity",
+        "relabeling set not closed under composition",
+    }
+
+
+def test_subgroup_check_rejects_broken_groups(cyc3):
+    group = relabel_automorphisms(cyc3)
+    sym._assert_subgroup(group, 3)
+    assert subgroup_verdict(sym._assert_subgroup, group[1:], 3) == "relabeling set lost the identity"
+    assert subgroup_verdict(sym._assert_subgroup, group[:2], 3) == (
+        "relabeling set not closed under composition"
+    )
+    big = relabel_automorphisms(cyclic(255))
+    assert len(big) == 255
+    assert subgroup_verdict(sym._assert_subgroup, big[:-1], 255) == (
+        "relabeling set not closed under composition"
+    )
 
 
 # -- relabeling solver against the n! search it replaced ----------------------------
@@ -579,6 +623,106 @@ def test_closure_matches_oracle_on_broken_candidates():
             if not ok:
                 failed_by.add(what.split()[0])
     assert failed_by == {"dropped", "replaced", "refuted"}
+
+
+@st.composite
+def closure_cases(draw):
+    """Candidates for d <= 3 and n <= 4: the full group with every tau
+    (closed), random subsets with random tau sets, or the full group with
+    one tau dropped from one matrix; the other matrices are refuted."""
+    d, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["full", "subset", "dropped"]))
+    rng = draw(st.randoms(use_true_random=False))
+    perms = list(itertools.permutations(range(n)))
+    group = signed_perm_group(d)
+    taus = {a: list(perms) for a in group}
+    if kind == "subset":
+        taus = {a: rng.sample(perms, rng.randint(1, len(perms))) for a in rng.sample(group, rng.randint(1, len(group)))}
+    elif kind == "dropped":
+        victim = rng.choice(group)
+        del taus[victim][rng.randrange(len(perms))]
+        if not taus[victim]:
+            del taus[victim]
+    out = []
+    for a in group:
+        if a not in taus:
+            out.append(SymmetryCandidate(a, REFUTED_AT, depth=2))
+            continue
+        ts = taus[a]
+        rng.shuffle(ts)
+        out.append(SymmetryCandidate(a, EXACT_YES, ts[0], tuple(ts), 1))
+    return out
+
+
+def test_closure_matches_pairwise_oracle():
+    # the grouped issuperset check against the pair-by-pair loop it replaced
+    outcomes = set()
+
+    @settings(max_examples=120, deadline=None)
+    @given(closure_cases())
+    def check(candidates):
+        got = _closure_ok(candidates)
+        assert got == closure_oracle(candidates)
+        outcomes.add(got)
+
+    check()
+    assert outcomes == {True, False}
+
+
+def test_report_solves_once_per_pair_set(tm3d, monkeypatch):
+    # tm3d's 48 matrices have 2 distinct column-pair sets; each set's powers
+    # are solved once, up to its alignment power, and never per matrix
+    first_matrix = {}
+    for a in signed_perm_group(3):
+        first_matrix.setdefault(next(_pair_powers(tm3d, a)), a)
+    assert len(first_matrix) == 2
+    want = sym_group_report(tm3d, 3)
+    calls = []
+    real_solve = sym._solve
+    monkeypatch.setattr(sym, "_solve", lambda pairs, n: calls.append(pairs) or real_solve(pairs, n))
+    assert sym_group_report(tm3d, 3) == want
+    align = {c.a: c.align_power for c in want.candidates}
+    assert calls == [
+        pairs
+        for a in first_matrix.values()
+        for pairs in itertools.islice(_pair_powers(tm3d, a), align[a])
+    ]
+
+
+def clear_caches():
+    """Empty every functools cache of the package, methods' included."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "subsym":
+            continue
+        for obj in list(vars(module).values()):
+            for attr in [obj, *(vars(obj).values() if isinstance(obj, type) else ())]:
+                if hasattr(attr, "cache_clear"):
+                    attr.cache_clear()
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_sym_output_ignores_warm_caches(name, tmp_path, capsys):
+    # theta and its symbol-swapped conjugate share a size, so they share the
+    # (size, A) caches; either one warmed by the other prints what it prints cold
+    spec = json.loads(bundled_text(name))
+    names = spec["alphabet"]
+    swapped = dict(spec, alphabet=[names[1], names[0], *names[2:]])
+    paths = []
+    for tag, obj in (("theta", spec), ("swapped", swapped)):
+        path = tmp_path / f"{tag}.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        paths.append(str(path))
+
+    def run(path):
+        code = main(["sym", path])
+        return (code, *capsys.readouterr())
+
+    for first, second in (paths, paths[::-1]):
+        clear_caches()
+        cold = run(second)
+        clear_caches()
+        run(first)
+        assert run(second) == cold, second
 
 
 def test_flip_commutes_with_substitution(corpus):

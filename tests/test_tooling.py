@@ -165,3 +165,24 @@ def test_ci_runs_the_tier1_command():
     assert setup["with"]["python-version"] == "3.11"
     install = next(step["run"] for step in steps if step.get("name") == "Install test dependencies")
     assert install.split()[-2:] == ["pytest", "hypothesis"]
+
+
+def test_ci_checks_every_benchmark_workload():
+    # one short run per workload, and the step itself fails on a run that is
+    # not correct or has failed ops, since run.py exits 0 either way
+    yaml = pytest.importorskip("yaml")
+    root = Path(__file__).resolve().parents[1]
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
+    workloads = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "WORKLOADS"
+    )
+    workflow = yaml.safe_load((root / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8"))
+    (step,) = [step for step in workflow["jobs"]["tier1"]["steps"] if step.get("name") == "Benchmark outputs"]
+    script = step["run"]
+    loop = script.split("for workload in ", 1)[1].split(";", 1)[0]
+    assert tuple(loop.split()) == workloads
+    assert 'python3 perfbench/run.py --workload "$workload" --seconds 1' in script
+    assert 'r["correct"] is not True or r["failed"] != 0' in script
+    assert step["shell"] == "bash"  # -eo pipefail: a run that exits non-zero fails the step too
