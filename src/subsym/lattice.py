@@ -279,22 +279,7 @@ class SignedPerm:
         return tuple(tuple(r) for r in rows)
 
     def det(self) -> int:
-        sign = 1
-        seen = [False] * self.dim
-        for i in range(self.dim):
-            if seen[i]:
-                continue
-            length = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = self.perm[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        if sum(self.signs) % 2:
-            sign = -sign
-        return sign
+        return mat_det(self.matrix())
 
 
 def signed_perm_group(d: int) -> list[SignedPerm]:

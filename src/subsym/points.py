@@ -25,6 +25,7 @@ from .substitution import (
     Pattern,
     RectSubstitution,
     Seed,
+    _columns,
     _inflate,
     _moved,
     _strides,
@@ -249,20 +250,18 @@ def desubstitute_pattern(theta: RectSubstitution, p: Pattern) -> list[DesubFit]:
     Each surviving offset carries, per touched block, the symbols whose
     patches agree with p there.  No uniqueness is ever asserted.
     """
-    s = theta.size
+    s, strides, columns = theta.size, _strides(theta.size), _columns(theta)
     nsym = len(theta.alphabet)
     fits = []
     for o in theta.support().cells():
         blocks: dict[Vec, set[int]] = {}
         ok = True
-        for k in p.rect().cells():
+        for k, symbol in zip(p.rect().cells(), p.cells):
             rel = vsub(k, o)
             block = tuple(x // b for x, b in zip(rel, s))
-            inner = tuple(x % b for x, b in zip(rel, s))
+            column = columns[sum(x % b * st for x, b, st in zip(rel, s, strides))]
             cands = blocks.setdefault(block, set(range(nsym)))
-            cands &= {
-                a for a in range(nsym) if theta.rule(a).get(inner) == p.get(k)
-            }
+            cands &= {a for a in range(nsym) if column[a] == symbol}
             if not cands:
                 ok = False
                 break

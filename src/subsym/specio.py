@@ -68,14 +68,14 @@ def parse_and_build(text: str) -> tuple[SubstitutionSpec, RectSubstitution]:
         raise _fail("$", f"missing keys {sorted(missing)}")
     if not isinstance(obj["name"], str):
         raise _fail("$.name", "must be a string")
-    dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    dim = obj["dim"]  # JSON true and false parse as ints: `type` keeps them out
+    if type(dim) is not int or dim < 1:
         raise _fail("$.dim", "must be a positive integer")
     size = obj["size"]
     if (
         not isinstance(size, list)
         or len(size) != dim
-        or any(not isinstance(s, int) for s in size)
+        or any(type(s) is not int for s in size)
     ):
         raise _fail("$.size", f"must be an array of {dim} integers")
     if any(s < 2 for s in size):

@@ -295,16 +295,22 @@ def _bits(row: int) -> bytes:
     return bin(row)[:1:-1].encode().translate(_BIT_BYTES)
 
 
+def _columns(theta: RectSubstitution) -> list[bytes]:
+    """columns[k] = P_k, the position map a -> theta(a)_k of cell k (in cell
+    order) as the images of the n symbols: the one column-wise read of the rules."""
+    return list(map(bytes, zip(*(r.cells for r in theta.rules))))
+
+
 def position_map(theta: RectSubstitution, k: Vec) -> tuple[int, ...]:
     """The map a -> theta(a)_k as a table."""
     if not theta.support().contains(k):
         raise ValidationError(f"position {k} outside substitution support")
-    return tuple(theta.rule(a).get(k) for a in range(len(theta.alphabet)))
+    return tuple(_columns(theta)[sum(map(operator.mul, k, _strides(theta.size)))])
 
 
 def is_bijective(theta: RectSubstitution) -> bool:
     n = len(theta.alphabet)
-    return all(len(set(col)) == n for col in zip(*(r.cells for r in theta.rules)))
+    return all(len(set(col)) == n for col in _columns(theta))
 
 
 def corners(size: Vec) -> list[Vec]:
@@ -339,9 +345,8 @@ def corner_fixing_power(theta: RectSubstitution) -> int:
     """
     if not is_bijective(theta):
         raise ScopeError("corner_fixing_power requires a bijective substitution")
-    return math.lcm(
-        *(_perm_order(position_map(theta, c)) for c in corners(theta.size))
-    )
+    columns = _columns(theta)
+    return math.lcm(*(_perm_order(columns[o]) for o in _corner_offsets(theta.size)))
 
 
 def corner_fixed(theta: RectSubstitution) -> tuple[RectSubstitution, int]:
@@ -398,16 +403,22 @@ def _seed_cell_order(d: int) -> tuple[int, ...]:
     return tuple(map(place.__getitem__, Rect((-1,) * d, (0,) * d).cells()))
 
 
+def _corner_offsets(size: Vec) -> list[int]:
+    """Flat offset in [0, s-1] of the cell that stays on each seed corner u,
+    in `corner_order`: the high end of axis i where u_i = -1, else the low end."""
+    strides = _strides(size)
+    return [
+        sum((n - 1) * st for ui, n, st in zip(u, size, strides) if ui)
+        for u in corner_order(len(size))
+    ]
+
+
 def _seed_stepper(theta: RectSubstitution):
     """seed_step on bare corner-order symbol tuples: corner u of the next seed
-    is the cell of theta(corner u) that stays on u, read at its flat offset."""
-    size, strides = theta.size, _strides(theta.size)
-    offsets = [
-        sum((n - 1) * st for ui, n, st in zip(u, size, strides) if ui)
-        for u in corner_order(theta.dim)
-    ]
-    rules = [r.cells for r in theta.rules]
-    return lambda syms: tuple(rules[a][o] for a, o in zip(syms, offsets))
+    is P_o(a) for the symbol a on u and the offset o of u's staying cell."""
+    columns = _columns(theta)
+    maps = [columns[o] for o in _corner_offsets(theta.size)]
+    return lambda syms: tuple(map(bytes.__getitem__, maps, syms))
 
 
 def seed_step(theta: RectSubstitution, seed: Seed) -> Seed:

@@ -7,10 +7,13 @@ them up to shifts).  Extended-symmetry candidates range over the signed
 permutations of the axes; the checker first looks for an exact rule-table
 equality at some alignment power and only then falls back to bounded
 language comparison, whose positive outcome is reported as evidence, not
-proof.  Both the automorphisms and the exact path share one relabeling
-solver, `conjugating_relabelings`: for a primitive substitution a
-conjugating relabeling is fixed by the image of symbol 0, so n candidates
-replace the n! permutations.
+proof.  Both read theta in column form: the position maps P_k of
+`substitution._columns`, paired as (P_k, P_r(k)) by `_column_pairs`.
+Both the automorphisms (`conjugating_relabelings` on theta's own pairs)
+and the exact path (`_align`, on the pairs of theta^m composed from
+theta's) hand those pairs to one solver, `_solve`: for a primitive
+substitution a conjugating relabeling is fixed by the image of symbol 0,
+so n candidates replace the n! permutations.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .language import _grow
 from .substitution import (
     Pattern,
     RectSubstitution,
+    _columns,
     _moved,
     _perm_order,
     _relabel_table,
@@ -134,11 +138,17 @@ def _size_mismatch(size: Vec, a: SignedPerm) -> SizeMismatch | None:
 
 
 @functools.lru_cache(maxsize=1024)
-def _re_anchoring(size: Vec, a: SignedPerm) -> tuple[int, ...] | SizeMismatch:
+def _re_anchoring(size: Vec, a: SignedPerm) -> tuple[int, ...] | None:
     """r as a flat index, r[k] being the cell A k re-anchored into the box
-    (`_moved(size, A^-1)`), or the SizeMismatch if A moves the size vector."""
-    mismatch = _size_mismatch(size, a)
-    return mismatch if mismatch is not None else tuple(_moved(size, a.inverse()))
+    (`_moved(size, A^-1)`), or None if A moves the size vector."""
+    return None if _size_mismatch(size, a) else tuple(_moved(size, a.inverse()))
+
+
+def _column_pairs(columns: list[bytes], size: Vec, a: SignedPerm) -> frozenset | None:
+    """The distinct (P_k, P_r(k)) of the `_columns` of theta, r being the
+    re-anchoring of A, or None if A moves the size vector."""
+    r = _re_anchoring(size, a)
+    return None if r is None else frozenset(zip(columns, map(columns.__getitem__, r)))
 
 
 def transformed_substitution(
@@ -174,20 +184,14 @@ def conjugating_relabelings(theta: RectSubstitution, a: SignedPerm) -> list[Rela
     the n candidates cost O(n^2 |S|) in all.  Distinct solutions differ at
     0, hence they come in lexicographic order.
     """
-    if _size_mismatch(theta.size, a) is not None:
-        return []
-    return _solve(next(_pair_powers(theta, a)), len(theta.alphabet))
-
-
-def _columns(theta: RectSubstitution) -> list[bytes]:
-    """columns[k] = P_k, the position map of cell k as the images of the n symbols."""
-    return list(map(bytes, zip(*(patch.cells for patch in theta.rules))))
+    pairs = _column_pairs(_columns(theta), theta.size, a)
+    return [] if pairs is None else _solve(pairs, len(theta.alphabet))
 
 
 def _solve(pairs: frozenset, n: int) -> list[Relabeling]:
-    """`conjugating_relabelings` on distinct pairs (P, Q), translate tables on n symbols."""
-    rules = list(zip(*(p[:n] for p, _ in pairs)))  # rules[x][i] = P_i(x)
-    moved = list(zip(*(q[:n] for _, q in pairs)))  # moved[z][i] = Q_i(z)
+    """`conjugating_relabelings` on distinct pairs (P, Q) of n-byte columns."""
+    rules = list(zip(*(p for p, _ in pairs)))  # rules[x][i] = P_i(x)
+    moved = list(zip(*(q for _, q in pairs)))  # moved[z][i] = Q_i(z)
     solutions = (_propagate(rules, moved, c) for c in range(n))
     return [tau for tau in solutions if tau is not None]
 
@@ -253,7 +257,8 @@ def extended_symmetry_check(
     Fast path: if some relabeling makes the transformed rule table of some
     power theta^m equal theta^m exactly, the rigid map is a genuine
     extended symmetry (ExactYes).  It is searched on the position-map pairs
-    of theta^m (`_pair_powers`), n candidates tau(0) per power, not n!.
+    (P_k, P_r(k)) of theta^m, composed from theta's (`_column_pairs`,
+    `_composed_powers`), n candidates tau(0) per power, not n!.
     Otherwise comparing the complete cube languages of sides up to `depth`
     either finds a witness pattern on one side only (RefutedAt) or reports
     agreement (VerifiedUpTo - explicitly not a proof).  `depth` must be at
@@ -283,11 +288,10 @@ def _check_matrices(
     languages: dict[int, set[bytes]] = {}  # side -> complete cube language
     found = []
     for a in matrices:
-        r = _re_anchoring(theta.size, a)
-        if isinstance(r, SizeMismatch):
+        distinct = _column_pairs(columns, theta.size, a)
+        if distinct is None:
             found.append(SymmetryCandidate(a, SIZE_MISMATCH))
             continue
-        distinct = frozenset(zip(columns, map(columns.__getitem__, r)))
         if distinct not in searches:
             searches[distinct] = _align(distinct, n)
         if (hit := searches[distinct]) is not None:
@@ -306,25 +310,19 @@ def _align(distinct: frozenset, n: int) -> tuple[int, tuple[Relabeling, ...]] | 
     return None
 
 
-def _pair_powers(theta: RectSubstitution, a: SignedPerm) -> Iterator[frozenset]:
-    """The distinct (P_K, P_r(K)), r(K) being A K re-anchored, of theta,
-    theta^2, ..., as translate tables; A must fix the size vector."""
-    columns = _columns(theta)
-    distinct = frozenset(zip(columns, map(columns.__getitem__, _re_anchoring(theta.size, a))))
-    return _composed_powers(distinct, len(theta.alphabet))
-
-
 def _composed_powers(distinct: frozenset, n: int) -> Iterator[frozenset]:
     """The pair sets of theta, theta^2, ..., from theta's distinct column pairs.
 
     theta^(m+1) has P_(Ms+k) = P_k . P_M and r acts digit-wise, so its pairs
-    are the (p . x, q . y) for (x, y) of theta^m and (p, q) of theta.  A set
-    is a function of the one before: once one repeats, no later power can
-    align.  The sequence also ends at ALIGN_POWER_CAP, and before a bound
-    |pairs| |step| <= prod(s^(m+1)) passes the cell cap at n bytes a pair.
+    are the (p . x, q . y) for (x, y) of theta^m and (p, q) of theta.  Every
+    set holds n-byte columns; only theta's step pairs are widened to the
+    256-byte tables that `translate` reads.  A set is a function of the one
+    before: once one repeats, no later power can align.  The sequence also
+    ends at ALIGN_POWER_CAP, and before a bound |pairs| |step| <=
+    prod(s^(m+1)) passes the cell cap at n bytes a pair.
     """
     step = frozenset((_relabel_table(p), _relabel_table(q)) for p, q in distinct)
-    pairs, seen = step, set()
+    pairs, seen = distinct, set()
     for _ in range(ALIGN_POWER_CAP):
         yield pairs
         seen.add(pairs)

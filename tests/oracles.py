@@ -19,7 +19,11 @@ search over edge-class tables replaced.  Some are the earlier table
 kernels themselves: the walk of `symbol_at` one theta^c digit per
 `divmod`, the window image of `language._grow` as `apply` plus
 `subpattern_keys`, the per-cell glyph lookup of the text render and
-the seed pattern read one corner lookup per cell.
+the seed pattern read one corner lookup per cell.  The position maps
+and de-substitution read through `Pattern.get` one symbol at a time,
+where `substitution._columns` now holds every position map, and the
+signed-permutation determinant by cycle parity, where `SignedPerm.det`
+now reads `lattice.mat_det`.
 The differential tests compare the fast paths against these.
 """
 
@@ -41,7 +45,6 @@ from subsym.substitution import (
     apply,
     _strides,
     corner_order,
-    position_map,
 )
 from subsym.symmetry import (
     ALIGN_POWER_CAP,
@@ -240,20 +243,46 @@ def seed_step_oracle(theta, seed):
     return Seed(theta.dim, tuple(syms))
 
 
+def position_map_oracle(theta, k):
+    """The map a -> theta(a)_k, read through `Pattern.get` one symbol at a time."""
+    return tuple(theta.rule(a).get(k) for a in range(len(theta.alphabet)))
+
+
+def desubstitute_pattern_oracle(theta, p):
+    """`desubstitute_pattern` comparing each cell through `Pattern.get` on
+    every symbol's patch: (offset, {block: candidates}) per surviving offset."""
+    s, nsym = theta.size, len(theta.alphabet)
+    fits = []
+    for o in theta.support().cells():
+        blocks = {}
+        for k in p.rect().cells():
+            rel = tuple(x - y for x, y in zip(k, o))
+            block = tuple(x // b for x, b in zip(rel, s))
+            inner = tuple(x % b for x, b in zip(rel, s))
+            cands = blocks.setdefault(block, set(range(nsym)))
+            cands &= {a for a in range(nsym) if theta.rule(a).get(inner) == p.get(k)}
+            if not cands:
+                break
+        else:
+            fits.append((o, {b: tuple(sorted(c)) for b, c in blocks.items()}))
+    return fits
+
+
 @functools.lru_cache(maxsize=64)
-def _quadrant_maps(theta, u):
+def quadrant_maps(theta, u):
     """The position map of theta read by each base-s digit in quadrant u,
     digits in cell order: a digit on a sign-flipped axis reads patch
     position s - 1 - digit."""
     s = theta.size
     return [
-        position_map(theta, tuple(d if ui == 0 else si - 1 - d for d, ui, si in zip(digit, u, s)))
+        position_map_oracle(theta, tuple(d if ui == 0 else si - 1 - d for d, ui, si in zip(digit, u, s)))
         for digit in Rect.box(s).cells()
     ]
 
 
-def symbol_at_oracle(x, k, depth=None):
-    """Symbol of point x at k by one position map of theta per base-s digit.
+def quadrant_walk(x, k, depth=None):
+    """(u, walk): the seed corner u of k's quadrant, and the position maps
+    of theta that k's base-s digits pick in it, lowest digit first.
 
     The coordinate is routed to the quadrant of its seed cell and made a
     non-negative in-quadrant offset, whose digits pick the quadrant's
@@ -264,7 +293,7 @@ def symbol_at_oracle(x, k, depth=None):
     s = x.theta.size
     w = tuple(a - b for a, b in zip(k, x.shift))
     u = tuple(0 if c >= 0 else -1 for c in w)
-    maps = _quadrant_maps(x.theta, u)
+    maps = quadrant_maps(x.theta, u)
     rest = [c if ui == 0 else -1 - c for c, ui in zip(w, u)]
     walk = []
     while any(rest) if depth is None else len(walk) < depth:
@@ -275,10 +304,35 @@ def symbol_at_oracle(x, k, depth=None):
             stride *= b
         walk.append(maps[index])
     assert not any(rest), "oracle depth too small"
-    sym = x.seed.corner(u)
+    return u, walk
+
+
+def run_walk(walk, sym):
+    """The symbol that a `quadrant_walk`'s maps, highest digit first, make of sym."""
     for table in reversed(walk):
         sym = table[sym]
     return sym
+
+
+def symbol_at_oracle(x, k, depth=None):
+    """Symbol of point x at k by one position map of theta per base-s digit."""
+    u, walk = quadrant_walk(x, k, depth)
+    return run_walk(walk, x.seed.corner(u))
+
+
+def signed_perm_det_oracle(a):
+    """det of a signed permutation by parity: -1 per even-length cycle of
+    the permutation and -1 per flipped sign."""
+    sign, seen = 1, [False] * a.dim
+    for i in range(a.dim):
+        length, j = 0, i
+        while not seen[j]:
+            seen[j] = True
+            j = a.perm[j]
+            length += 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return -sign if sum(a.signs) % 2 else sign
 
 
 def re_anchor(s, a, k):

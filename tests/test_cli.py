@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -109,6 +112,58 @@ def test_language_dump_roundtrip(tm2d):
     dump = dump_language(lang.shape, lang.patterns)
     shape, cells = parse_language_dump(dump)
     assert shape == (2, 2) and cells == lang.patterns
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("2,2:00010001\n2,2:zz\n", "line 2: bad language dump entry"),
+        ("2:00010\n", "line 1: bad language dump entry"),
+        ("2:0001\n\n3:000100\n", "line 3: mixed shapes in language dump"),
+        ("2,2:000102\n", "line 1: cell count does not match extent"),
+        ("", "empty language dump"),
+        ("\n  \n", "empty language dump"),
+    ],
+)
+def test_language_dump_errors(text, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        parse_language_dump(text)
+
+
+@pytest.mark.parametrize(
+    "name, edit, message",
+    [
+        ("tm1d", {"dim": True}, "$.dim: must be a positive integer"),
+        ("tm2d", {"size": [2, True]}, "$.size: must be an array of 2 integers"),
+        ("tm1d", {"size": [False]}, "$.size: must be an array of 1 integers"),
+    ],
+)
+@pytest.mark.parametrize("command", [["analyze"], ["sym"], ["lang", "--shape", "2"]])
+def test_spec_booleans_are_not_integers(tmp_path, name, edit, message, command):
+    # JSON true is a Python int; a spec must still spell its integers as numbers
+    obj = {**json.loads(canonical_text(load_bundled(name))), **edit}
+    spec_file = tmp_path / "bool.json"
+    spec_file.write_text(json.dumps(obj))
+    assert run_cli(command[0], str(spec_file), *command[1:]) == (2, "", f"error: {message}\n")
+
+
+def test_top_level_array_spec_exits_2(tmp_path):
+    spec_file = tmp_path / "array.json"
+    spec_file.write_text(json.dumps([json.loads(canonical_text(load_bundled("tm1d")))]))
+    assert run_cli("analyze", str(spec_file)) == (2, "", "error: $: top level must be an object\n")
+
+
+def test_patch_ppm_to_stdout_matches_file(tmp_path):
+    # without -o the image goes to sys.stdout.buffer; a real process has one
+    ppm = tmp_path / "out.ppm"
+    assert run_cli("patch", "tm2d", "-m", "2", "--render", "ppm", "-o", str(ppm))[0] == 0
+    src = os.path.dirname(os.path.dirname(specio.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys; from subsym.cli import main; sys.exit(main(sys.argv[1:]))"
+    argv = [sys.executable, "-c", code, "patch", "tm2d", "-m", "2", "--render", "ppm"]
+    out = subprocess.run(argv, env=env, capture_output=True, check=True)
+    assert out.stderr == b""
+    assert out.stdout == ppm.read_bytes() and out.stdout.startswith(b"P6\n32 32\n")
 
 
 # -- subcommands ------------------------------------------------------------------

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import signed_perm_det_oracle
 
 from subsym.errors import ScopeError, ValidationError
 from subsym.lattice import (
@@ -105,6 +106,19 @@ def test_group_identity_inverse_exhaustive(d):
         assert g.compose(g.inverse()) == ident
         assert g.inverse().compose(g) == ident
         assert g.det() in (1, -1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_signed_perm_det_matches_cycle_parity(d):
+    # mat_det's cofactor expansion against the parity of cycles and signs
+    dets = [g.det() for g in signed_perm_group(d)]
+    assert dets == [signed_perm_det_oracle(g) for g in signed_perm_group(d)]
+    assert dets.count(1) == dets.count(-1)
+
+
+def test_signed_perm_matrix_inverse_d3():
+    for g in signed_perm_group(3):
+        assert mat_inverse_unimodular(g.matrix()) == g.inverse().matrix()
 
 
 def test_group_associativity_exhaustive_d2():

@@ -10,7 +10,7 @@ import sys
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import digit_walk_oracle, symbol_at_oracle
+from oracles import desubstitute_pattern_oracle, digit_walk_oracle, quadrant_maps, quadrant_walk, run_walk, symbol_at_oracle
 
 from subsym import language, points
 from subsym.cli import main
@@ -138,7 +138,12 @@ def test_m_independence_bulk(corpus):
             m += 1
         for _ in range(100_000):
             k = tuple(rng.randint(-(10**5), 10**5) for _ in range(d))
-            assert symbol_at_oracle(x, k, m) == symbol_at_oracle(x, k, m + 1) == x.symbol_at(k)
+            # the depth-(m+1) walk reads one more digit, a top 0: it is the
+            # depth-m walk started from the digit-0 map's image of the seed
+            u, walk = quadrant_walk(x, k, m)
+            sym = x.seed.corner(u)
+            top = quadrant_maps(theta_cf, u)[0][sym]
+            assert run_walk(walk, sym) == run_walk(walk, top) == x.symbol_at(k)
 
 
 # -- symbol_at against the one-digit-per-level oracle -------------------------
@@ -422,6 +427,25 @@ def test_desubstitute_pattern_paper_word(tm1d):
     p = Pattern((0,), (16,), bytes(int(c) for c in PAPER_RIGHT))
     fits = desubstitute_pattern(tm1d, p)
     assert [f.offset for f in fits] == [(0,)]
+
+
+def test_desubstitute_pattern_matches_oracle(corpus, two_by_three):
+    # windows of theta^2 patches (some offset fits) and random fills (mostly none)
+    rng = random.Random(21)
+    fitted = set()
+    for theta in [*corpus.values(), two_by_three]:
+        big, n = power(theta, 2).rule(1), len(theta.alphabet)
+        for _ in range(20):
+            ext = tuple(rng.randint(1, min(e, 5)) for e in big.extent)
+            lo = tuple(rng.randint(0, e - x) for e, x in zip(big.extent, ext))
+            window = big.subpattern(Rect(lo, tuple(a + x - 1 for a, x in zip(lo, ext))))
+            shift = tuple(rng.randint(-9, 9) for _ in ext)
+            noisy = Pattern(shift, ext, bytes(rng.randrange(n) for _ in window.cells))
+            for p in (window.translate(shift), noisy):
+                got = [(f.offset, f.block_candidates) for f in desubstitute_pattern(theta, p)]
+                assert got == desubstitute_pattern_oracle(theta, p), (theta.size, p)
+                fitted.add(bool(got))
+    assert fitted == {True, False}
 
 
 # -- contradiction pairs -------------------------------------------------------

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import is_primitive_oracle, seed_step_oracle
+from oracles import is_primitive_oracle, position_map_oracle, seed_step_oracle
 
 from subsym import substitution
 from subsym.errors import CapExceeded, ScopeError, ValidationError
@@ -177,6 +177,12 @@ def test_position_maps_tm1d(tm1d):
 def test_position_map_rig3(rig3):
     # third letters of 123, 212, 331
     assert position_map(rig3, (2,)) == (2, 1, 0)
+
+
+def test_position_map_matches_oracle(corpus, two_by_three):
+    for theta in [*corpus.values(), two_by_three, power(corpus["tm3d"], 2)]:
+        for k in theta.support().cells():
+            assert position_map(theta, k) == position_map_oracle(theta, k), k
 
 
 def test_position_map_out_of_support(tm1d):

@@ -29,6 +29,7 @@ from subsym.substitution import (
     Alphabet,
     Pattern,
     RectSubstitution,
+    _columns,
     apply,
     complement_pattern,
     corner_fixed,
@@ -44,7 +45,6 @@ from subsym.symmetry import (
     SymmetryCandidate,
     _closure_ok,
     _language_comparison,
-    _pair_powers,
     _size_mismatch,
     aut_group_description,
     compose_relabelings,
@@ -488,6 +488,11 @@ def test_sym_report_matches_oracle(source):
                 sym_group_report(theta, depth)
             continue
         assert sym_group_report(theta, depth) == want, depth
+
+
+def _pair_powers(theta, a):
+    """The column-pair sets of theta, theta^2, ... under A, which must fix the size vector."""
+    return sym._composed_powers(sym._column_pairs(_columns(theta), theta.size, a), len(theta.alphabet))
 
 
 def read_pairs(pairs, n):

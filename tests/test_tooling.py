@@ -168,8 +168,9 @@ def test_ci_runs_the_tier1_command():
 
 
 def test_ci_checks_every_benchmark_workload():
-    # one short run per workload, and the step itself fails on a run that is
-    # not correct or has failed ops, since run.py exits 0 either way
+    # one short run per workload, untraced and traced, and the step itself
+    # fails on a run that is not correct or has failed ops, since run.py
+    # exits 0 either way
     yaml = pytest.importorskip("yaml")
     root = Path(__file__).resolve().parents[1]
     tree = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
@@ -183,6 +184,7 @@ def test_ci_checks_every_benchmark_workload():
     script = step["run"]
     loop = script.split("for workload in ", 1)[1].split(";", 1)[0]
     assert tuple(loop.split()) == workloads
-    assert 'python3 perfbench/run.py --workload "$workload" --seconds 1' in script
+    assert 'python3 perfbench/run.py --workload "$workload" --seconds 1 --trace "$trace"' in script
+    assert "for trace in 0 1;" in script
     assert 'r["correct"] is not True or r["failed"] != 0' in script
     assert step["shell"] == "bash"  # -eo pipefail: a run that exits non-zero fails the step too
