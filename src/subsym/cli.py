@@ -25,6 +25,7 @@ from .substitution import (
     RectSubstitution,
     Seed,
     corner_fixed,
+    corner_fixing_power,
     fixed_seeds,
     is_bijective,
     is_primitive,
@@ -74,24 +75,29 @@ def _perm_to_str(a) -> str:
 
 
 def cmd_analyze(args) -> int:
+    """The report is built whole before any of it is printed, so a refusal prints nothing."""
     spec, theta = _load(args.spec)
     prim = is_primitive(theta)
     bij = is_bijective(theta)
-    print(f"name={spec.name}")
-    print(f"dim={spec.dim}")
-    print(f"size={','.join(str(s) for s in spec.size)}")
-    print(f"alphabet={','.join(spec.alphabet)}")
-    if prim.primitive:
-        print(f"primitive=yes witness_power={prim.witness_power}")
-    else:
-        print(f"primitive=no missing_pairs={len(prim.missing)}")
-    print(f"bijective={'yes' if bij else 'no'}")
+    lines = [
+        f"name={spec.name}",
+        f"dim={spec.dim}",
+        f"size={','.join(str(s) for s in spec.size)}",
+        f"alphabet={','.join(spec.alphabet)}",
+        f"primitive=yes witness_power={prim.witness_power}"
+        if prim.primitive
+        else f"primitive=no missing_pairs={len(prim.missing)}",
+        f"bijective={'yes' if bij else 'no'}",
+    ]
     cycles = fixed_seeds(theta)
-    print(f"seed_cycles={len(cycles.cycles)} fixed_seeds={len(cycles.fixed)}")
+    lines.append(f"seed_cycles={len(cycles.cycles)} fixed_seeds={len(cycles.fixed)}")
     if bij:
-        theta_cf, m = corner_fixed(theta)
-        print(f"corner_fixing_power={m}")
-        print(f"fixed_seeds_after_corner_fixing={len(fixed_seeds(theta_cf).fixed)}")
+        # theta^m steps seeds by the m-th power of theta's step, so it fixes
+        # exactly the seeds on theta's cycles whose length divides m
+        m = corner_fixing_power(theta)
+        fixed_m = sum(len(c) for c in cycles.cycles if m % len(c) == 0)
+        lines += [f"corner_fixing_power={m}", f"fixed_seeds_after_corner_fixing={fixed_m}"]
+    print("\n".join(lines))
     return 0
 
 

@@ -26,11 +26,11 @@ from .substitution import (
     RectSubstitution,
     Seed,
     _columns,
+    _corner_maps,
     _inflate,
     _moved,
     _strides,
     corner_order,
-    fixed_seeds,
     is_bijective,
     power,
     seed_step,
@@ -338,27 +338,25 @@ class HalfSpacePair:
 def half_space_fracture_pair(
     theta: RectSubstitution, axis: int
 ) -> HalfSpacePair:
-    """Search the fixed seeds for a pair realizing an axis half-space split.
+    """The first pair of fixed seeds, in seed order, realizing an axis half-space split.
 
     The pair must share every seed cell with coordinate 0 on `axis` and
     differ on every seed cell with coordinate -1 there.  Bijectivity then
     forces agreement on the closed upper half-space and disagreement at
-    every single coordinate of the open lower one.
+    every single coordinate of the open lower one.  A seed is fixed when
+    each corner holds a fixed symbol of that corner's map, so x takes each
+    corner's smallest fixed symbol and y differs from it on the lower
+    corners by their second-smallest.
     """
     if not 0 <= axis < theta.dim:
         raise ValidationError(f"axis {axis} out of range")
     if not is_bijective(theta):
         raise ScopeError("half_space_fracture_pair requires a bijective substitution")
-    fixed = fixed_seeds(theta).fixed
-    order = corner_order(theta.dim)
-    upper = [i for i, u in enumerate(order) if u[axis] == 0]
-    lower = [i for i, u in enumerate(order) if u[axis] == -1]
-    for sx in fixed:
-        for sy in fixed:
-            if all(sx.symbols[i] == sy.symbols[i] for i in upper) and all(
-                sx.symbols[i] != sy.symbols[i] for i in lower
-            ):
-                return HalfSpacePair(
-                    AddressablePoint(theta, sx), AddressablePoint(theta, sy), axis
-                )
-    raise SearchFailure("faithfulness witness not found at seed level")
+    # per corner, the fixed symbols of its map in increasing order, and whether it is lower
+    fixed = [[a for a, b in enumerate(p) if a == b] for p in _corner_maps(theta)]
+    lower = [u[axis] == -1 for u in corner_order(theta.dim)]
+    if any(len(f) < 1 + low for f, low in zip(fixed, lower)):
+        raise SearchFailure("faithfulness witness not found at seed level")
+    sx = Seed(theta.dim, tuple(f[0] for f in fixed))
+    sy = Seed(theta.dim, tuple(f[low] for f, low in zip(fixed, lower)))
+    return HalfSpacePair(AddressablePoint(theta, sx), AddressablePoint(theta, sy), axis)

@@ -313,14 +313,6 @@ def is_bijective(theta: RectSubstitution) -> bool:
     return all(len(set(col)) == n for col in _columns(theta))
 
 
-def corners(size: Vec) -> list[Vec]:
-    """The 2^d corners of [0, s-1]."""
-    return [
-        tuple(0 if pick == 0 else s - 1 for pick, s in zip(choice, size))
-        for choice in itertools.product((0, 1), repeat=len(size))
-    ]
-
-
 def _perm_order(table: Sequence[int]) -> int:
     order = 1
     seen = [False] * len(table)
@@ -345,8 +337,7 @@ def corner_fixing_power(theta: RectSubstitution) -> int:
     """
     if not is_bijective(theta):
         raise ScopeError("corner_fixing_power requires a bijective substitution")
-    columns = _columns(theta)
-    return math.lcm(*(_perm_order(columns[o]) for o in _corner_offsets(theta.size)))
+    return math.lcm(*map(_perm_order, _corner_maps(theta)))
 
 
 def corner_fixed(theta: RectSubstitution) -> tuple[RectSubstitution, int]:
@@ -403,21 +394,20 @@ def _seed_cell_order(d: int) -> tuple[int, ...]:
     return tuple(map(place.__getitem__, Rect((-1,) * d, (0,) * d).cells()))
 
 
-def _corner_offsets(size: Vec) -> list[int]:
-    """Flat offset in [0, s-1] of the cell that stays on each seed corner u,
-    in `corner_order`: the high end of axis i where u_i = -1, else the low end."""
-    strides = _strides(size)
+def _corner_maps(theta: RectSubstitution) -> list[bytes]:
+    """The position map P_o of the cell o that stays on each seed corner u, in
+    `corner_order`: o is the high end of axis i where u_i = -1, else the low end.
+    Corner u of theta(seed) is P_o(a) for the symbol a on u."""
+    columns, size, strides = _columns(theta), theta.size, _strides(theta.size)
     return [
-        sum((n - 1) * st for ui, n, st in zip(u, size, strides) if ui)
-        for u in corner_order(len(size))
+        columns[sum((n - 1) * st for ui, n, st in zip(u, size, strides) if ui)]
+        for u in corner_order(theta.dim)
     ]
 
 
 def _seed_stepper(theta: RectSubstitution):
-    """seed_step on bare corner-order symbol tuples: corner u of the next seed
-    is P_o(a) for the symbol a on u and the offset o of u's staying cell."""
-    columns = _columns(theta)
-    maps = [columns[o] for o in _corner_offsets(theta.size)]
+    """seed_step on bare corner-order symbol tuples."""
+    maps = _corner_maps(theta)
     return lambda syms: tuple(map(bytes.__getitem__, maps, syms))
 
 

@@ -346,37 +346,40 @@ def _language_comparison(
     language holds every window of every theta^k(0), and for primitive
     theta that is the language of X_theta whatever the root, as theta^p(b)
     contains 0 for every b.  The conjugate's language is that set moved
-    through A and relabeled by tau, so one set per side serves every tau.
+    through A and relabeled by tau; each side is moved once, when a tau
+    first reaches it, and every tau relabels the moved words.
     """
     origin = (0,) * theta.dim
     shapes = [(side,) * theta.dim for side in range(2, depth + 1)]
-    moves = {sh: _moved(sh, a) for sh in shapes}
-    first_witness: tuple[Pattern, str] | None = None
+    moved: dict[Vec, list[bytes]] = {}  # shape -> theta's language of it moved through A
     for tau in itertools.permutations(range(len(theta.alphabet))):
         table = _relabel_table(tau)
         for sh in shapes:
-            if sh[0] not in languages:
-                cap_depth = substitution.DEFAULT_CELL_CAP.bit_length()
-                keys, _, stabilized = _grow(theta, [Pattern.single(origin, 0)], sh, cap_depth)
-                assert stabilized, "a growth below the cell cap did not stabilize"
-                languages[sh[0]] = keys
-            base = languages[sh[0]]
-            lang_t = {bytes(map(w.__getitem__, moves[sh])).translate(table) for w in base}
-            extra, missing = lang_t - base, base - lang_t
-            if extra or missing:
-                if first_witness is None:
-                    side = "original" if extra else "transformed"
-                    first_witness = (Pattern(origin, sh, min(extra or missing)), side)
+            if sh not in moved:
+                if sh[0] not in languages:
+                    cap_depth = substitution.DEFAULT_CELL_CAP.bit_length()
+                    keys, _, stabilized = _grow(theta, [Pattern.single(origin, 0)], sh, cap_depth)
+                    assert stabilized, "a growth below the cell cap did not stabilize"
+                    languages[sh[0]] = keys
+                idx = _moved(sh, a)
+                moved[sh] = [bytes(map(w.__getitem__, idx)) for w in languages[sh[0]]]
+            if {w.translate(table) for w in moved[sh]} != languages[sh[0]]:
                 break
         else:
             return SymmetryCandidate(a, VERIFIED_UP_TO, tau=tau, depth=depth)
-    assert first_witness is not None
+    # the witness comes from the identity tau, which came first and failed on
+    # the first side where theta's language moved through A differs
+    for sh in shapes:
+        base, lang_t = languages[sh[0]], set(moved[sh])
+        if lang_t != base:
+            break
+    extra = lang_t - base
     return SymmetryCandidate(
         a,
         REFUTED_AT,
         depth=depth,
-        witness=first_witness[0],
-        witness_missing_from=first_witness[1],
+        witness=Pattern(origin, sh, min(extra or base - lang_t)),
+        witness_missing_from="original" if extra else "transformed",
     )
 
 

@@ -23,7 +23,9 @@ the seed pattern read one corner lookup per cell.  The position maps
 and de-substitution read through `Pattern.get` one symbol at a time,
 where `substitution._columns` now holds every position map, and the
 signed-permutation determinant by cycle parity, where `SignedPerm.det`
-now reads `lattice.mat_det`.
+now reads `lattice.mat_det`.  The half-space fracture pair is the first
+pair that a double loop over every fixed seed finds, where the module now
+builds it from the fixed symbols of each corner map.
 The differential tests compare the fast paths against these.
 """
 
@@ -33,10 +35,10 @@ import math
 
 from subsym import robinson as rob
 from subsym import substitution
-from subsym.errors import CapExceeded, ValidationError
+from subsym.errors import CapExceeded, SearchFailure, ValidationError
 from subsym.language import patch_language
 from subsym.lattice import Rect, mat_inverse_unimodular, mat_vec, signed_perm_group, spow, vadd, vmul, zero
-from subsym.points import _digit_tables
+from subsym.points import AddressablePoint, HalfSpacePair, _digit_tables
 from subsym.robinson import E, N, S, W, RobinsonPatch, Violation
 from subsym.substitution import (
     Pattern,
@@ -45,6 +47,7 @@ from subsym.substitution import (
     apply,
     _strides,
     corner_order,
+    fixed_seeds,
 )
 from subsym.symmetry import (
     ALIGN_POWER_CAP,
@@ -246,6 +249,25 @@ def seed_step_oracle(theta, seed):
 def position_map_oracle(theta, k):
     """The map a -> theta(a)_k, read through `Pattern.get` one symbol at a time."""
     return tuple(theta.rule(a).get(k) for a in range(len(theta.alphabet)))
+
+
+def half_space_fracture_pair_oracle(theta, axis):
+    """`half_space_fracture_pair` for a valid axis and a bijective theta: the
+    first pair of fixed seeds, scanned in pairs, that agree on every seed cell
+    with coordinate 0 on `axis` and differ on every one with -1 there."""
+    fixed = fixed_seeds(theta).fixed
+    order = corner_order(theta.dim)
+    upper = [i for i, u in enumerate(order) if u[axis] == 0]
+    lower = [i for i, u in enumerate(order) if u[axis] == -1]
+    for sx in fixed:
+        for sy in fixed:
+            if all(sx.symbols[i] == sy.symbols[i] for i in upper) and all(
+                sx.symbols[i] != sy.symbols[i] for i in lower
+            ):
+                return HalfSpacePair(
+                    AddressablePoint(theta, sx), AddressablePoint(theta, sy), axis
+                )
+    raise SearchFailure("faithfulness witness not found at seed level")
 
 
 def desubstitute_pattern_oracle(theta, p):

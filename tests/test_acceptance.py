@@ -255,7 +255,7 @@ def test_11_torus_unsat():
     res = rob.torus_tiling_search(6, 6, time_cap=60.0)
     ok &= res.status in ("unsat", "timeout")
     details.append(f"6x6:{res.status}")
-    report(11, "torus searches are UNSAT (aperiodicity evidence)", ok, " ".join(details))
+    report(11, "torus searches end unsat (not a certificate of aperiodicity)", ok, " ".join(details))
 
 
 def test_12_determinism_across_threads():

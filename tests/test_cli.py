@@ -1,6 +1,8 @@
 import io
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -175,6 +177,51 @@ def test_analyze_tm2d():
     assert "bijective=yes" in out
     assert "corner_fixing_power=2" in out
     assert "fixed_seeds_after_corner_fixing=16" in out
+
+
+CF12_RULES = {
+    "0": [["1", "2", "1"], ["0", "3", "0"]],
+    "1": [["2", "3", "2"], ["1", "0", "1"]],
+    "2": [["3", "0", "0"], ["2", "1", "2"]],
+    "3": [["0", "1", "3"], ["3", "2", "3"]],
+}
+
+
+def test_analyze_counts_seeds_without_building_the_corner_fixing_power(tmp_path):
+    # theta^12 would need 3^12 * 2^12 cells per rule, far over the cell cap
+    code, out, err = run_cli("analyze", write_spec(tmp_path, "cf12", (3, 2), CF12_RULES))
+    assert (code, err) == (0, "")
+    assert "corner_fixing_power=12" in out.splitlines()
+    assert "fixed_seeds_after_corner_fixing=256" in out.splitlines()
+
+
+def ten_symbol_spec(tmp_path):
+    """A 10-symbol 3x2x2 bijective spec: the columns at x = 0 and x = 2 are the
+    identity, so every corner map is, and the x = 1 columns are seeded random
+    permutations."""
+    rng = random.Random(10)
+    columns = {}
+    for y, z in itertools.product(range(2), repeat=2):
+        columns[0, y, z] = columns[2, y, z] = list(range(10))
+        columns[1, y, z] = rng.sample(range(10), 10)
+    rules = {
+        str(a): [[[str(columns[x, y, z][a]) for x in range(3)] for y in range(2)] for z in range(2)]
+        for a in range(10)
+    }
+    return write_spec(tmp_path, "ten", (3, 2, 2), rules)
+
+
+def test_fracture_builds_its_pair_without_enumerating_seeds(tmp_path):
+    # fixed_seeds would step 10^8 seeds, over the cell cap
+    code, out, err = run_cli("fracture", ten_symbol_spec(tmp_path), "--axis", "0", "--window", "4")
+    assert (code, err) == (0, "")
+    assert "equal_on_upper=yes unequal_on_lower=yes" in out
+
+
+def test_analyze_refusal_prints_no_partial_report(tmp_path):
+    code, out, err = run_cli("analyze", ten_symbol_spec(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_aut_tm2d():

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import itertools
+import json
 import math
 import os
 import random
@@ -10,11 +11,19 @@ import sys
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import desubstitute_pattern_oracle, digit_walk_oracle, quadrant_maps, quadrant_walk, run_walk, symbol_at_oracle
+from oracles import (
+    desubstitute_pattern_oracle,
+    digit_walk_oracle,
+    half_space_fracture_pair_oracle,
+    quadrant_maps,
+    quadrant_walk,
+    run_walk,
+    symbol_at_oracle,
+)
 
 from subsym import language, points
 from subsym.cli import main
-from subsym.errors import ScopeError, ValidationError
+from subsym.errors import CapExceeded, ScopeError, SearchFailure, ValidationError
 from subsym.lattice import Rect, zero
 from subsym.points import (
     DIGIT_TABLE_BYTES,
@@ -28,12 +37,13 @@ from subsym.points import (
     _digit_tables,
     shift_point,
 )
-from subsym.specio import BUNDLED, bundled_substitution
+from subsym.specio import BUNDLED, bundled_substitution, parse_and_build
 from subsym.substitution import (
     Pattern,
     Seed,
     _strides,
     corner_fixed,
+    corner_fixing_power,
     fixed_seeds,
     is_bijective,
     power,
@@ -542,6 +552,67 @@ def test_half_space_pair_needs_fixed_seeds(tm1d):
 
     with pytest.raises(SearchFailure, match="witness"):
         half_space_fracture_pair(tm1d, 0)
+
+
+def random_bijective_spec(seed):
+    """A spec whose position maps are seeded random permutations: d <= 3, n <= 4, sides 2-3."""
+    rng = random.Random(seed)
+    d, n = rng.randint(1, 3), rng.randint(2, 4)
+    size = [rng.randint(2, 3) for _ in range(d)]
+    columns = [rng.sample("abcd"[:n], n) for _ in range(math.prod(size))]
+    rules = {}
+    for a, name in enumerate("abcd"[:n]):
+        rows = [col[a] for col in columns]  # axis 0 fastest, nested with the last axis outermost
+        for side in size[:-1]:
+            rows = [rows[i : i + side] for i in range(0, len(rows), side)]
+        rules[name] = rows
+    return {"name": f"r{seed}", "dim": d, "size": size, "alphabet": list("abcd"[:n]), "rules": rules}
+
+
+def random_bijective(seed):
+    return parse_and_build(json.dumps(random_bijective_spec(seed)))[1]
+
+
+def _pair_outcome(search, theta, axis):
+    try:
+        pair = search(theta, axis)
+    except SearchFailure:
+        return "SearchFailure"
+    return pair.x.seed, pair.y.seed, pair.axis
+
+
+# on seeds 145 and 189 theta has a pair along one axis and none along the other
+@pytest.mark.parametrize("source", sorted(BUNDLED) + list(range(24)) + [145, 189])
+def test_half_space_pair_matches_oracle(source):
+    # the pair built from the corner maps is the first one the double loop over
+    # fixed seeds finds, on theta and its corner-fixing power theta^m.  Both read
+    # theta^m's columns whole several times per axis, so theta^m joins only up to
+    # 2^20 cells: the 9M-cell theta^6 of a 3-d, 3-symbol rule takes 15 s here
+    theta = bundled_substitution(source) if isinstance(source, str) else random_bijective(source)
+    thetas = [theta]
+    if is_bijective(theta):
+        m = corner_fixing_power(theta)
+        if len(theta.alphabet) * math.prod(theta.size) ** m <= 2**20:
+            thetas.append(power(theta, m))
+    for t in thetas:
+        for axis in range(t.dim):
+            want = _pair_outcome(half_space_fracture_pair_oracle, t, axis)
+            assert _pair_outcome(half_space_fracture_pair, t, axis) == want, axis
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_analyze_counts_the_fixed_seeds_of_the_corner_fixing_power(seed, tmp_path):
+    theta = random_bijective(seed)
+    try:
+        want = len(fixed_seeds(power(theta, corner_fixing_power(theta))).fixed)
+    except CapExceeded:
+        return
+    spec = tmp_path / "r.json"
+    spec.write_text(json.dumps(random_bijective_spec(seed)))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["analyze", str(spec)]) == 0
+    assert f"fixed_seeds_after_corner_fixing={want}" in out.getvalue().splitlines()
 
 
 def test_quadrant_cell_convention():
