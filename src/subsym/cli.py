@@ -24,9 +24,9 @@ from .points import AddressablePoint
 from .substitution import (
     RectSubstitution,
     Seed,
+    _seed_periods,
     corner_fixed,
     corner_fixing_power,
-    fixed_seeds,
     is_bijective,
     is_primitive,
     power,
@@ -89,14 +89,12 @@ def cmd_analyze(args) -> int:
         else f"primitive=no missing_pairs={len(prim.missing)}",
         f"bijective={'yes' if bij else 'no'}",
     ]
-    cycles = fixed_seeds(theta)
-    lines.append(f"seed_cycles={len(cycles.cycles)} fixed_seeds={len(cycles.fixed)}")
+    periods = _seed_periods(theta)
+    cycles = sum(seeds // period for period, seeds in periods.items())
+    lines.append(f"seed_cycles={cycles} fixed_seeds={periods.get(1, 0)}")
     if bij:
-        # theta^m steps seeds by the m-th power of theta's step, so it fixes
-        # exactly the seeds on theta's cycles whose length divides m
-        m = corner_fixing_power(theta)
-        fixed_m = sum(len(c) for c in cycles.cycles if m % len(c) == 0)
-        lines += [f"corner_fixing_power={m}", f"fixed_seeds_after_corner_fixing={fixed_m}"]
+        m, n_seeds = corner_fixing_power(theta), len(theta.alphabet) ** (1 << theta.dim)
+        lines += [f"corner_fixing_power={m}", f"fixed_seeds_after_corner_fixing={n_seeds}"]
     print("\n".join(lines))
     return 0
 
@@ -379,6 +377,8 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         _check_threads(args.threads)
+        if [] in vars(args).values():  # argparse leaves a positional empty after a second "--"
+            raise ValidationError("a positional argument is missing")
         return args.func(args)
     except SubsymError as exc:
         print(f"error: {exc}", file=sys.stderr)

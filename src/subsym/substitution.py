@@ -7,6 +7,7 @@ are stored as dense byte indices; names only matter at the I/O boundary.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -310,23 +311,26 @@ def position_map(theta: RectSubstitution, k: Vec) -> tuple[int, ...]:
 
 def is_bijective(theta: RectSubstitution) -> bool:
     n = len(theta.alphabet)
-    return all(len(set(col)) == n for col in _columns(theta))
+    return all(len(set(col)) == n for col in set(_columns(theta)))
+
+
+def _cycle_lengths(table: Sequence[int]) -> list[int]:
+    """For each symbol a of the map a -> table[a], the length of the cycle through a, or 0 if none."""
+    lengths, walk = [0] * len(table), [-1] * len(table)  # walk[a]: the start that first reached a
+    for start in range(len(table)):
+        a, trail = start, []
+        while walk[a] < 0:
+            walk[a] = start
+            trail.append(a)
+            a = table[a]
+        cycle = trail[trail.index(a) :] if walk[a] == start else []  # a new cycle closed at a
+        for b in cycle:
+            lengths[b] = len(cycle)
+    return lengths
 
 
 def _perm_order(table: Sequence[int]) -> int:
-    order = 1
-    seen = [False] * len(table)
-    for i in range(len(table)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = table[j]
-            length += 1
-        order = math.lcm(order, length)
-    return order
+    return math.lcm(*_cycle_lengths(table))
 
 
 def corner_fixing_power(theta: RectSubstitution) -> int:
@@ -398,11 +402,9 @@ def _corner_maps(theta: RectSubstitution) -> list[bytes]:
     """The position map P_o of the cell o that stays on each seed corner u, in
     `corner_order`: o is the high end of axis i where u_i = -1, else the low end.
     Corner u of theta(seed) is P_o(a) for the symbol a on u."""
-    columns, size, strides = _columns(theta), theta.size, _strides(theta.size)
-    return [
-        columns[sum((n - 1) * st for ui, n, st in zip(u, size, strides) if ui)]
-        for u in corner_order(theta.dim)
-    ]
+    size, strides = theta.size, _strides(theta.size)
+    cells = (sum((n - 1) * st for ui, n, st in zip(u, size, strides) if ui) for u in corner_order(theta.dim))
+    return [bytes(r.cells[o] for r in theta.rules) for o in cells]
 
 
 def _seed_stepper(theta: RectSubstitution):
@@ -438,26 +440,31 @@ class SeedCycles:
 
 
 def fixed_seeds(theta: RectSubstitution) -> SeedCycles:
-    """All cycles of seed_step; a seed on a cycle of length L is theta^L-fixed."""
-    n, corners = len(theta.alphabet), 1 << theta.dim
-    if n**corners * corners > DEFAULT_CELL_CAP:
-        raise CapExceeded(f"fixed_seeds would step {n}^{corners} seeds of {corners} cells")
+    """All cycles of seed_step, ordered by and started at their least seeds; a seed on a cycle of
+    length L is theta^L-fixed.  Only seeds whose corners lie on cycles of their maps are stepped."""
+    corners = 1 << theta.dim
+    symbols = [[a for a, n in enumerate(_cycle_lengths(p)) if n] for p in _corner_maps(theta)]
+    if (count := math.prod(map(len, symbols))) * corners > DEFAULT_CELL_CAP:
+        raise CapExceeded(f"fixed_seeds would step {count} seeds of {corners} cells")
     stepper = _seed_stepper(theta)
-    step = {syms: stepper(syms) for syms in itertools.product(range(n), repeat=corners)}
     cycles: list[tuple[Seed, ...]] = []
     seen: set[tuple[int, ...]] = set()
-    for start in step:
-        if start in seen:
-            continue
-        trail = []
-        trail_set = set()
-        node = start
-        while node not in trail_set and node not in seen:
-            trail.append(node)
-            trail_set.add(node)
-            node = step[node]
-        if node in trail_set:
-            i = trail.index(node)
-            cycles.append(tuple(Seed(theta.dim, syms) for syms in trail[i:]))
-        seen.update(trail)
+    for start in itertools.product(*symbols):
+        if start not in seen:
+            cycle = [start]
+            while (node := stepper(cycle[-1])) != start:
+                cycle.append(node)
+            cycles.append(tuple(Seed(theta.dim, syms) for syms in cycle))
+            seen.update(cycle)
     return SeedCycles(tuple(cycles))
+
+
+def _seed_periods(theta: RectSubstitution) -> dict[int, int]:
+    """Period -> number of seeds of that period, the lcm of their corners' cycle lengths."""
+    census = {1: 1}
+    for p in _corner_maps(theta):
+        lengths, merged = collections.Counter(filter(None, _cycle_lengths(p))), collections.Counter()
+        for (period, seeds), (n, k) in itertools.product(census.items(), lengths.items()):
+            merged[math.lcm(period, n)] += seeds * k
+        census = merged
+    return census

@@ -539,15 +539,18 @@ def non_axis_fracture_refuter(
         m_minus = sum(min(0, x * (L - 1)) for x, L in zip(v, side))
         m_plus = sum(max(0, x * (L - 1)) for x, L in zip(v, side))
         lo_t, hi_t = threshold - m_plus, -threshold - m_minus
-        # search the origin-anchored grid for a block inside the window
-        span_z = [range(-(window // L) - 1, window // L + 2) for L in side]
-        for z in itertools.product(*span_z):
-            t = tuple(zi * L for zi, L in zip(z, side))
-            if not lo_t <= _dot(t, v) <= hi_t:
+        # first grid block in the window: solve for z_j on the last axis j with v_j != 0 (0 holds its place)
+        zr = [range(-(window // L), (window + 1) // L) for L in side]
+        j = max(i for i, x in enumerate(v) if x)
+        for z in itertools.product(*zr[:j], [0], *(r[:1] for r in zr[j + 1 :])):
+            rest = _dot([zi * L for zi, L in zip(z, side)], v)
+            a, b = (lo_t - rest, hi_t - rest)[:: 1 if v[j] > 0 else -1]
+            zj = max(zr[j].start, -(-a // (side[j] * v[j])))
+            if zj > min(zr[j].stop - 1, b // (side[j] * v[j])):
                 continue
+            t = tuple(zi * L for zi, L in zip(z[:j] + (zj,) + z[j + 1 :], side))
             block = Rect(t, tuple(x + L - 1 for x, L in zip(t, side)))
-            if not win.contains_rect(block):
-                continue
+            assert win.contains_rect(block)
             if block.cell_count() > substitution.DEFAULT_CELL_CAP:
                 raise CapExceeded(f"the straddling block has {block.cell_count()} cells")
             first: dict[int, Vec] = {}

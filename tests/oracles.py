@@ -25,7 +25,12 @@ where `substitution._columns` now holds every position map, and the
 signed-permutation determinant by cycle parity, where `SignedPerm.det`
 now reads `lattice.mat_det`.  The half-space fracture pair is the first
 pair that a double loop over every fixed seed finds, where the module now
-builds it from the fixed symbols of each corner map.
+builds it from the fixed symbols of each corner map.  The seed cycles
+come from a walk over every seed with its transients, and the order of
+a permutation from a walk of its own, where `substitution` steps only the
+seeds on cycles and reads both from `_cycle_lengths`.  The straddling
+block of the non-axis refuter is the first one a scan of the whole grid
+range finds, where `symmetry` solves for it on one axis.
 The differential tests compare the fast paths against these.
 """
 
@@ -47,7 +52,6 @@ from subsym.substitution import (
     apply,
     _strides,
     corner_order,
-    fixed_seeds,
 )
 from subsym.symmetry import (
     ALIGN_POWER_CAP,
@@ -251,11 +255,54 @@ def position_map_oracle(theta, k):
     return tuple(theta.rule(a).get(k) for a in range(len(theta.alphabet)))
 
 
+def fixed_seeds_oracle(theta):
+    """`fixed_seeds` by stepping every seed: from each seed not yet seen, walk
+    until the trail meets itself (a new cycle, from the seed where it closed)
+    or an earlier walk."""
+    n, corners = len(theta.alphabet), 1 << theta.dim
+    stepper = substitution._seed_stepper(theta)
+    step = {syms: stepper(syms) for syms in itertools.product(range(n), repeat=corners)}
+    cycles = []
+    seen = set()
+    for start in step:
+        if start in seen:
+            continue
+        trail = []
+        trail_set = set()
+        node = start
+        while node not in trail_set and node not in seen:
+            trail.append(node)
+            trail_set.add(node)
+            node = step[node]
+        if node in trail_set:
+            i = trail.index(node)
+            cycles.append(tuple(Seed(theta.dim, syms) for syms in trail[i:]))
+        seen.update(trail)
+    return substitution.SeedCycles(tuple(cycles))
+
+
+def perm_order_oracle(table):
+    """The order of a permutation: the lcm of its cycle lengths, one walk per cycle."""
+    order = 1
+    seen = [False] * len(table)
+    for i in range(len(table)):
+        if seen[i]:
+            continue
+        length = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = table[j]
+            length += 1
+        order = math.lcm(order, length)
+    return order
+
+
 def half_space_fracture_pair_oracle(theta, axis):
     """`half_space_fracture_pair` for a valid axis and a bijective theta: the
     first pair of fixed seeds, scanned in pairs, that agree on every seed cell
     with coordinate 0 on `axis` and differ on every one with -1 there."""
-    fixed = fixed_seeds(theta).fixed
+    fixed = fixed_seeds_oracle(theta).fixed
     order = corner_order(theta.dim)
     upper = [i for i, u in enumerate(order) if u[axis] == 0]
     lower = [i for i, u in enumerate(order) if u[axis] == -1]
@@ -527,6 +574,34 @@ def sym_group_report_oracle(theta, depth=3):
         "unknown" if any_verified else "no"
     )
     return SymReport(theta.dim, depth, tuple(results), len(exact), split, closure_ok)
+
+
+def refuter_block_oracle(theta, v, threshold, window):
+    """(level, block) of `non_axis_fracture_refuter` for a valid non-axis v:
+    the first block of the origin-anchored level-m grid, scanned over a range
+    that covers the window, that straddles the band and lies inside the
+    window, at the first level m where a straddle is guaranteed; block is
+    None when no such block lies inside the window."""
+    win = Rect((-window,) * theta.dim, (window,) * theta.dim)
+    for m in range(1, 40):
+        side = spow(theta.size, m)
+        span = sum(abs(x) * (L - 1) for x, L in zip(v, side))
+        grid_gcd = math.gcd(*(L * abs(x) for L, x in zip(side, v) if x != 0))
+        if span - 2 * threshold + 1 < grid_gcd:
+            continue
+        m_minus = sum(min(0, x * (L - 1)) for x, L in zip(v, side))
+        m_plus = sum(max(0, x * (L - 1)) for x, L in zip(v, side))
+        lo_t, hi_t = threshold - m_plus, -threshold - m_minus
+        span_z = [range(-(window // L) - 1, window // L + 2) for L in side]
+        for z in itertools.product(*span_z):
+            t = tuple(zi * L for zi, L in zip(z, side))
+            if not lo_t <= sum(x * y for x, y in zip(t, v)) <= hi_t:
+                continue
+            block = Rect(t, tuple(x + L - 1 for x, L in zip(t, side)))
+            if win.contains_rect(block):
+                return m, block
+        return m, None
+    return None
 
 
 def straddle_counts_oracle(block, v, threshold):

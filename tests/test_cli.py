@@ -195,20 +195,21 @@ def test_analyze_counts_seeds_without_building_the_corner_fixing_power(tmp_path)
     assert "fixed_seeds_after_corner_fixing=256" in out.splitlines()
 
 
-def ten_symbol_spec(tmp_path):
-    """A 10-symbol 3x2x2 bijective spec: the columns at x = 0 and x = 2 are the
-    identity, so every corner map is, and the x = 1 columns are seeded random
+def ten_symbol_spec(tmp_path, name="ten", outer=tuple(range(10))):
+    """A 10-symbol 3x2x2 spec: the columns at x = 0 and x = 2, which hold the
+    corner cells, are `outer` (by default the identity, so every corner map is
+    and the spec is bijective), and the x = 1 columns are seeded random
     permutations."""
     rng = random.Random(10)
     columns = {}
     for y, z in itertools.product(range(2), repeat=2):
-        columns[0, y, z] = columns[2, y, z] = list(range(10))
+        columns[0, y, z] = columns[2, y, z] = outer
         columns[1, y, z] = rng.sample(range(10), 10)
     rules = {
         str(a): [[[str(columns[x, y, z][a]) for x in range(3)] for y in range(2)] for z in range(2)]
         for a in range(10)
     }
-    return write_spec(tmp_path, "ten", (3, 2, 2), rules)
+    return write_spec(tmp_path, name, (3, 2, 2), rules)
 
 
 def test_fracture_builds_its_pair_without_enumerating_seeds(tmp_path):
@@ -218,10 +219,26 @@ def test_fracture_builds_its_pair_without_enumerating_seeds(tmp_path):
     assert "equal_on_upper=yes unequal_on_lower=yes" in out
 
 
-def test_analyze_refusal_prints_no_partial_report(tmp_path):
+def test_analyze_counts_the_seeds_of_the_ten_symbol_spec(tmp_path):
+    # every corner map is the identity: 10^8 seeds, each fixed, counted without stepping one
     code, out, err = run_cli("analyze", ten_symbol_spec(tmp_path))
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-3:] == [
+        "seed_cycles=100000000 fixed_seeds=100000000",
+        "corner_fixing_power=1",
+        "fixed_seeds_after_corner_fixing=100000000",
+    ]
+
+
+def test_seed_questions_step_only_the_seeds_on_cycles(tmp_path):
+    # every corner map sends all symbols to 0: of the 10^8 seeds only the
+    # constant 0 one is on a cycle, and it is fixed
+    spec = ten_symbol_spec(tmp_path, "sink", [0] * 10)
+    code, out, err = run_cli("analyze", spec)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "seed_cycles=1 fixed_seeds=1"
+    code, out, err = run_cli("lang", spec, "--shape", "2,2,2", "--mode", "full", "--depth", "3")
+    assert code == 0 and err.startswith("# patterns=")
 
 
 def test_aut_tm2d():
@@ -384,6 +401,20 @@ def test_fracture_refuter_cli_prints_every_coordinate():
 def test_fracture_refuter_cli_window_too_small():
     code, out, err = run_cli("fracture", "tm2d", "--refute", "1,1", "--window", "0")
     assert (code, out, err) == (1, "inconclusive: window too small, need about 56\n", "")
+
+
+def test_fracture_refuter_solves_for_its_block_on_a_large_window():
+    # the grid has 10^5 blocks per axis inside the window; only one axis is enumerated
+    src = os.path.dirname(os.path.dirname(specio.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys; from subsym.cli import main; sys.exit(main(sys.argv[1:]))"
+    argv = [sys.executable, "-c", code, "fracture", "tm3d", "--refute", "1,1,0", "--window", "800000"]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=30)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout == (
+        "refuted direction=1,1,0 level=4 block=[-800000,799984,-800000]..[-799985,799999,-799985] "
+        "upper_cells=1056 lower_cells=1456\n"
+    )
 
 
 @pytest.mark.parametrize("v, message", [
@@ -554,11 +585,11 @@ def test_ppm_pixel_cap_boundary(monkeypatch):
 
 
 def test_seed_enumeration_over_cap_exits_2(monkeypatch):
-    # tm2d steps 16 seeds of 4 cells; nothing else analyze runs comes near 63 cells
+    # the full language of tm2d steps its 16 seeds of 4 cells before anything else
     monkeypatch.setattr(substitution, "DEFAULT_CELL_CAP", 63)
-    code, out, err = run_cli("analyze", "tm2d")
-    assert code == 2 and "seed_cycles" not in out
-    assert err.startswith("error:") and "seeds of 4 cells" in err and err.count("\n") == 1
+    code, out, err = run_cli("lang", "tm2d", "--shape", "2,2", "--mode", "full")
+    assert (code, out) == (2, "")
+    assert err == "error: fixed_seeds would step 16 seeds of 4 cells\n"
 
 
 def test_robinson_renders(tmp_path):
@@ -689,6 +720,7 @@ NON_CANONICAL_TOKENS = ("01.0", "+1.0", "1.-0", "1.00", "\u0661.0")
         ["robinson", "torus", "4", "4", "--time-cap", "nan"],
         ["fracture", "tm2d", "--refute", "1,1", "--window", "-5"],
         *(["robinson", "verify", f"{{dir}}/token_{i}.txt"] for i in range(len(NON_CANONICAL_TOKENS))),
+        ["robinson", "fracture", "--", "1", "--"],
     ],
 )
 def test_malformed_input_exits_2(tmp_path, argv):

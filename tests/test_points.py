@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from oracles import (
     desubstitute_pattern_oracle,
     digit_walk_oracle,
+    fixed_seeds_oracle,
     half_space_fracture_pair_oracle,
     quadrant_maps,
     quadrant_walk,
@@ -603,16 +604,19 @@ def test_half_space_pair_matches_oracle(source):
 @pytest.mark.parametrize("seed", range(24))
 def test_analyze_counts_the_fixed_seeds_of_the_corner_fixing_power(seed, tmp_path):
     theta = random_bijective(seed)
-    try:
-        want = len(fixed_seeds(power(theta, corner_fixing_power(theta))).fixed)
-    except CapExceeded:
-        return
     spec = tmp_path / "r.json"
     spec.write_text(json.dumps(random_bijective_spec(seed)))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(["analyze", str(spec)]) == 0
-    assert f"fixed_seeds_after_corner_fixing={want}" in out.getvalue().splitlines()
+    lines = out.getvalue().splitlines()
+    cycles = fixed_seeds_oracle(theta).cycles
+    assert f"seed_cycles={len(cycles)} fixed_seeds={sum(len(c) == 1 for c in cycles)}" in lines
+    try:
+        want = len(fixed_seeds(power(theta, corner_fixing_power(theta))).fixed)
+    except CapExceeded:
+        return
+    assert f"fixed_seeds_after_corner_fixing={want}" in lines
 
 
 def test_quadrant_cell_convention():

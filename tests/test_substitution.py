@@ -5,7 +5,13 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import is_primitive_oracle, position_map_oracle, seed_step_oracle
+from oracles import (
+    fixed_seeds_oracle,
+    is_primitive_oracle,
+    perm_order_oracle,
+    position_map_oracle,
+    seed_step_oracle,
+)
 
 from subsym import substitution
 from subsym.errors import CapExceeded, ScopeError, ValidationError
@@ -273,7 +279,7 @@ def test_fixed_seeds_cap_counts_every_seed_cell(tm2d, monkeypatch):
     assert len(fixed_seeds(theta2).fixed) == 16
     monkeypatch.setattr(substitution, "DEFAULT_CELL_CAP", 63)
     monkeypatch.setattr(substitution, "_seed_stepper", None)
-    with pytest.raises(CapExceeded, match="2\\^4 seeds of 4 cells"):
+    with pytest.raises(CapExceeded, match="16 seeds of 4 cells"):
         fixed_seeds(theta2)
 
 
@@ -324,6 +330,90 @@ def test_seed_dynamics_match_oracle(corpus):
             cyc = fixed_seeds(t)
             assert len(cyc.on_cycles) == len(on_cycles) and set(cyc.on_cycles) == on_cycles
             assert set(cyc.fixed) == {seed for seed, image in step.items() if image == seed}
+
+
+def random_rule(seed):
+    """A seeded rule with d <= 3, n <= 4 and sides 2-3: its position maps are
+    random permutations for even seeds and random maps for odd ones."""
+    rng = random.Random(seed)
+    d, n = rng.randint(1, 3), rng.randint(2, 4)
+    size = tuple(rng.randint(2, 3) for _ in range(d))
+    cells = math.prod(size)
+    if seed % 2 == 0:
+        columns = [rng.sample(range(n), n) for _ in range(cells)]
+    else:
+        columns = [[rng.randrange(n) for _ in range(n)] for _ in range(cells)]
+    rules = tuple(Pattern((0,) * d, size, bytes(col[a] for col in columns)) for a in range(n))
+    return RectSubstitution(Alphabet(tuple("abcd"[:n])), size, rules)
+
+
+@pytest.fixture(scope="module")
+def seed_cases(corpus):
+    """(theta, its all-seeds walk) on the bundled specs, their corner-fixed
+    powers and 200 seeded random rules."""
+    rules = list(corpus.values())
+    rules += [corner_fixed(theta)[0] for theta in corpus.values() if is_bijective(theta)]
+    rules += [random_rule(seed) for seed in range(200)]
+    return [(theta, fixed_seeds_oracle(theta)) for theta in rules]
+
+
+def test_cycle_lengths_match_the_definition():
+    # a is on a cycle of length L when L is the least k >= 1 with table^k(a) = a
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        table = [rng.randrange(n) for _ in range(n)]
+        want = []
+        for a in range(n):
+            b, k = table[a], 1
+            while b != a and k <= n:
+                b, k = table[b], k + 1
+            want.append(k if b == a else 0)
+        assert substitution._cycle_lengths(table) == want
+        perm = rng.sample(range(n), n)
+        assert substitution._perm_order(perm) == perm_order_oracle(perm)
+
+
+def test_fixed_seeds_matches_the_all_seeds_walk(seed_cases):
+    # bijective: the same cycles in the same order and rotation; otherwise the
+    # same cycles, ordered by least seed and each from its least seed
+    for theta, want in seed_cases:
+        got = fixed_seeds(theta)
+        if is_bijective(theta):
+            assert got == want
+            continue
+        assert set(got.fixed) == set(want.fixed) and set(got.on_cycles) == set(want.on_cycles)
+        assert {frozenset(c) for c in got.cycles} == {frozenset(c) for c in want.cycles}
+        firsts = [c[0].symbols for c in got.cycles]
+        assert firsts == sorted(firsts) and all(c[0].symbols == min(s.symbols for s in c) for c in got.cycles)
+
+
+def test_seed_census_counts_the_seed_cycles(seed_cases):
+    # analyze reads seed_cycles and fixed_seeds from the census without stepping a seed
+    for theta, want in seed_cases:
+        lengths = [len(c) for c in want.cycles]
+        periods = substitution._seed_periods(theta)
+        assert periods == {L: lengths.count(L) * L for L in set(lengths)}
+        assert sum(seeds // period for period, seeds in periods.items()) == len(lengths)
+        assert periods.get(1, 0) == lengths.count(1)
+
+
+def test_corner_maps_read_only_corner_cells(corpus, monkeypatch):
+    # each seed corner u reads the cell that stays on u: the high end of axis i where u_i = -1
+    want = {
+        name: [
+            bytes(position_map_oracle(theta, tuple(s - 1 if ui else 0 for ui, s in zip(u, theta.size))))
+            for u in corner_order(theta.dim)
+        ]
+        for name, theta in corpus.items()
+    }
+
+    def no_columns(theta):
+        raise AssertionError("the corner maps transposed the whole rule table")
+
+    monkeypatch.setattr(substitution, "_columns", no_columns)
+    for name, theta in corpus.items():
+        assert substitution._corner_maps(theta) == want[name]
 
 
 # -- binary complement relation ----------------------------------------------

@@ -14,6 +14,7 @@ from oracles import (
     language_comparison_oracle,
     position_pairs_oracle,
     power_oracle,
+    refuter_block_oracle,
     straddle_counts_oracle,
     sym_group_report_oracle,
     transform_oracle,
@@ -808,6 +809,25 @@ def test_refuter_counts_match_the_cell_oracle(inputs):
         block = rep.block
         got = (block.upper_cell, block.lower_cell, block.upper_count, block.lower_count)
         assert got == straddle_counts_oracle(block.block, v, threshold)
+
+
+def test_refuter_block_matches_the_grid_scan():
+    # the block solved on one axis is the first one the scan over the whole grid range finds
+    rng = random.Random(23)
+    thetas = {name: bundled_substitution(name) for name in ("tm2d", "tm3d")}
+    for _ in range(300):
+        name = rng.choice(sorted(thetas))
+        theta = thetas[name]
+        v = tuple(rng.randint(-3, 3) for _ in range(theta.dim))
+        if sum(x != 0 for x in v) < 2:
+            continue
+        threshold, window = rng.randint(1, 12), rng.randint(1, 257 if name == "tm2d" else 80)
+        rep = non_axis_fracture_refuter(theta, v, threshold, window=window)
+        level, block = refuter_block_oracle(theta, v, threshold, window)
+        if block is None:
+            assert not rep.conclusive
+        else:
+            assert (rep.block.level, rep.block.block) == (level, block)
 
 
 def test_refuter_refuses_a_block_over_the_cell_cap(tm2d, monkeypatch):
