@@ -7,13 +7,11 @@ them up to shifts).  Extended-symmetry candidates range over the signed
 permutations of the axes; the checker first looks for an exact rule-table
 equality at some alignment power and only then falls back to bounded
 language comparison, whose positive outcome is reported as evidence, not
-proof.  Both read theta in column form: the position maps P_k of
-`substitution._columns`, paired as (P_k, P_r(k)) by `_column_pairs`.
-Both the automorphisms (`conjugating_relabelings` on theta's own pairs)
-and the exact path (`_align`, on the pairs of theta^m composed from
-theta's) hand those pairs to one solver, `_solve`: for a primitive
-substitution a conjugating relabeling is fixed by the image of symbol 0,
-so n candidates replace the n! permutations.
+proof.  Both read theta's position maps P_k (`substitution._columns`),
+paired as (P_k, P_r(k)) by `_column_pairs`.  A conjugating relabeling of
+a primitive substitution is fixed by the image of symbol 0, so `_solve`
+tries n candidates, not n!; `_align` decides the higher powers from
+(symbol, column) pairs.
 """
 
 from __future__ import annotations
@@ -220,10 +218,6 @@ VERIFIED_UP_TO = "VerifiedUpTo"
 REFUTED_AT = "RefutedAt"
 SIZE_MISMATCH = "SizeMismatch"
 
-#: Hard cap on alignment powers tried by the exact-equality fast path.
-ALIGN_POWER_CAP = 24
-
-
 @dataclass(frozen=True)
 class SymmetryCandidate:
     a: SignedPerm
@@ -256,9 +250,7 @@ def extended_symmetry_check(
 
     Fast path: if some relabeling makes the transformed rule table of some
     power theta^m equal theta^m exactly, the rigid map is a genuine
-    extended symmetry (ExactYes).  It is searched on the position-map pairs
-    (P_k, P_r(k)) of theta^m, composed from theta's (`_column_pairs`,
-    `_composed_powers`), n candidates tau(0) per power, not n!.
+    extended symmetry (ExactYes); `_align` decides the powers up to the cap.
     Otherwise comparing the complete cube languages of sides up to `depth`
     either finds a witness pattern on one side only (RefutedAt) or reports
     agreement (VerifiedUpTo - explicitly not a proof).  `depth` must be at
@@ -272,13 +264,10 @@ def _check_matrices(
 ) -> list[SymmetryCandidate]:
     """`extended_symmetry_check` for each matrix, with the scope checks done once.
 
-    The alignment search of A reads nothing of A but its set of distinct
-    column pairs (P_k, P_r(k)): `_composed_powers` builds every later set
-    from that one and ends on the sets, n and the cell cap alone, and
-    `_solve` reads only a set and n.  So matrices with the same set share
-    one search (the first power with hits, and the hits, or no hit), held
-    in `searches` for this report only.  The language fallback moves cube
-    patterns through A itself, so it stays per matrix.
+    `_align` reads nothing of A but its set of distinct column pairs
+    (P_k, P_r(k)), n and the cell cap, so matrices with the same set share
+    one search, held in `searches` for this report only.  The language
+    fallback moves cube patterns through A itself, so it stays per matrix.
     """
     if depth < 2:
         raise ValidationError("depth must be >= 2: no shape below 2 is compared")
@@ -303,34 +292,67 @@ def _check_matrices(
 
 
 def _align(distinct: frozenset, n: int) -> tuple[int, tuple[Relabeling, ...]] | None:
-    """The first alignment power m with a conjugating tau, and every such tau, or None."""
-    for m, pairs in enumerate(_composed_powers(distinct, n), 1):
-        if hits := _solve(pairs, n):
-            return m, tuple(hits)
+    """The first power m and every tau conjugating theta^m, or None.
+
+    m = 1 is `_solve`.  R_j, the (P_w(0), P_r(w)) for |w| = j, is stepped
+    from R_(j-1) through theta's pairs (P, Q); `_images` reads the R_j with
+    m | j.  From a repeat R_j0 = R_(j0+p) on, m >= j0 and m + p read the
+    same sets, so m < j0 + p decide every power.  If the sets, at n + 1
+    bytes an entry, reach the cap first, `_close` decides the m below them.
+    """
+    if hits := _solve(distinct, n):
+        return 1, tuple(hits)
+    step = [(p, _relabel_table(q)) for p, q in distinct]
+    sets = [frozenset([(0, bytes(range(n)))])]
+    index, kept, j0 = {sets[0]: 0}, n + 1, None
+    while j0 is None and kept + len(sets[-1]) * len(step) * (n + 1) <= substitution.DEFAULT_CELL_CAP:
+        nxt = frozenset((p[y], col.translate(q)) for y, col in sets[-1] for p, q in step)
+        if (j := index.setdefault(nxt, len(sets))) < len(sets):
+            j0, period = j, len(sets) - j
+        else:
+            sets.append(nxt)
+            kept += len(nxt) * (n + 1)
+    for m in range(2, len(sets)):
+        js = range(0, len(sets), m) if j0 is None else range(0, j0 + (period + 1) * m, m)
+        alive, hits = _images(n, (sets[j if j < len(sets) else j0 + (j - j0) % period] for j in js))
+        if hits is None and j0 is None:
+            hits = tuple(filter(None, (_close(step, m, n, c) for c in alive)))
+        if hits:
+            return m, hits
     return None
 
 
-def _composed_powers(distinct: frozenset, n: int) -> Iterator[frozenset]:
-    """The pair sets of theta, theta^2, ..., from theta's distinct column pairs.
+def _images(n: int, sets: Iterator[frozenset]) -> tuple[list[int], tuple[Relabeling, ...] | None]:
+    """The c giving each symbol y one image C[c] over the (y, C) of `sets`,
+    and the permutations y -> C[c] among them, or None for these if `sets`
+    end before the one after the first that gives every symbol an image:
+    theta^m maps the graph of tau into those, so that one decides."""
+    alive, firsts, complete = list(range(n)), {}, False
+    for entries in sets:
+        for y, col in entries:
+            if (first := firsts.setdefault(y, col)) != col:
+                alive = [c for c in alive if col[c] == first[c]]
+                if not alive:
+                    return [], ()
+        if complete:
+            taus = list(zip(*map(firsts.__getitem__, range(n))))  # taus[c][y] = C_y[c]
+            return alive, tuple(taus[c] for c in alive if len(set(taus[c])) == n)
+        complete = len(firsts) == n
+    return alive, None
 
-    theta^(m+1) has P_(Ms+k) = P_k . P_M and r acts digit-wise, so its pairs
-    are the (p . x, q . y) for (x, y) of theta^m and (p, q) of theta.  Every
-    set holds n-byte columns; only theta's step pairs are widened to the
-    256-byte tables that `translate` reads.  A set is a function of the one
-    before: once one repeats, no later power can align.  The sequence also
-    ends at ALIGN_POWER_CAP, and before a bound |pairs| |step| <=
-    prod(s^(m+1)) passes the cell cap at n bytes a pair.
-    """
-    step = frozenset((_relabel_table(p), _relabel_table(q)) for p, q in distinct)
-    pairs, seen = distinct, set()
-    for _ in range(ALIGN_POWER_CAP):
-        yield pairs
-        seen.add(pairs)
-        if len(pairs) * len(step) * n > substitution.DEFAULT_CELL_CAP:
-            return
-        pairs = frozenset((x.translate(p), y.translate(q)) for x, y in pairs for p, q in step)
-        if pairs in seen:
-            return
+
+def _close(step: list, m: int, n: int, c: int) -> Relabeling | None:
+    """`_propagate` from tau(0) = c on theta^m's pairs, each (x, tau(x))
+    stepped m times through theta's pairs instead."""
+    tau, todo = {0: c}, {(0, c)}
+    while todo:
+        for _ in range(m):
+            todo = {(p[x], q[y]) for x, y in todo for p, q in step}
+        todo = todo - tau.items()
+        if len(dict(todo)) < len(todo) or any(x in tau for x, _ in todo):
+            return None
+        tau.update(todo)
+    return tuple(map(tau.get, range(n))) if len(tau) == len(set(tau.values())) == n else None
 
 
 def _language_comparison(

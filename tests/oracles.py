@@ -30,7 +30,10 @@ come from a walk over every seed with its transients, and the order of
 a permutation from a walk of its own, where `substitution` steps only the
 seeds on cycles and reads both from `_cycle_lengths`.  The straddling
 block of the non-axis refuter is the first one a scan of the whole grid
-range finds, where `symmetry` solves for it on one axis.
+range finds, where `symmetry` solves for it on one axis.  The alignment
+search composes the column pairs of theta^m power by power up to a
+horizon, where `symmetry._align` steps (symbol, column) pairs until they
+repeat.
 The differential tests compare the fast paths against these.
 """
 
@@ -54,7 +57,6 @@ from subsym.substitution import (
     corner_order,
 )
 from subsym.symmetry import (
-    ALIGN_POWER_CAP,
     EXACT_YES,
     REFUTED_AT,
     SIZE_MISMATCH,
@@ -64,6 +66,7 @@ from subsym.symmetry import (
     _language_comparison,
     _require_primitive_bijective,
     _size_mismatch,
+    _solve,
     compose_relabelings,
     conjugating_relabelings,
 )
@@ -504,11 +507,51 @@ def position_pairs_oracle(theta_m, a):
 
 _power_once = functools.lru_cache(maxsize=32)(power_oracle)
 
+#: The alignment powers the oracles try before they give up undecided.
+ALIGN_POWER_HORIZON = 24
+
+
+def composed_powers_oracle(distinct, n, cap=None):
+    """The pair sets of theta, theta^2, ..., from theta's distinct column pairs.
+
+    theta^(m+1) has P_(Ms+k) = P_k . P_M and r acts digit-wise, so its pairs
+    are the (p . x, q . y) for (x, y) of theta^m and (p, q) of theta.  Every
+    set holds n-byte columns; only theta's step pairs are widened to the
+    256-byte tables that `translate` reads.  A set is a function of the one
+    before: once one repeats, no later power can align.  The sequence also
+    ends at ALIGN_POWER_HORIZON, and before a bound |pairs| |step| <=
+    prod(s^(m+1)) passes `cap` (the cell cap by default) at n bytes a pair.
+    """
+    cap = substitution.DEFAULT_CELL_CAP if cap is None else cap
+    table = substitution._relabel_table
+    step = frozenset((table(p), table(q)) for p, q in distinct)
+    pairs, seen = distinct, set()
+    for _ in range(ALIGN_POWER_HORIZON):
+        yield pairs
+        seen.add(pairs)
+        if len(pairs) * len(step) * n > cap:
+            return
+        pairs = frozenset((x.translate(p), y.translate(q)) for x, y in pairs for p, q in step)
+        if pairs in seen:
+            return
+
+
+def column_pair_search_oracle(distinct, n, cap=None):
+    """`symmetry._align` as `_solve` on each set of `composed_powers_oracle`:
+    (the first power with hits and those hits, or None; decided), decided
+    being False when the sets ended at the horizon or the size bound, not
+    at a repeat or a hit."""
+    cap = substitution.DEFAULT_CELL_CAP if cap is None else cap
+    for m, pairs in enumerate(composed_powers_oracle(distinct, n, cap), 1):
+        if hits := _solve(pairs, n):
+            return (m, tuple(hits)), True
+    return None, m < ALIGN_POWER_HORIZON and len(pairs) * len(distinct) * n <= cap
+
 
 def extended_symmetry_check_oracle(theta, a, depth=3):
     """Validate theta, then try every alignment power, each built from theta,
     until its position-map pairs repeat an earlier power's, a power is over
-    the cell cap, the pair bound passes it or ALIGN_POWER_CAP is reached."""
+    the cell cap, the pair bound passes it or ALIGN_POWER_HORIZON is reached."""
     if depth < 2:
         raise ValidationError("depth must be >= 2: no shape below 2 is compared")
     _require_primitive_bijective(theta, "extended_symmetry_check")
@@ -516,7 +559,7 @@ def extended_symmetry_check_oracle(theta, a, depth=3):
         return SymmetryCandidate(a, SIZE_MISMATCH)
     n, seen = len(theta.alphabet), []
     step = position_pairs_oracle(theta, a)
-    for m in range(1, ALIGN_POWER_CAP + 1):
+    for m in range(1, ALIGN_POWER_HORIZON + 1):
         try:
             theta_m = _power_once(theta, m)
         except CapExceeded:

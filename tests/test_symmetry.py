@@ -1,7 +1,9 @@
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -11,6 +13,8 @@ from hypothesis import strategies as st
 from oracles import (
     assert_subgroup_oracle,
     closure_oracle,
+    column_pair_search_oracle,
+    composed_powers_oracle,
     language_comparison_oracle,
     position_pairs_oracle,
     power_oracle,
@@ -493,7 +497,7 @@ def test_sym_report_matches_oracle(source):
 
 def _pair_powers(theta, a):
     """The column-pair sets of theta, theta^2, ... under A, which must fix the size vector."""
-    return sym._composed_powers(sym._column_pairs(_columns(theta), theta.size, a), len(theta.alphabet))
+    return composed_powers_oracle(sym._column_pairs(_columns(theta), theta.size, a), len(theta.alphabet))
 
 
 def read_pairs(pairs, n):
@@ -676,22 +680,272 @@ def test_closure_matches_pairwise_oracle():
 
 
 def test_report_solves_once_per_pair_set(tm3d, monkeypatch):
-    # tm3d's 48 matrices have 2 distinct column-pair sets; each set's powers
-    # are solved once, up to its alignment power, and never per matrix
-    first_matrix = {}
-    for a in signed_perm_group(3):
-        first_matrix.setdefault(next(_pair_powers(tm3d, a)), a)
-    assert len(first_matrix) == 2
+    # tm3d's 48 matrices have 2 distinct column-pair sets; each set is
+    # searched once, and never per matrix
+    columns = _columns(tm3d)
+    distinct = {sym._column_pairs(columns, tm3d.size, a) for a in signed_perm_group(3)}
+    assert len(distinct) == 2
     want = sym_group_report(tm3d, 3)
     calls = []
-    real_solve = sym._solve
-    monkeypatch.setattr(sym, "_solve", lambda pairs, n: calls.append(pairs) or real_solve(pairs, n))
+    real_align = sym._align
+    monkeypatch.setattr(sym, "_align", lambda pairs, n: calls.append(pairs) or real_align(pairs, n))
     assert sym_group_report(tm3d, 3) == want
-    align = {c.a: c.align_power for c in want.candidates}
-    assert calls == [
-        pairs
-        for a in first_matrix.values()
-        for pairs in itertools.islice(_pair_powers(tm3d, a), align[a])
+    assert len(calls) == 2 and set(calls) == distinct
+
+
+def random_primitive_bijective(seed):
+    """A seeded random primitive bijective rule: d <= 3, n <= 5, sides 2-3."""
+    rng = random.Random(seed)
+    while True:
+        d, n = rng.randint(1, 3), rng.randint(2, 5)
+        size = tuple(rng.randint(2, 3) for _ in range(d))
+        columns = [rng.sample(range(n), n) for _ in range(math.prod(size))]
+        rules = tuple(Pattern((0,) * d, size, bytes(col[a] for col in columns)) for a in range(n))
+        theta = RectSubstitution(Alphabet(tuple(map(str, range(n)))), size, rules)
+        if is_primitive(theta).primitive:
+            return theta
+
+
+def pair_sets(theta):
+    """Each distinct column-pair set of theta, with the first matrix that has it."""
+    columns, out = _columns(theta), {}
+    for a in signed_perm_group(theta.dim):
+        distinct = sym._column_pairs(columns, theta.size, a)
+        if distinct is not None:
+            out.setdefault(distinct, a)
+    return out
+
+
+#: The oracle stops past this many pairs: |S_4|^2 = 576, so it decides every
+#: set whose columns generate at most S_4 and stops on larger ones.
+ORACLE_PAIRS = 600
+
+def align_sources(group):
+    """The primitive bijective rules of one group of the differential test."""
+    if group == "bundled":
+        rules = [bundled_substitution(name) for name in sorted(BUNDLED)]
+        return [theta for theta in rules if is_primitive(theta).primitive and is_bijective(theta)]
+    if group == "pinned":
+        return [substitution_from(path.name) for path in sorted(PINNED_SPECS.glob("*.json"))]
+    if group == "cyclic":
+        return [cyclic(n) for n in range(3, 25)]
+    return [random_primitive_bijective(seed) for seed in range(int(group[6:]), 300, 10)]
+
+
+@pytest.mark.parametrize("group", ["bundled", "pinned", "cyclic"] + [f"random{k}" for k in range(10)])
+def test_align_matches_column_pair_search(group):
+    # where the old search decided a set, the first power and every hit are
+    # the same; where it stopped undecided, a hit past it conjugates theta^m
+    # and no lower power, and None stays None
+    decided_sets = 0
+    for i, theta in enumerate(align_sources(group)):
+        n = len(theta.alphabet)
+        for distinct, a in pair_sets(theta).items():
+            got = sym._align(distinct, n)
+            want, decided = column_pair_search_oracle(distinct, n, ORACLE_PAIRS * len(distinct) * n)
+            decided_sets += decided
+            if decided:
+                assert got == want, (i, a)
+                continue
+            assert want is None, (i, a)
+            if got is not None:
+                assert_first_power_hits(theta, a, *got)
+    assert decided_sets
+
+
+def assert_first_power_hits(theta, a, m, hits):
+    """hits are every tau that conjugates theta^m under A, and no lower power
+    has one, wherever theta^m fits the cell cap."""
+    try:
+        theta_m = power(theta, m)
+    except CapExceeded:
+        return
+    assert all(transformed_substitution(theta_m, a, tau) == theta_m for tau in hits), a
+    assert conjugating_relabelings(theta_m, a) == list(hits), a
+    assert not any(conjugating_relabelings(power(theta, k), a) for k in range(1, m)), a
+
+
+def shift_product(k, width=5):
+    """The rule x -> (x, x+1, x+2) mod k times a palindromic `width`-symbol
+    rule whose columns generate S_width: its reversal aligns first at theta^k."""
+    shifts = [tuple((x + i) % k for x in range(k)) for i in range(3)]
+    cycle, swap = (*range(1, width), 0), (1, 0, *range(2, width))
+    columns = [[width * x + y for x in p for y in q] for p, q in zip(shifts, (cycle, swap, cycle))]
+    rules = tuple(Pattern((0,), (3,), bytes(col[a] for col in columns)) for a in range(width * k))
+    return RectSubstitution(Alphabet(tuple(map(str, range(width * k)))), (3,), rules)
+
+
+# cyclic(25)'s R_j repeat from j0 = 24 with period 25, and its reversal is
+# decided at m = 25 by R_50, read as R_25.  shift_product(3, 20)'s sets stop
+# at the cell cap after R_22, long before they repeat: R_21 first gives all
+# 60 symbols an image, so R_24 would decide m = 3, and `_close` does instead
+ALIGN_SOURCES = [("cyclic", n) for n in (*range(3, 13), 25)]
+ALIGN_SOURCES += [("product", 5), ("product", 7), ("product", 3, 20)]
+
+
+@pytest.mark.parametrize("source", ALIGN_SOURCES)
+def test_align_hits_conjugate_theta_m(source):
+    theta = cyclic(source[1]) if source[0] == "cyclic" else shift_product(*source[1:])
+    for distinct, a in pair_sets(theta).items():
+        got = sym._align(distinct, len(theta.alphabet))
+        assert got is not None
+        assert_first_power_hits(theta, a, *got)
+
+
+def closing_powers(monkeypatch):
+    """The powers m that `_align` hands to `_close`, as it calls it."""
+    powers, real_close = [], sym._close
+    monkeypatch.setattr(sym, "_close", lambda step, m, n, c: powers.append(m) or real_close(step, m, n, c))
+    return powers
+
+
+def test_align_cap_ends_undecided(monkeypatch):
+    # cyclic(5)'s reversal aligns at m = 5.  R_0 .. R_8 hold 1, 2, 3, 4 and
+    # 5 x 5 entries of 6 bytes (210), and R_9 = R_4 is bounded by 5 * 2 * 6 = 60,
+    # so cap 270 reaches the repeat.  Below it the sets decide m = 2 .. 4 and
+    # `_close` decides m = 5 while R_5 fits: it needs 90 + 5 * 2 * 6 = 150
+    theta, reversal = cyclic(5), SignedPerm((0,), (1,))
+    distinct = sym._column_pairs(_columns(theta), theta.size, reversal)
+    want = sym._align(distinct, 5)
+    assert want[0] == 5
+    powers = closing_powers(monkeypatch)
+    cases = ((270, want, set()), (269, want, {5}), (150, want, {5}), (149, None, set()), (17, None, set()))
+    for cap, got, closed in cases:
+        monkeypatch.setattr(substitution, "DEFAULT_CELL_CAP", cap)
+        powers.clear()
+        assert sym._align(distinct, 5) == got, cap
+        assert set(powers) == closed, cap
+    monkeypatch.undo()
+    # the report falls back on the capped matrices alone; the fallback itself
+    # runs under the real cap
+    real_align = sym._align
+
+    def capped(pairs, n):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(substitution, "DEFAULT_CELL_CAP", 149)
+            return real_align(pairs, n)
+
+    full = sym_group_report(theta, 3)
+    monkeypatch.setattr(sym, "_align", capped)
+    report = sym_group_report(theta, 3)
+    assert report.by_matrix()[reversal] == _language_comparison(theta, reversal, 3, {})
+    assert report.by_matrix()[reversal] != full.by_matrix()[reversal]
+    identity = SignedPerm.identity(1)
+    assert report.by_matrix()[identity] == full.by_matrix()[identity]
+
+
+@pytest.mark.parametrize("cap", [100, 400, 1600, 6400])
+def test_capped_align_answers_exactly_or_not_at_all(cap, monkeypatch):
+    # under any cap `_align` gives the uncapped answer or None, never a
+    # different power or a different set of taus
+    sources = align_sources("cyclic")[:10] + align_sources("random0")[:10]
+    sources += [shift_product(3), shift_product(4)]
+    answers = {}
+    for theta in sources:
+        for distinct in pair_sets(theta):
+            answers[distinct, len(theta.alphabet)] = sym._align(distinct, len(theta.alphabet))
+    powers, closed_hits = closing_powers(monkeypatch), 0
+    monkeypatch.setattr(substitution, "DEFAULT_CELL_CAP", cap)
+    for (distinct, n), want in answers.items():
+        powers.clear()
+        got = sym._align(distinct, n)
+        assert got is None or got == want, (cap, n)
+        closed_hits += got is not None and got[0] in powers
+    assert closed_hits
+
+
+def test_close_is_propagate_on_the_pairs_of_theta_m():
+    # stepping theta's pairs m times reaches what `_solve` reads off theta^m's;
+    # the hand-built maps need not be permutations, so a symbol can be given
+    # two images, or two symbols one
+    rng = random.Random(7)
+    cases = [(distinct, len(theta.alphabet))
+             for theta in align_sources("cyclic")[:6] + [shift_product(3)] + align_sources("random3")[:6]
+             for distinct in pair_sets(theta)]
+    # from (0, 1) the second step gives symbol 2 the images 1 and 2, which both maps merge
+    cases.append((frozenset({(bytes([1, 2, 1]), bytes([1, 0, 0])), (bytes([1, 2, 1]), bytes([2, 0, 0]))}), 3))
+    for _ in range(300):
+        n = rng.randint(2, 4)
+        maps = [bytes(rng.choices(range(n), k=n)) for _ in range(4)]
+        cases.append((frozenset((rng.choice(maps), rng.choice(maps)) for _ in range(rng.randint(1, 3))), n))
+    for distinct, n in cases:
+        step = [(p, substitution._relabel_table(q)) for p, q in distinct]
+        for m, pairs in enumerate(composed_powers_oracle(distinct, n, 2000 * len(distinct) * n), 1):
+            got = [tau for c in range(n) if (tau := sym._close(step, m, n, c))]
+            assert got == sym._solve(pairs, n), (sorted(distinct), m)
+
+
+def test_images_read_one_set_past_coverage():
+    ident, swap = bytes([0, 1]), bytes([1, 0])
+    full, both = frozenset({(0, ident), (1, swap)}), frozenset({(0, ident), (1, ident)})
+
+    def then_fail():
+        raise AssertionError("read past the deciding set")
+        yield
+
+    # every symbol has an image after the first set, and the next one decides
+    assert sym._images(2, iter([full])) == ([0, 1], None)
+    assert sym._images(2, itertools.chain([full, full], then_fail())) == ([0, 1], ((0, 1), (1, 0)))
+    # one image for every symbol is not enough: each tau must be a permutation
+    assert sym._images(2, iter([both, both])) == ([0, 1], ())
+    # two images of one symbol drop every c that tells them apart
+    clash = [frozenset({(0, ident)}), frozenset({(0, swap)})]
+    assert sym._images(2, itertools.chain(clash, then_fail())) == ([], ())
+    # a symbol no set reaches leaves the taus open
+    rot = frozenset({(0, bytes([0, 1, 2])), (1, bytes([1, 2, 0]))})
+    assert sym._images(3, iter([rot, rot, rot])) == ([0, 1, 2], None)
+
+
+def test_sym_aligns_past_the_old_power_horizon(tmp_path, capsys):
+    # the reversal of a -> (a, a+1 mod 25) aligns at theta^25
+    spec = {
+        "name": "cyc25",
+        "dim": 1,
+        "size": [2],
+        "alphabet": [str(a) for a in range(25)],
+        "rules": {str(a): [str(a), str((a + 1) % 25)] for a in range(25)},
+    }
+    path = tmp_path / "cyc25.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["sym", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.splitlines()
+    assert lines[1] == "-;1 -> ExactYes,tau=0," + ",".join(str(a) for a in range(24, 0, -1))
+    assert lines[2] == "psi_image_order=2 split=yes"
+
+
+R7 = {
+    "name": "r7",
+    "dim": 1,
+    "size": [3],
+    "alphabet": ["0", "1", "2", "3", "4", "5", "6"],
+    "rules": {
+        "0": ["6", "6", "2"], "1": ["3", "2", "1"], "2": ["5", "3", "0"], "3": ["0", "5", "6"],
+        "4": ["1", "4", "3"], "5": ["2", "0", "4"], "6": ["4", "1", "5"],
+    },
+}
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is a Linux address-space cap")
+def test_sym_stays_small_on_a_large_column_group(tmp_path):
+    # r7's columns generate a large group: composing theta^m's column pairs
+    # reached 4.3M pairs for the reversal alone
+    path = tmp_path / "r7.json"
+    path.write_text(json.dumps(R7), encoding="utf-8")
+    src = str(Path(sym.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+        "from subsym.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    argv = [sys.executable, "-c", code, "sym", str(path), "--depth", "2"]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=20)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout.splitlines() == [
+        "+;1 -> ExactYes,tau=0,1,2,3,4,5,6",
+        "-;1 -> VerifiedUpTo(2),tau=5,1,2,3,4,0,6",
+        "psi_image_order=1 split=unknown",
     ]
 
 
