@@ -39,16 +39,6 @@ from .symmetry import (
 )
 
 
-def _check_threads(flag: int | None) -> None:
-    """--threads, else SUBSYM_THREADS, must be a positive integer; no command starts threads."""
-    if flag is None:
-        source, text = "SUBSYM_THREADS", os.environ.get("SUBSYM_THREADS") or "1"
-    else:
-        source, text = "--threads", str(flag)
-    if not text.strip().isdecimal() or int(text) < 1:
-        raise ValidationError(f"{source} must be a positive integer, got {text!r}")
-
-
 def _load(spec_arg: str) -> tuple[specio.SubstitutionSpec, RectSubstitution]:
     if spec_arg in specio.BUNDLED and not os.path.exists(spec_arg):
         text = specio.bundled_text(spec_arg)
@@ -58,7 +48,7 @@ def _load(spec_arg: str) -> tuple[specio.SubstitutionSpec, RectSubstitution]:
 
 
 def _write_out(args, data, binary=False) -> None:
-    if getattr(args, "output", None):
+    if getattr(args, "output", None) is not None:
         mode = "wb" if binary else "w"
         with open(args.output, mode) as f:
             f.write(data)
@@ -123,7 +113,7 @@ def cmd_sym(args) -> int:
 def cmd_patch(args) -> int:
     _, theta = _load(args.spec)
     theta_m = power(theta, args.power)
-    sym = theta.alphabet.index(args.symbol) if args.symbol else 0
+    sym = theta.alphabet.index(args.symbol) if args.symbol is not None else 0
     patch = theta_m.rule(sym)
     if args.render == "txt":
         _write_out(args, specio.render_pattern_text(patch))
@@ -144,7 +134,7 @@ def cmd_point(args) -> int:
     theta_cf, m = corner_fixed(theta)
     seed_syms = tuple(theta.alphabet.index(nm) for nm in args.seed.split(","))
     seed = Seed(theta.dim, seed_syms)
-    shift = _parse_ints(args.shift) if args.shift else (0,) * theta.dim
+    shift = _parse_ints(args.shift) if args.shift is not None else (0,) * theta.dim
     x = AddressablePoint(theta_cf, seed, shift)
     rect = Rect.centered(theta.dim, args.window)
     print(f"corner_fixing_power={m}")
@@ -190,7 +180,7 @@ def cmd_lang(args) -> int:
 
 def cmd_fracture(args) -> int:
     _, theta = _load(args.spec)
-    if args.refute:
+    if args.refute is not None:
         v = _parse_ints(args.refute)
         report = non_axis_fracture_refuter(
             theta, v, args.threshold, window=args.window
@@ -283,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument(
         "--threads", type=int, default=None,
-        help="accepted for compatibility (or SUBSYM_THREADS); starts no threads",
+        help="accepted for compatibility; starts no threads",
     )
     sub = ap.add_subparsers(dest="cmd", required=True)
 
@@ -376,7 +366,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        _check_threads(args.threads)
+        if args.threads is not None and args.threads < 1:  # no command starts threads
+            raise ValidationError(f"--threads must be a positive integer, got '{args.threads}'")
         if [] in vars(args).values():  # argparse leaves a positional empty after a second "--"
             raise ValidationError("a positional argument is missing")
         return args.func(args)

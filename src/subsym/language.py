@@ -121,21 +121,23 @@ def _grow(theta: RectSubstitution, patches: list[Pattern], shape: Vec,
     fewer q-window positions than there are q-patterns, the loop keeps
     only their distinct q-windows and takes each level from those; a
     window's image is built once and kept in `images` for later levels.
-    The cell cap is still checked on the whole patches.
+    Until the switch the cell cap is charged on the whole patches; after
+    it, on the cells that the plans of every image gathered so far read.
     """
     seen: set[bytes] = set()
     q = tuple(-(-(n - 1) // s) + 1 for n, s in zip(shape, theta.size))
     windows: set[bytes] | None = None  # the level's distinct q-windows, once switched
     images: dict[bytes, tuple[set[bytes], set[bytes]]] = {}
-    cells = max((math.prod(p.extent) for p in patches), default=0)
+    cells = max((math.prod(p.extent) for p in patches), default=0)  # per patch, then gathered
     for depth in range(1, max_depth + 1):
-        cells *= math.prod(theta.size)
-        if cells > substitution.DEFAULT_CELL_CAP:
-            raise CapExceeded("language generation exceeded the cell cap")
         if windows is None and _holds_every_q_pattern(theta, patches, q):
-            windows = {k for p in patches for k in p.subpattern_keys(q)}
+            windows, cells = {k for p in patches for k in p.subpattern_keys(q)}, 0
+            cost = sum(_window_plan(theta.size, q, sh)[2] for sh in {shape, q})
         before = len(seen)
         if windows is None:
+            cells *= math.prod(theta.size)
+            if cells > substitution.DEFAULT_CELL_CAP:
+                raise CapExceeded("language generation exceeded the cell cap")
             patches = [apply(theta, p) for p in patches]
             for p in patches:
                 seen.update(p.subpattern_keys(shape))
@@ -144,6 +146,9 @@ def _grow(theta: RectSubstitution, patches: list[Pattern], shape: Vec,
             for w in windows:
                 image = images.get(w)
                 if image is None:
+                    cells += cost
+                    if cells > substitution.DEFAULT_CELL_CAP:
+                        raise CapExceeded("language generation exceeded the cell cap")
                     image = images[w] = _window_image(theta, q, w, shape)
                 seen.update(image[0])
                 level.update(image[1])
@@ -174,10 +179,10 @@ def _window_image(theta: RectSubstitution, q: Vec, w: bytes,
 
 
 @functools.lru_cache(maxsize=64)
-def _window_plan(size: Vec, q: Vec, shape: Vec) -> tuple[itemgetter | None, int]:
-    """(getter, cells per window) that reads every shape-window of theta(w),
-    for a q-window w, out of `b"".join(rules[a] for a in w)`; the getter is
-    None when no window fits.
+def _window_plan(size: Vec, q: Vec, shape: Vec) -> tuple[itemgetter | None, int, int]:
+    """(getter, cells per window, entries) that reads every shape-window of
+    theta(w), for a q-window w, out of `b"".join(rules[a] for a in w)`; the
+    getter is None, and reads no entry, when no window fits.
 
     Cell m * s + k of theta(w) is cell k of the rule of w's cell m: entry
     flat(m) * prod(s) + flat(k) of that concatenation.  The windows follow
@@ -186,7 +191,7 @@ def _window_plan(size: Vec, q: Vec, shape: Vec) -> tuple[itemgetter | None, int]
     extent = tuple(n * s for n, s in zip(q, size))
     offsets = tuple(e - n + 1 for e, n in zip(extent, shape))
     if min(offsets) < 1:
-        return None, math.prod(shape)
+        return None, math.prod(shape), 0
     block = math.prod(size)
     axes = [
         [x // s * qs * block + x % s * ks for x in range(n * s)]
@@ -203,12 +208,12 @@ def _window_plan(size: Vec, q: Vec, shape: Vec) -> tuple[itemgetter | None, int]
         for run in runs
         for e in entry[x + run : x + run + width]
     ]
-    return itemgetter(*plan), math.prod(shape)
+    return itemgetter(*plan), math.prod(shape), len(plan)
 
 
-def _gather(cells: bytes, plan: tuple[itemgetter | None, int]) -> set[bytes]:
+def _gather(cells: bytes, plan: tuple[itemgetter | None, int, int]) -> set[bytes]:
     """The distinct windows that a `_window_plan` reads from `cells`."""
-    getter, n = plan
+    getter, n, _ = plan
     if getter is None:
         return set()
     flat = bytes(getter(cells))

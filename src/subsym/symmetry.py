@@ -9,9 +9,9 @@ equality at some alignment power and only then falls back to bounded
 language comparison, whose positive outcome is reported as evidence, not
 proof.  Both read theta's position maps P_k (`substitution._columns`),
 paired as (P_k, P_r(k)) by `_column_pairs`.  A conjugating relabeling of
-a primitive substitution is fixed by the image of symbol 0, so `_solve`
-tries n candidates, not n!; `_align` decides the higher powers from
-(symbol, column) pairs.
+a primitive substitution is fixed by the image of symbol 0, so `_close`
+tries n candidates, not n!, for `aut` and every power; `_align` narrows
+the higher powers' candidates on (symbol, column) pairs.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import CapExceeded, ScopeError, ValidationError
 from .lattice import Rect, SignedPerm, Vec, signed_perm_group, spow
@@ -175,34 +175,41 @@ def conjugating_relabelings(theta: RectSubstitution, a: SignedPerm) -> list[Rela
 
     With P_k(x) = theta(x)_k the condition is tau . P_k = P_r(k) . tau for
     every cell k, r being the re-anchoring of A.  Setting tau(0) = c and
-    propagating through every P_k fixes tau on each symbol reachable from
-    0, which for primitive theta is every symbol (the tau(0) argument for
-    constant-length substitutions of Coven, Dekking and Keane).  c is
-    rejected on a conflict, an unreached symbol or a non-injective tau, so
-    the n candidates cost O(n^2 |S|) in all.  Distinct solutions differ at
-    0, hence they come in lexicographic order.
+    closing the commutation through every P_k (`_close` at m = 1) fixes tau
+    on each symbol reachable from 0, which for primitive theta is every
+    symbol (the tau(0) argument for constant-length substitutions of Coven,
+    Dekking and Keane).  c is rejected on a conflict, an unreached symbol or
+    a non-injective tau, so the n candidates cost O(n^2 |S|) in all.
+    Distinct solutions differ at 0, hence they come in lexicographic order.
     """
     pairs = _column_pairs(_columns(theta), theta.size, a)
-    return [] if pairs is None else _solve(pairs, len(theta.alphabet))
+    return [] if pairs is None else _solve(pairs, 1, range(len(theta.alphabet)))
 
 
-def _solve(pairs: frozenset, n: int) -> list[Relabeling]:
-    """`conjugating_relabelings` on distinct pairs (P, Q) of n-byte columns."""
-    rules = list(zip(*(p for p, _ in pairs)))  # rules[x][i] = P_i(x)
-    moved = list(zip(*(q for _, q in pairs)))  # moved[z][i] = Q_i(z)
-    solutions = (_propagate(rules, moved, c) for c in range(n))
-    return [tau for tau in solutions if tau is not None]
+def _solve(distinct: frozenset, m: int, cs: Iterable[int]) -> list[Relabeling]:
+    """The taus conjugating theta^m, over theta's distinct pairs (P, Q) of
+    n-byte columns, that `_close` finds from each tau(0) in cs."""
+    rules = list(zip(*(p for p, _ in distinct)))  # rules[x][i] = P_i(x)
+    moved = list(zip(*(q for _, q in distinct)))  # moved[z][i] = Q_i(z)
+    return [tau for c in cs if (tau := _close(rules, moved, m, c)) is not None]
 
 
-def _propagate(rules: list[bytes], moved: list[bytes], c: int) -> Relabeling | None:
-    """The tau with tau(0) = c forced by tau(P_k(x)) = P_r(k)(tau(x)), or None."""
+def _close(rules: list[tuple], moved: list[tuple], m: int, c: int) -> Relabeling | None:
+    """The tau with tau(0) = c forced by tau . P_w = Q_w . tau for each word
+    w of m of theta's pairs (P, Q), or None: each newly assigned (x, tau(x))
+    is stepped m times through the pairs, first by a row zip and then on
+    sets of symbol pairs, so theta^m's pairs are never built."""
     n = len(rules)
     tau = [-1] * n
     tau[0] = c
     todo = [0]
     while todo:
         x = todo.pop()
-        for y, v in zip(rules[x], moved[tau[x]]):
+        images = zip(rules[x], moved[tau[x]])
+        if m > 1:  # the test spares power 1, which `aut` and `sym` always run, an empty loop
+            for _ in range(1, m):
+                images = {yv for y, v in images for yv in zip(rules[y], moved[v])}
+        for y, v in images:
             if tau[y] < 0:
                 tau[y] = v
                 todo.append(y)
@@ -294,13 +301,14 @@ def _check_matrices(
 def _align(distinct: frozenset, n: int) -> tuple[int, tuple[Relabeling, ...]] | None:
     """The first power m and every tau conjugating theta^m, or None.
 
-    m = 1 is `_solve`.  R_j, the (P_w(0), P_r(w)) for |w| = j, is stepped
-    from R_(j-1) through theta's pairs (P, Q); `_images` reads the R_j with
-    m | j.  From a repeat R_j0 = R_(j0+p) on, m >= j0 and m + p read the
-    same sets, so m < j0 + p decide every power.  If the sets, at n + 1
-    bytes an entry, reach the cap first, `_close` decides the m below them.
+    m = 1 is `_close` from every tau(0).  R_j, the (P_w(0), P_r(w)) for
+    |w| = j, is stepped from R_(j-1) through theta's pairs (P, Q); `_images`
+    reads the R_j with m | j.  From a repeat R_j0 = R_(j0+p) on, m >= j0
+    and m + p read the same sets, so m < j0 + p decide every power.  If the
+    sets, at n + 1 bytes an entry, reach the cap first, `_close` decides the
+    m below them from the tau(0) that `_images` leaves alive.
     """
-    if hits := _solve(distinct, n):
+    if hits := _solve(distinct, 1, range(n)):
         return 1, tuple(hits)
     step = [(p, _relabel_table(q)) for p, q in distinct]
     sets = [frozenset([(0, bytes(range(n)))])]
@@ -316,7 +324,7 @@ def _align(distinct: frozenset, n: int) -> tuple[int, tuple[Relabeling, ...]] | 
         js = range(0, len(sets), m) if j0 is None else range(0, j0 + (period + 1) * m, m)
         alive, hits = _images(n, (sets[j if j < len(sets) else j0 + (j - j0) % period] for j in js))
         if hits is None and j0 is None:
-            hits = tuple(filter(None, (_close(step, m, n, c) for c in alive)))
+            hits = tuple(_solve(distinct, m, alive))
         if hits:
             return m, hits
     return None
@@ -341,20 +349,6 @@ def _images(n: int, sets: Iterator[frozenset]) -> tuple[list[int], tuple[Relabel
     return alive, None
 
 
-def _close(step: list, m: int, n: int, c: int) -> Relabeling | None:
-    """`_propagate` from tau(0) = c on theta^m's pairs, each (x, tau(x))
-    stepped m times through theta's pairs instead."""
-    tau, todo = {0: c}, {(0, c)}
-    while todo:
-        for _ in range(m):
-            todo = {(p[x], q[y]) for x, y in todo for p, q in step}
-        todo = todo - tau.items()
-        if len(dict(todo)) < len(todo) or any(x in tau for x, _ in todo):
-            return None
-        tau.update(todo)
-    return tuple(map(tau.get, range(n))) if len(tau) == len(set(tau.values())) == n else None
-
-
 def _language_comparison(
     theta: RectSubstitution, a: SignedPerm, depth: int, languages: dict[int, set[bytes]]
 ) -> SymmetryCandidate:
@@ -362,9 +356,10 @@ def _language_comparison(
     conjugate (A, tau) theta, tau in lexicographic order.
 
     `languages` maps a side to theta's complete language of that side.  A
-    side not in it is grown from symbol 0 until it stabilizes: each level
-    multiplies the cells by prod(s) >= 2, so a growth that never does
-    raises CapExceeded within the cap's bit length in levels.  A stabilized
+    side not in it is grown from symbol 0 until it stabilizes: a level that
+    adds a window doubles the whole patches or gathers a new window image,
+    so a growth that never does raises CapExceeded within cap + its bit
+    length levels, no more than the 2 cap allowed.  A stabilized
     language holds every window of every theta^k(0), and for primitive
     theta that is the language of X_theta whatever the root, as theta^p(b)
     contains 0 for every b.  The conjugate's language is that set moved
@@ -379,7 +374,7 @@ def _language_comparison(
         for sh in shapes:
             if sh not in moved:
                 if sh[0] not in languages:
-                    cap_depth = substitution.DEFAULT_CELL_CAP.bit_length()
+                    cap_depth = 2 * substitution.DEFAULT_CELL_CAP
                     keys, _, stabilized = _grow(theta, [Pattern.single(origin, 0)], sh, cap_depth)
                     assert stabilized, "a growth below the cell cap did not stabilize"
                     languages[sh[0]] = keys

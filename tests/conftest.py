@@ -47,3 +47,18 @@ def two_by_three():
         Pattern((0, 0), (2, 3), bytes([1, 0, 1, 0, 1, 0])),
     )
     return RectSubstitution(Alphabet(("0", "1")), (2, 3), rules)
+
+
+@pytest.fixture(scope="session")
+def r18_spec():
+    """A 2x2 rule on 4 symbols whose 192 side-2 patterns stabilize only at
+    depth 18, where whole patches hold 4^18 = 2^36 cells; grown from
+    windows, its 192 images gather 192 * 36 cells."""
+    return {
+        "name": "r18",
+        "dim": 2,
+        "size": [2, 2],
+        "alphabet": ["0", "1", "2", "3"],
+        "rules": {"0": [["0", "2"], ["1", "2"]], "1": [["1", "1"], ["3", "3"]],
+                  "2": [["2", "3"], ["0", "0"]], "3": [["3", "0"], ["2", "1"]]},
+    }

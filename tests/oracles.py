@@ -33,7 +33,8 @@ block of the non-axis refuter is the first one a scan of the whole grid
 range finds, where `symmetry` solves for it on one axis.  The alignment
 search composes the column pairs of theta^m power by power up to a
 horizon, where `symmetry._align` steps (symbol, column) pairs until they
-repeat.
+repeat, and solves each power's pairs by propagating tau(0) one pair at a
+time, where `symmetry._close` steps words of theta's pairs.
 The differential tests compare the fast paths against these.
 """
 
@@ -66,7 +67,6 @@ from subsym.symmetry import (
     _language_comparison,
     _require_primitive_bijective,
     _size_mismatch,
-    _solve,
     compose_relabelings,
     conjugating_relabelings,
 )
@@ -536,14 +536,43 @@ def composed_powers_oracle(distinct, n, cap=None):
             return
 
 
+def propagate_oracle(pairs, n):
+    """`symmetry.conjugating_relabelings` on distinct pairs (P, Q) of n-entry
+    columns, propagating each tau(0) = c through the pairs one symbol at a
+    time."""
+    rules = list(zip(*(p for p, _ in pairs)))  # rules[x][i] = P_i(x)
+    moved = list(zip(*(q for _, q in pairs)))  # moved[z][i] = Q_i(z)
+    solutions = (_propagate(rules, moved, c) for c in range(n))
+    return [tau for tau in solutions if tau is not None]
+
+
+def _propagate(rules, moved, c):
+    """The tau with tau(0) = c forced by tau(P_k(x)) = P_r(k)(tau(x)), or None."""
+    n = len(rules)
+    tau = [-1] * n
+    tau[0] = c
+    todo = [0]
+    while todo:
+        x = todo.pop()
+        for y, v in zip(rules[x], moved[tau[x]]):
+            if tau[y] < 0:
+                tau[y] = v
+                todo.append(y)
+            elif tau[y] != v:
+                return None
+    if -1 in tau or len(set(tau)) < n:
+        return None
+    return tuple(tau)
+
+
 def column_pair_search_oracle(distinct, n, cap=None):
-    """`symmetry._align` as `_solve` on each set of `composed_powers_oracle`:
+    """`symmetry._align` as `propagate_oracle` on each set of `composed_powers_oracle`:
     (the first power with hits and those hits, or None; decided), decided
     being False when the sets ended at the horizon or the size bound, not
     at a repeat or a hit."""
     cap = substitution.DEFAULT_CELL_CAP if cap is None else cap
     for m, pairs in enumerate(composed_powers_oracle(distinct, n, cap), 1):
-        if hits := _solve(pairs, n):
+        if hits := propagate_oracle(pairs, n):
             return (m, tuple(hits)), True
     return None, m < ALIGN_POWER_HORIZON and len(pairs) * len(distinct) * n <= cap
 

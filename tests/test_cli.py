@@ -659,13 +659,37 @@ def test_sym_depth_below_two_exits_2(depth):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv, env", [(["--threads", "-5"], None), ([], "abc")])
-def test_bad_thread_count_exits_2(monkeypatch, argv, env):
-    if env is not None:
-        monkeypatch.setenv("SUBSYM_THREADS", env)
+@pytest.mark.parametrize("argv", [["--threads", "-5"], ["--threads", "0"]])
+def test_bad_thread_count_exits_2(argv):
     code, out, err = run_cli(*argv, "sym", "tm1d", "--depth", "2")
     assert code == 2 and out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
+    assert err == f"error: --threads must be a positive integer, got '{argv[1]}'\n"
+
+
+def test_threads_env_is_not_read(monkeypatch):
+    # no command starts threads, so no environment value can make one fail
+    want = run_cli("sym", "tm1d", "--depth", "2")
+    monkeypatch.setenv("SUBSYM_THREADS", "abc")
+    assert run_cli("sym", "tm1d", "--depth", "2") == want
+    assert want[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fracture", "tm2d", "--refute", ""], "expected comma-separated integers, got ''"),
+        (["point", "tm2d", "--seed", "0,0,0,0", "--shift", "", "--window", "2"],
+         "expected comma-separated integers, got ''"),
+        (["patch", "tm1d", "-a", ""], "unknown symbol ''"),
+        (["patch", "tm1d", "-o", ""], ""),  # the OS names the file that cannot be opened
+    ],
+    ids=["refute", "shift", "symbol", "output"],
+)
+def test_empty_option_value_reaches_its_parser(argv, message):
+    # an empty value is a value, not an absent option
+    code, out, err = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: " + message) and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -19,7 +20,7 @@ from subsym.language import (
 )
 from subsym.lattice import Rect
 from subsym.points import AddressablePoint
-from subsym.specio import BUNDLED, bundled_substitution
+from subsym.specio import BUNDLED, build_substitution, bundled_substitution, parse_spec
 from subsym.substitution import (
     Alphabet,
     Pattern,
@@ -186,22 +187,68 @@ def test_grow_matches_whole_patch_oracle(name, monkeypatch):
                     assert bool(calls) == switching, shape
 
 
+def image_cells(size, q, shape):
+    """The cells of every shape-window of theta(w), w a q-window, read one by one."""
+    windows = math.prod(max(0, k * s - n + 1) for k, s, n in zip(q, size, shape))
+    return windows * math.prod(shape)
+
+
 @pytest.mark.parametrize("name, shape", [("tm2d", (2, 3)), ("tm3d", (2, 2, 2)), ("cyc3", (5,))])
 def test_grow_cap_fires_at_the_oracle_depth(name, shape, monkeypatch):
-    # the cap is checked on the whole patches the loop no longer builds
+    # before the switch the cap fires where the whole-patch oracle fires;
+    # after it, once the cells gathered into window images pass the cap
     theta = bundled_substitution(name)
     step = math.prod(theta.size)
-    refused = 0
+    q = tuple(-(-(n - 1) // s) + 1 for n, s in zip(shape, theta.size))
+    per_image = sum(image_cells(theta.size, q, sh) for sh in {shape, q})
+    calls = spy_window_images(monkeypatch)
+    refused = {"patches": 0, "gathered": 0, None: 0}
     for roots in root_sets(theta).values():
         cells = max(math.prod(p.extent) for p in roots)
-        for levels in (1, 2):
-            for cap in (cells * step**levels - 1, cells * step**levels):
-                monkeypatch.setattr(substitution, "DEFAULT_CELL_CAP", cap)
+        uncapped, gathered = {}, {}  # by max_depth: the result, the cells its images read
+        for max_depth in range(1, 9):
+            calls.clear()
+            uncapped[max_depth] = _grow(theta, roots, shape, max_depth)
+            gathered[max_depth] = len(calls) * per_image
+        caps = {cells * step**levels - k for levels in (1, 2) for k in (1, 0)}
+        caps |= {g - k for g in gathered.values() if g for k in (1, 0)}
+        for cap in sorted(caps):
+            with monkeypatch.context() as capped:
+                capped.setattr(substitution, "DEFAULT_CELL_CAP", cap)
                 for max_depth in (1, 2, 3, 8):
-                    want = outcome(grow_oracle, theta, roots, shape, max_depth)
-                    assert outcome(_grow, theta, roots, shape, max_depth) == want
-                    refused += want[0] == "CapExceeded"
-    assert refused
+                    oracle = outcome(grow_oracle, theta, roots, shape, max_depth)
+                    fired = next((k for k in range(1, max_depth + 1) if cells * step**k > cap), None)
+                    if oracle[0] == "CapExceeded" and gathered[fired] == 0:
+                        kind, want = "patches", oracle
+                    elif gathered[max_depth] > cap:
+                        kind, want = "gathered", ("CapExceeded", "language generation exceeded the cell cap")
+                    else:
+                        kind, want = None, uncapped[max_depth]
+                    assert outcome(_grow, theta, roots, shape, max_depth) == want, (cap, max_depth)
+                    refused[kind] += 1
+    assert refused["patches"] and refused["gathered"]
+
+
+def window_closure_oracle(theta, symbol, shape):
+    """The least set of shape-windows that holds those of theta(symbol) and,
+    with each window w, every shape-window of theta(w); for shapes no
+    smaller than the growth's q-windows that is every window of every
+    theta^k(symbol)."""
+    origin = (0,) * theta.dim
+    todo = set(apply(theta, Pattern.single(origin, symbol)).subpattern_keys(shape))
+    found = set()
+    while todo:
+        w = todo.pop()
+        found.add(w)
+        todo.update(set(apply(theta, Pattern(origin, shape, w)).subpattern_keys(shape)) - found)
+    return found
+
+
+def test_grow_past_the_whole_patch_cap_matches_the_window_closure(r18_spec):
+    theta = build_substitution(parse_spec(json.dumps(r18_spec)))
+    seen, depth, stabilized = _grow(theta, [Pattern.single((0, 0), 0)], (2, 2), 30)
+    assert (len(seen), depth, stabilized) == (192, 18, True)
+    assert seen == window_closure_oracle(theta, 0, (2, 2))
 
 
 @settings(max_examples=60, deadline=None)

@@ -18,6 +18,7 @@ from oracles import (
     language_comparison_oracle,
     position_pairs_oracle,
     power_oracle,
+    propagate_oracle,
     refuter_block_oracle,
     straddle_counts_oracle,
     sym_group_report_oracle,
@@ -29,7 +30,14 @@ from subsym import symmetry as sym
 from subsym.cli import main
 from subsym.errors import CapExceeded, ScopeError, ValidationError
 from subsym.lattice import Rect, SignedPerm, signed_perm_group
-from subsym.specio import BUNDLED, build_substitution, bundled_substitution, bundled_text, load_spec_file
+from subsym.specio import (
+    BUNDLED,
+    build_substitution,
+    bundled_substitution,
+    bundled_text,
+    load_spec_file,
+    parse_spec,
+)
 from subsym.substitution import (
     Alphabet,
     Pattern,
@@ -793,9 +801,16 @@ def test_align_hits_conjugate_theta_m(source):
 
 
 def closing_powers(monkeypatch):
-    """The powers m that `_align` hands to `_close`, as it calls it."""
+    """The powers m >= 2 that `_align` hands to `_close`, as it calls it;
+    power 1, which every search closes first, is left out."""
     powers, real_close = [], sym._close
-    monkeypatch.setattr(sym, "_close", lambda step, m, n, c: powers.append(m) or real_close(step, m, n, c))
+
+    def spy(rules, moved, m, c):
+        if m >= 2:
+            powers.append(m)
+        return real_close(rules, moved, m, c)
+
+    monkeypatch.setattr(sym, "_close", spy)
     return powers
 
 
@@ -855,7 +870,7 @@ def test_capped_align_answers_exactly_or_not_at_all(cap, monkeypatch):
 
 
 def test_close_is_propagate_on_the_pairs_of_theta_m():
-    # stepping theta's pairs m times reaches what `_solve` reads off theta^m's;
+    # stepping theta's pairs m times reaches what propagation reads off theta^m's;
     # the hand-built maps need not be permutations, so a symbol can be given
     # two images, or two symbols one
     rng = random.Random(7)
@@ -869,10 +884,25 @@ def test_close_is_propagate_on_the_pairs_of_theta_m():
         maps = [bytes(rng.choices(range(n), k=n)) for _ in range(4)]
         cases.append((frozenset((rng.choice(maps), rng.choice(maps)) for _ in range(rng.randint(1, 3))), n))
     for distinct, n in cases:
-        step = [(p, substitution._relabel_table(q)) for p, q in distinct]
         for m, pairs in enumerate(composed_powers_oracle(distinct, n, 2000 * len(distinct) * n), 1):
-            got = [tau for c in range(n) if (tau := sym._close(step, m, n, c))]
-            assert got == sym._solve(pairs, n), (sorted(distinct), m)
+            assert sym._solve(distinct, m, range(n)) == propagate_oracle(pairs, n), (sorted(distinct), m)
+
+
+@pytest.mark.parametrize("group", ["bundled", "pinned", "cyclic"] + [f"random{k}" for k in range(10)])
+def test_conjugating_relabelings_match_propagation(group):
+    # the closure at m = 1 against one-symbol-at-a-time propagation over the
+    # position maps read cell by cell, for every signed permutation
+    found = 0
+    for i, theta in enumerate(align_sources(group)):
+        n = len(theta.alphabet)
+        for a in signed_perm_group(theta.dim):
+            got = conjugating_relabelings(theta, a)
+            if _size_mismatch(theta.size, a) is not None:
+                assert got == [], (i, a)
+                continue
+            assert got == propagate_oracle(position_pairs_oracle(theta, a), n), (i, a)
+            found += bool(got)
+    assert found
 
 
 def test_images_read_one_set_past_coverage():
@@ -913,6 +943,34 @@ def test_sym_aligns_past_the_old_power_horizon(tmp_path, capsys):
     lines = out.splitlines()
     assert lines[1] == "-;1 -> ExactYes,tau=0," + ",".join(str(a) for a in range(24, 0, -1))
     assert lines[2] == "psi_image_order=2 split=yes"
+
+
+def test_sym_falls_back_on_a_language_past_the_whole_patch_cap(r18_spec, tmp_path, capsys):
+    path = tmp_path / "r18.json"
+    path.write_text(json.dumps(r18_spec), encoding="utf-8")
+    assert main(["sym", str(path), "--depth", "2"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.splitlines()
+    assert len(lines) == 9 and lines[0] == "++;12 -> ExactYes,tau=0,1,2,3"
+    assert all(line.endswith(" -> RefutedAt(2)") for line in lines[1:8])
+    assert lines[8] == "psi_image_order=1 split=yes"
+
+
+@pytest.mark.parametrize("cap, stops", [(2**16, False), (192 * 36, False), (192 * 36 - 1, True), (255, True)])
+def test_fallback_growth_ends_at_the_cap_not_at_its_depth_bound(cap, stops, r18_spec, monkeypatch):
+    # the whole patches pass 255 cells before the switch and the gathered
+    # cells pass 6911 after it; any cap the growth stays within lets it
+    # stabilize, however many levels past the cap's bit length it needs
+    theta = build_substitution(parse_spec(json.dumps(r18_spec)))
+    swap = SignedPerm((1, 0), (0, 0))
+    want = _language_comparison(theta, swap, 2, {})
+    monkeypatch.setattr(substitution, "DEFAULT_CELL_CAP", cap)
+    if stops:
+        with pytest.raises(CapExceeded):
+            _language_comparison(theta, swap, 2, {})
+    else:
+        assert _language_comparison(theta, swap, 2, {}) == want
 
 
 R7 = {
