@@ -25,7 +25,6 @@ from .substitution import (
     RectSubstitution,
     Seed,
     _seed_periods,
-    corner_fixed,
     corner_fixing_power,
     is_bijective,
     is_primitive,
@@ -131,11 +130,10 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 def cmd_point(args) -> int:
     _, theta = _load(args.spec)
-    theta_cf, m = corner_fixed(theta)
-    seed_syms = tuple(theta.alphabet.index(nm) for nm in args.seed.split(","))
-    seed = Seed(theta.dim, seed_syms)
+    m = corner_fixing_power(theta)
+    seed = Seed(theta.dim, tuple(theta.alphabet.index(nm) for nm in args.seed.split(",")))
     shift = _parse_ints(args.shift) if args.shift is not None else (0,) * theta.dim
-    x = AddressablePoint(theta_cf, seed, shift)
+    x = AddressablePoint(theta, seed, shift)
     rect = Rect.centered(theta.dim, args.window)
     print(f"corner_fixing_power={m}")
     sys.stdout.write(specio.render_pattern_text(x.window(rect)))
@@ -146,7 +144,9 @@ def cmd_lang(args) -> int:
     spec, theta = _load(args.spec)
     shape = _parse_ints(args.shape)
     cache_path = None
-    if args.cache_dir:
+    if args.cache_dir == "":
+        raise ValidationError("--cache-dir '' names no directory")
+    if args.cache_dir is not None:
         key = f"{specio.spec_digest(spec)}-{shape}-{args.mode}-{args.depth}-{__version__}"
         digest = hashlib.sha256(key.encode()).hexdigest()[:16]
         cache_path = Path(args.cache_dir) / f"lang-{digest}.txt"
@@ -195,8 +195,7 @@ def cmd_fracture(args) -> int:
             return 0
         print(f"inconclusive: window too small, need about {report.required_window}")
         return 1
-    theta_cf, _ = corner_fixed(theta)
-    witness = fracture_normal_witness(theta_cf, args.axis, window=args.window)
+    witness = fracture_normal_witness(theta, args.axis, window=args.window)
     print(
         f"axis={args.axis} window={args.window} "
         f"equal_on_upper={'yes' if witness.equal_on_upper else 'no'} "

@@ -1,25 +1,28 @@
 """Lazy points of a substitutive subshift.
 
-Every point here is a shifted fixed point: a seed on {-1,0}^d that the
-seed dynamics fix, inflated forever, then translated.  Such a point is
-also fixed by theta^c, so symbol queries walk the base-s^c digits of the
-coordinate through per-quadrant tables of theta^c (one per theta, cached,
-64 KiB at most unless theta's own tables are larger): a lookup costs
-O(depth / c) table hits and no patch is ever materialized.  The digits
-are split off k at a time: one `divmod` per chunk, whose k terms come
-from a per-axis chunk table with no more entries than a rule of theta^c
-has cells.  Both tables are built on the first query of a theta.
+Every point here is a shifted periodic point: a seed on {-1,0}^d whose
+corner symbols lie on cycles of theta's corner maps (every seed, when
+theta is bijective), inflated forever, then translated.  The quadrant of
+seed cell u grows from u's symbol a alone, through u's corner map P where
+it is not read, so with a on a cycle of P the point is theta^L-fixed (L
+the lcm of the corners' cycle lengths) and its quadrant D levels below
+the top grows from P^(-D)(a), with no power of theta built.  Queries
+walk the base-s^c digits of the coordinate, a chunk per `divmod`, through
+per-quadrant tables of theta^c (cached, 64 KiB at most unless theta's own
+tables are larger), from the corner's cycle entry c * D levels back:
+O(depth / c) table hits, and no patch is ever materialized.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass
 from itertools import zip_longest
 
 from . import substitution
-from .errors import CapExceeded, ScopeError, SearchFailure, ValidationError
+from .errors import CapExceeded, ScopeError, ValidationError
 from .lattice import Rect, SignedPerm, Vec, spow, vadd, vfloordiv, vmod, vsub, zero
 from .substitution import (
     Pattern,
@@ -33,7 +36,6 @@ from .substitution import (
     corner_order,
     is_bijective,
     power,
-    seed_step,
 )
 
 
@@ -83,13 +85,19 @@ class OdometerCoord:
 DIGIT_TABLE_BYTES = 1 << 16
 
 
+def _table_power(theta: RectSubstitution) -> int:
+    """The largest c >= 1 whose digit tables fit DIGIT_TABLE_BYTES (1 if even theta's do not)."""
+    block, c = math.prod(theta.size), 1
+    while (len(theta.alphabet) << theta.dim) * block ** (c + 1) <= DIGIT_TABLE_BYTES:
+        c += 1
+    return c
+
+
 @functools.lru_cache(maxsize=16)
 def _digit_tables(
-    theta: RectSubstitution,
+    theta: RectSubstitution, c: int
 ) -> tuple[Vec, tuple[tuple[bytes, ...], ...], tuple[tuple[tuple[int, ...], ...], ...]]:
-    """(s^c, rules of theta^c per quadrant, chunk table per axis) for the
-    largest c >= 1 whose rules fit DIGIT_TABLE_BYTES (c = 1 if even theta's
-    do not).
+    """(s^c, rules of theta^c per quadrant, chunk table per axis).
 
     Quadrant q is the q-th seed cell u of `corner_order`; its rules are those of
     theta^c reflected on every axis with u_i = -1, so that a non-negative
@@ -100,11 +108,7 @@ def _digit_tables(
     entries than one rule of theta^c has cells), to its k terms digit * t,
     low digit first.
     """
-    d, block = theta.dim, math.prod(theta.size)
-    c = 1
-    while (len(theta.alphabet) << d) * block ** (c + 1) <= DIGIT_TABLE_BYTES:
-        c += 1
-    theta_c, bases = power(theta, c), spow(theta.size, c)
+    d, theta_c, bases = theta.dim, power(theta, c), spow(theta.size, c)
     quadrants = []
     for u in corner_order(d):
         idx = _moved(bases, SignedPerm(tuple(range(d)), tuple(-ui for ui in u)))
@@ -119,35 +123,69 @@ def _digit_tables(
     return bases, tuple(quadrants), tuple(chunks)
 
 
+def _walk(k: Vec, shift: Vec, cycles, tables, c: int, back: int) -> int:
+    """Symbol at k of the point with origin `shift` whose quadrant q grows from
+    the corner cycle cycles[q], `back` levels of theta below the top.
+
+    k is routed to the quadrant of its seed cell and made a non-negative
+    in-quadrant offset (x or ~x per axis), whose D base-s^c digits, split
+    off a chunk per `divmod` and padded with 0 on shorter axes, are read
+    from the top down through the quadrant's rules of theta^c, starting
+    from the corner symbol c * D + back levels back on its cycle.
+    """
+    _, quadrants, chunks = tables
+    q, axes = 0, []
+    for x, v, chunk in zip(k, shift, chunks):
+        x -= v
+        # a 1 bit per non-negative axis, first axis highest: u's place in corner_order
+        q = q << 1 | (x >= 0)
+        x = x if x >= 0 else ~x
+        terms, radix = [], len(chunk)
+        while x:
+            x, r = divmod(x, radix)
+            terms += chunk[r]
+        axes.append(terms)
+    levels = axes[0] if len(axes) == 1 else list(map(sum, zip_longest(*axes, fillvalue=0)))
+    rules, cycle = quadrants[q], cycles[q]
+    sym = cycle[-(c * len(levels) + back) % len(cycle)]
+    for i in reversed(levels):
+        sym = rules[sym][i]
+    return sym
+
+
 def _require_dim(v: Vec, d: int, what: str) -> None:
     if len(v) != d:
         raise ValidationError(f"{what} {v} does not have {d} coordinates")
 
 
 class AddressablePoint:
-    """sigma_v(x_P) for a fixed seed P: total, O(depth / c) symbol queries.
+    """sigma_v(x_P) for a seed P on a cycle: total, O(depth / c) symbol queries.
 
-    The substitution must fix the seed (seed_step(theta, seed) == seed);
-    replacing theta by its corner-fixing power makes every seed eligible
-    for bijective substitutions.
+    x_P is the theta^L-fixed point grown from P, L the length of P's cycle
+    under the seed step, as under any corner-fixing power of theta.  A
+    corner symbol off its corner map's cycles is a `ScopeError`.
     """
 
-    __slots__ = ("theta", "seed", "shift", "_tables")
+    __slots__ = ("theta", "seed", "shift", "_cycles", "_c", "_tables")
 
     def __init__(self, theta: RectSubstitution, seed: Seed, shift: Vec | None = None):
         if seed.dim != theta.dim:
             raise ValidationError("seed dimension mismatch")
-        if seed_step(theta, seed) != seed:
-            raise ScopeError(
-                "seed is not fixed by the substitution; "
-                "replace theta by a corner-fixing power first"
-            )
+        cycles = []  # per corner, a, P(a), P^2(a), ... for its corner map P and symbol a
+        for table, a in zip(_corner_maps(theta), seed.symbols):
+            cycle = [a]
+            while table[cycle[-1]] != a and len(cycle) <= len(table):
+                cycle.append(table[cycle[-1]])
+            if len(cycle) > len(table):
+                raise ScopeError(f"seed symbol {a} is not on a cycle of its corner map")
+            cycles.append(tuple(cycle))
         if shift is not None:
             _require_dim(shift, theta.dim, "shift")
         self.theta = theta
         self.seed = seed
         self.shift = shift if shift is not None else zero(theta.dim)
-        self._tables = None  # _digit_tables(theta), fetched by the first symbol_at
+        self._cycles = tuple(cycles)
+        self._c = self._tables = None  # _digit_tables(theta, c), fetched by the first symbol_at
 
     @property
     def dim(self) -> int:
@@ -155,60 +193,38 @@ class AddressablePoint:
 
     def with_shift(self, v: Vec) -> "AddressablePoint":
         _require_dim(v, self.theta.dim, "shift")
-        clone = AddressablePoint.__new__(AddressablePoint)
-        clone.theta = self.theta
-        clone.seed = self.seed
+        clone = copy.copy(self)
         clone.shift = v
-        clone._tables = self._tables
         return clone
 
     def symbol_at(self, k: Vec) -> int:
-        """Symbol at coordinate k, in O(depth / c) table hits.
-
-        The coordinate is routed to the quadrant of the seed cell it falls
-        in and turned into a non-negative in-quadrant offset (x or ~x per
-        axis), whose base-s^c digits are read from the top down through that
-        quadrant's rules of theta^c.  The digits come k at a time, one
-        `divmod` per chunk, as their terms digit * stride from the axis's
-        chunk table.  Axes with fewer digits are padded with 0, and so is
-        the expansion past the last digit: the seed is fixed by theta^c, so
-        the result does not depend on the depth.
-        """
+        """Symbol at k: `_walk` through the tables of the largest theta^c that
+        fits DIGIT_TABLE_BYTES.  An extra top digit 0 would step the corner
+        symbol c levels back and its corner map c levels forward again."""
         _require_dim(k, len(self.shift), "coordinate")
         if self._tables is None:
-            self._tables = _digit_tables(self.theta)
-        _, quadrants, chunks = self._tables
-        q, axes = 0, []
-        for x, v, chunk in zip(k, self.shift, chunks):
-            x -= v
-            # a 1 bit per non-negative axis, first axis highest: u's place in corner_order
-            q = q << 1 | (x >= 0)
-            x = x if x >= 0 else ~x
-            terms, radix = [], len(chunk)
-            while x:
-                x, r = divmod(x, radix)
-                terms += chunk[r]
-            axes.append(terms)
-        levels = axes[0] if len(axes) == 1 else list(map(sum, zip_longest(*axes, fillvalue=0)))
-        rules, sym = quadrants[q], self.seed.symbols[q]
-        for i in reversed(levels):
-            sym = rules[sym][i]
-        return sym
+            self._c = _table_power(self.theta)
+            self._tables = _digit_tables(self.theta, self._c)
+        return _walk(k, self.shift, self._cycles, self._tables, self._c, 0)
 
     def window(self, r: Rect) -> Pattern:
-        """The point on an inclusive rect.  The unshifted point is theta-fixed,
-        so on a box B it is a crop of theta applied to it on floor(B / s)."""
+        """The point on an inclusive rect.  The unshifted point is theta of
+        itself one level back, so on a box B it is a crop of theta applied to
+        that point on floor(B / s).  B descends J levels until every side is
+        at most 2, `_walk` reads that box on theta's own tables J levels back,
+        and theta inflates it back up."""
         _require_dim(r.lo, self.dim, "window corner")
         n, cap = r.cell_count(), substitution.DEFAULT_CELL_CAP
         if n > cap:
             raise CapExceeded(f"window of {n} cells exceeds cap {cap}")
-        b = r.translate(vsub(zero(self.dim), self.shift))
-        seed, s = self.seed.pattern(), self.theta.size
-        boxes = []  # B, floor(B / s), ... down to a box inside {-1, 0}^d
-        while not seed.rect().contains_rect(b):
+        b, s = r.translate(vsub(zero(self.dim), self.shift)), self.theta.size
+        boxes = []  # B, floor(B / s), ... down to a box of sides <= 2
+        while any(hi - lo > 1 for lo, hi in zip(b.lo, b.hi)):
             boxes.append(b)
             b = Rect(vfloordiv(b.lo, s), vfloordiv(b.hi, s))
-        p = seed.subpattern(b)
+        tables, origin = _digit_tables(self.theta, 1), zero(self.dim)
+        cells = bytes(_walk(k, origin, self._cycles, tables, 1, len(boxes)) for k in b.cells())
+        p = Pattern(b.lo, b.extent(), cells)
         for b in reversed(boxes):
             p = _inflate(self.theta, p).subpattern(b)
         return p.translate(self.shift)
@@ -229,11 +245,12 @@ def shift_point(x: AddressablePoint, k: Vec) -> AddressablePoint:
 
 
 def desubstitute_point(x: AddressablePoint) -> tuple[Vec, AddressablePoint]:
-    """Unique k1 in S and y with x = sigma_k1(theta(y))."""
-    s = x.theta.size
-    k1 = vmod(x.shift, s)
+    """Unique k1 in S and y with x = sigma_k1(theta(y)): y's seed is x's one
+    step back on its cycle, since theta of that point is x's point."""
+    s, k1 = x.theta.size, vmod(x.shift, x.theta.size)
     y_shift = tuple((v - r) // b for v, r, b in zip(x.shift, k1, s))
-    return k1, x.with_shift(y_shift)
+    back = Seed(x.dim, tuple(cycle[-1] for cycle in x._cycles))
+    return k1, AddressablePoint(x.theta, back, y_shift)
 
 
 @dataclass(frozen=True)
@@ -303,11 +320,12 @@ class ContradictionPair:
 def contradiction_pair(
     theta: RectSubstitution, u: Vec, base_seed: Seed | None = None
 ) -> ContradictionPair:
-    """Flip one seed corner of a fixed point; bijectivity spreads the flip
-    over exactly that quadrant.
+    """Flip one seed corner of a point; bijectivity spreads the flip over
+    exactly that quadrant.
 
-    Requires a bijective substitution whose corner maps are already
-    identity (corner-fixed), so every seed is fixed.
+    For a bijective theta every corner symbol lies on a cycle, and a
+    quadrant, grown from its corner symbol alone through bijective maps,
+    differs at every cell when that symbol does.
     """
     if not is_bijective(theta):
         raise ScopeError("contradiction_pair requires a bijective substitution")
@@ -338,25 +356,17 @@ class HalfSpacePair:
 def half_space_fracture_pair(
     theta: RectSubstitution, axis: int
 ) -> HalfSpacePair:
-    """The first pair of fixed seeds, in seed order, realizing an axis half-space split.
+    """x is 0 on every seed corner, y is 1 on the lower ones (-1 on `axis`).
 
-    The pair must share every seed cell with coordinate 0 on `axis` and
-    differ on every seed cell with coordinate -1 there.  Bijectivity then
-    forces agreement on the closed upper half-space and disagreement at
-    every single coordinate of the open lower one.  A seed is fixed when
-    each corner holds a fixed symbol of that corner's map, so x takes each
-    corner's smallest fixed symbol and y differs from it on the lower
-    corners by their second-smallest.
+    For a bijective theta every seed lies on a cycle, and a quadrant grows
+    from its corner symbol alone through bijective maps, so the pair agrees
+    on the closed upper half-space and differs at every coordinate of the
+    open lower one.
     """
     if not 0 <= axis < theta.dim:
         raise ValidationError(f"axis {axis} out of range")
     if not is_bijective(theta):
         raise ScopeError("half_space_fracture_pair requires a bijective substitution")
-    # per corner, the fixed symbols of its map in increasing order, and whether it is lower
-    fixed = [[a for a, b in enumerate(p) if a == b] for p in _corner_maps(theta)]
-    lower = [u[axis] == -1 for u in corner_order(theta.dim)]
-    if any(len(f) < 1 + low for f, low in zip(fixed, lower)):
-        raise SearchFailure("faithfulness witness not found at seed level")
-    sx = Seed(theta.dim, tuple(f[0] for f in fixed))
-    sy = Seed(theta.dim, tuple(f[low] for f, low in zip(fixed, lower)))
-    return HalfSpacePair(AddressablePoint(theta, sx), AddressablePoint(theta, sy), axis)
+    sy = Seed(theta.dim, tuple(int(u[axis] == -1) for u in corner_order(theta.dim)))
+    x, y = AddressablePoint(theta, Seed.constant(theta.dim, 0)), AddressablePoint(theta, sy)
+    return HalfSpacePair(x, y, axis)

@@ -380,7 +380,8 @@ def _language_comparison(
                     languages[sh[0]] = keys
                 idx = _moved(sh, a)
                 moved[sh] = [bytes(map(w.__getitem__, idx)) for w in languages[sh[0]]]
-            if {w.translate(table) for w in moved[sh]} != languages[sh[0]]:
+            lang = languages[sh[0]]  # as many distinct moved words: inclusion is equality
+            if not all(w.translate(table) in lang for w in moved[sh]):
                 break
         else:
             return SymmetryCandidate(a, VERIFIED_UP_TO, tau=tau, depth=depth)

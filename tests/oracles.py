@@ -25,7 +25,8 @@ where `substitution._columns` now holds every position map, and the
 signed-permutation determinant by cycle parity, where `SignedPerm.det`
 now reads `lattice.mat_det`.  The half-space fracture pair is the first
 pair that a double loop over every fixed seed finds, where the module now
-builds it from the fixed symbols of each corner map.  The seed cycles
+takes x = 0 on every corner and y = 1 on the lower ones, the same pair
+when every corner map is the identity.  The seed cycles
 come from a walk over every seed with its transients, and the order of
 a permutation from a walk of its own, where `substitution` steps only the
 seeds on cycles and reads both from `_cycle_lengths`.  The straddling
@@ -47,7 +48,7 @@ from subsym import substitution
 from subsym.errors import CapExceeded, SearchFailure, ValidationError
 from subsym.language import patch_language
 from subsym.lattice import Rect, mat_inverse_unimodular, mat_vec, signed_perm_group, spow, vadd, vmul, zero
-from subsym.points import AddressablePoint, HalfSpacePair, _digit_tables
+from subsym.points import AddressablePoint, HalfSpacePair, _digit_tables, _table_power
 from subsym.robinson import E, N, S, W, RobinsonPatch, Violation
 from subsym.substitution import (
     Pattern,
@@ -217,8 +218,10 @@ def render_text_oracle(p):
 
 def digit_walk_oracle(x, k):
     """`symbol_at` reading one base-s^c digit per `divmod`, through the same
-    per-quadrant rules of theta^c, the levels joined by `zip_longest`."""
-    bases, quadrants, _ = _digit_tables(x.theta)
+    per-quadrant rules of theta^c, the levels joined by `zip_longest`, from
+    the corner symbol stepped back c levels per digit by `cycle_back`."""
+    power = _table_power(x.theta)
+    bases, quadrants, _ = _digit_tables(x.theta, power)
     q, axes = 0, []
     for c, v, b, st in zip(k, x.shift, bases, _strides(bases)):
         c -= v
@@ -229,8 +232,10 @@ def digit_walk_oracle(x, k):
             c, r = divmod(c, b)
             digits.append(r * st)
         axes.append(digits)
-    rules, sym = quadrants[q], x.seed.symbols[q]
-    for level in reversed(list(itertools.zip_longest(*axes, fillvalue=0))):
+    levels = list(itertools.zip_longest(*axes, fillvalue=0))
+    u = corner_order(x.dim)[q]
+    rules, sym = quadrants[q], cycle_back(x.theta, u, x.seed.corner(u), power * len(levels))
+    for level in reversed(levels):
         sym = rules[sym][sum(level)]
     return sym
 
@@ -352,6 +357,22 @@ def quadrant_maps(theta, u):
     ]
 
 
+def cycle_back(theta, u, sym, steps):
+    """sym stepped `steps` levels back on the cycle of seed corner u's map P,
+    one predecessor at a time: the last symbol before sym on the walk
+    P(sym), P(P(sym)), ...; a symbol off every cycle fails the assert."""
+    table = quadrant_maps(theta, u)[0]
+    for _ in range(steps):
+        prev, b = sym, table[sym]
+        for _ in table:
+            if b == sym:
+                break
+            prev, b = b, table[b]
+        assert b == sym, "symbol off its corner map's cycles"
+        sym = prev
+    return sym
+
+
 def quadrant_walk(x, k, depth=None):
     """(u, walk): the seed corner u of k's quadrant, and the position maps
     of theta that k's base-s digits pick in it, lowest digit first.
@@ -360,7 +381,9 @@ def quadrant_walk(x, k, depth=None):
     non-negative in-quadrant offset, whose digits pick the quadrant's
     position maps.  With `depth` the walk reads exactly that many digits
     (and asserts that they cover the offset), else it stops at the last
-    non-zero one.
+    non-zero one.  The walk reads the quadrant `len(walk)` levels below the
+    top, so `symbol_at_oracle` runs it from the corner symbol stepped back
+    that far by `cycle_back`; for a fixed seed that is the corner symbol.
     """
     s = x.theta.size
     w = tuple(a - b for a, b in zip(k, x.shift))
@@ -387,9 +410,10 @@ def run_walk(walk, sym):
 
 
 def symbol_at_oracle(x, k, depth=None):
-    """Symbol of point x at k by one position map of theta per base-s digit."""
+    """Symbol of point x at k by one position map of theta per base-s digit,
+    from the corner symbol stepped back one level per digit."""
     u, walk = quadrant_walk(x, k, depth)
-    return run_walk(walk, x.seed.corner(u))
+    return run_walk(walk, cycle_back(x.theta, u, x.seed.corner(u), len(walk)))
 
 
 def signed_perm_det_oracle(a):

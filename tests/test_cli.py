@@ -10,13 +10,14 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from oracles import render_text_oracle
+from oracles import render_text_oracle, symbol_at_oracle
 
 from subsym import robinson as rob
 from subsym import specio, substitution, symmetry
 from subsym.cli import build_parser, main
 from subsym.errors import ValidationError
 from subsym.lattice import Rect
+from subsym.points import AddressablePoint
 from subsym.specio import (
     bundled_substitution,
     canonical_text,
@@ -25,6 +26,7 @@ from subsym.specio import (
     parse_language_dump,
     parse_spec,
 )
+from subsym.substitution import Pattern, Seed
 
 
 def run_cli(*argv):
@@ -193,6 +195,22 @@ def test_analyze_counts_seeds_without_building_the_corner_fixing_power(tmp_path)
     assert (code, err) == (0, "")
     assert "corner_fixing_power=12" in out.splitlines()
     assert "fixed_seeds_after_corner_fixing=256" in out.splitlines()
+
+
+def test_point_and_fracture_grow_cf12_by_theta_itself(tmp_path):
+    # theta^12 would need 3^12 * 2^12 cells per rule; no seed of theta is fixed
+    # here, and each corner cycle is read from theta's corner maps
+    spec = write_spec(tmp_path, "cf12", (3, 2), CF12_RULES)
+    code, out, err = run_cli("point", spec, "--seed", "0,1,2,3", "--shift=-5,700", "--window", "6")
+    assert (code, err) == (0, "")
+    theta = specio.parse_and_build(specio.read_utf8(spec))[1]
+    x = AddressablePoint(theta, Seed(2, (0, 1, 2, 3)), (-5, 700))
+    rect = Rect.centered(2, 6)
+    want = Pattern(rect.lo, rect.extent(), bytes(symbol_at_oracle(x, k) for k in rect.cells()))
+    assert out == "corner_fixing_power=12\n" + render_text_oracle(want)
+    for axis in (0, 1):
+        code, out, err = run_cli("fracture", spec, "--axis", str(axis), "--window", "16")
+        assert (code, out, err) == (0, f"axis={axis} window=16 equal_on_upper=yes unequal_on_lower=yes\n", "")
 
 
 def ten_symbol_spec(tmp_path, name="ten", outer=tuple(range(10))):
@@ -657,6 +675,15 @@ def test_sym_depth_below_two_exits_2(depth):
     code, out, err = run_cli("sym", "rig3", "--depth", depth)
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_lang_empty_cache_dir_names_no_directory(tmp_path, monkeypatch):
+    # like -o "", an empty --cache-dir is refused before any file is written
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli("lang", "tm1d", "--shape", "2", "--cache-dir", "")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [["--threads", "-5"], ["--threads", "0"]])

@@ -36,14 +36,17 @@ from subsym.points import (
     half_space_fracture_pair,
     quadrant_cell_of,
     _digit_tables,
+    _table_power,
     shift_point,
 )
 from subsym.specio import BUNDLED, bundled_substitution, parse_and_build
 from subsym.substitution import (
     Pattern,
     Seed,
+    apply,
     _strides,
     corner_fixed,
+    corner_order,
     corner_fixing_power,
     fixed_seeds,
     is_bijective,
@@ -130,9 +133,15 @@ def test_symbol_depth_independence(corpus):
             assert small.get(k) == big.get(k) == x.symbol_at(k)
 
 
-def test_unfixed_seed_rejected(tm1d):
-    with pytest.raises(ScopeError):
-        AddressablePoint(tm1d, Seed(1, (0, 0)))  # tm1d itself fixes no seed
+def test_unfixed_seed_gives_the_theta_squared_point(tm1d):
+    # tm1d itself fixes no seed: (0, 0) steps to (1, 0) and back, so its
+    # point is the one theta^2 grows from it
+    seed = Seed(1, (0, 0))
+    x, x2 = AddressablePoint(tm1d, seed, (5,)), AddressablePoint(power(tm1d, 2), seed, (5,))
+    rect = Rect((-40,), (39,))
+    assert x.window(rect) == x2.window(rect)
+    for k in [*range(-40, 40), 2**70, -(2**70) + 3]:
+        assert x.symbol_at((k,)) == x2.symbol_at((k,)), k
 
 
 def test_m_independence_bulk(corpus):
@@ -171,7 +180,7 @@ def probe_coords(x, rng):
     digit boundaries +-(s^c)^j and of the chunk boundaries +-(b^k)^j (b^k
     the length of the axis's chunk table) on each axis and on all axes at
     once, and random coordinates up to 2^60."""
-    bases, _, chunks = _digit_tables(x.theta)
+    bases, _, chunks = _digit_tables(x.theta, _table_power(x.theta))
     d, v = x.dim, x.shift
     coords = list(itertools.product(*((c, c - 1) for c in v)))
     for radices in (bases, tuple(map(len, chunks))):
@@ -206,7 +215,7 @@ def test_symbol_at_matches_oracle(name):
 
 def test_symbol_at_matches_oracle_on_unequal_axes(two_by_three):
     theta = eligible(two_by_three)
-    bases = _digit_tables(theta)[0]
+    bases = _digit_tables(theta, _table_power(theta))[0]
     assert theta.size == (4, 9) and bases[0] != bases[1]
     assert_matches_oracle(theta, random.Random(23))
 
@@ -230,7 +239,7 @@ def test_symbol_at_has_no_depth_limit(corpus, two_by_three):
 def test_digit_tables_fill_the_budget(corpus, two_by_three):
     for theta in [*corpus.values(), two_by_three]:
         theta = eligible(theta)
-        bases, quadrants, chunks = _digit_tables(theta)
+        bases, quadrants, chunks = _digit_tables(theta, _table_power(theta))
         per_level = math.prod(theta.size)
         c = round(math.log(math.prod(bases), per_level))
         assert bases == tuple(si**c for si in theta.size)
@@ -306,10 +315,14 @@ def test_tables_are_shared(tm2d, counted_builds):
     assert len(counted_builds) == 1
 
 
-def test_window_builds_no_tables(tm2d, counted_builds):
+def test_window_builds_no_tables(tm2d, counted_builds, monkeypatch):
+    # windows read theta's own tables (c = 1): no theta^c table, no power above 1
+    built = []
+    real_tables = points._digit_tables
+    monkeypatch.setattr(points, "_digit_tables", lambda theta, c: built.append(c) or real_tables(theta, c))
     x = AddressablePoint(eligible(tm2d), Seed(2, (0, 1, 1, 0)), (5, -5))
     x.window(Rect((-8, -8), (7, 7)))
-    assert x._tables is None and not counted_builds
+    assert x._tables is None and built == [1]
     for argv in (
         ["point", "tm2d", "--seed", "0,1,1,0", "--shift=3,-2", "--window", "4"],
         ["fracture", "tm2d", "--axis", "1", "--window", "8"],
@@ -318,7 +331,7 @@ def test_window_builds_no_tables(tm2d, counted_builds):
     ):
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(argv) == 0
-    assert not counted_builds and _digit_tables.cache_info().currsize == 0
+    assert set(built) == {1} and all(m == 1 for _, m in counted_builds)
 
 
 # -- shifts and the odometer coordinate ---------------------------------------
@@ -547,12 +560,11 @@ def test_half_space_pair_1d(tm1d):
         assert (wx.get(k) == wy.get(k)) == (k[0] >= 0)
 
 
-def test_half_space_pair_needs_fixed_seeds(tm1d):
-    # tm1d itself has no fixed seed; the witness search must report failure
-    from subsym.errors import SearchFailure
+def test_half_space_pair_needs_no_fixed_seeds(tm1d):
+    # tm1d itself has no fixed seed; its pair's seeds lie on cycles
+    from subsym.symmetry import fracture_normal_witness
 
-    with pytest.raises(SearchFailure, match="witness"):
-        half_space_fracture_pair(tm1d, 0)
+    assert fracture_normal_witness(tm1d, 0, window=128).ok
 
 
 def random_bijective_spec(seed):
@@ -582,23 +594,86 @@ def _pair_outcome(search, theta, axis):
     return pair.x.seed, pair.y.seed, pair.axis
 
 
-# on seeds 145 and 189 theta has a pair along one axis and none along the other
+# on seeds 145 and 189 theta has a pair of fixed seeds along one axis and none along the other
 @pytest.mark.parametrize("source", sorted(BUNDLED) + list(range(24)) + [145, 189])
 def test_half_space_pair_matches_oracle(source):
-    # the pair built from the corner maps is the first one the double loop over
-    # fixed seeds finds, on theta and its corner-fixing power theta^m.  Both read
-    # theta^m's columns whole several times per axis, so theta^m joins only up to
-    # 2^20 cells: the 9M-cell theta^6 of a 3-d, 3-symbol rule takes 15 s here
+    # on the corner-fixing power theta^m, where every seed is fixed, the pair
+    # is the first one the double loop over fixed seeds finds.  The oracle
+    # reads theta^m's columns whole several times per axis, so theta^m joins
+    # only up to 2^20 cells: the 9M-cell theta^6 of a 3-d, 3-symbol rule
+    # takes 15 s here.  On theta itself the pair is x = 0 on every corner and
+    # y = 1 on the lower ones, and its windows pass the witness
+    from subsym.symmetry import fracture_normal_witness
+
     theta = bundled_substitution(source) if isinstance(source, str) else random_bijective(source)
-    thetas = [theta]
-    if is_bijective(theta):
+    m = corner_fixing_power(theta)
+    if len(theta.alphabet) * math.prod(theta.size) ** m <= 2**20:
+        theta_m = power(theta, m)
+        for axis in range(theta.dim):
+            want = _pair_outcome(half_space_fracture_pair_oracle, theta_m, axis)
+            assert _pair_outcome(half_space_fracture_pair, theta_m, axis) == want, axis
+    for axis in range(theta.dim):
+        pair = half_space_fracture_pair(theta, axis)
+        lower = tuple(int(u[axis] == -1) for u in corner_order(theta.dim))
+        assert (pair.x.seed.symbols, pair.y.seed.symbols) == ((0,) * len(lower), lower)
+        assert fracture_normal_witness(theta, axis, window=6).ok, axis
+
+
+def small_power_specs(count, cells=2**16):
+    """The first `count` random bijective specs whose corner-fixing power
+    theta^m has at most `cells` cells, as (theta, theta^m)."""
+    out, seed = [], 0
+    while len(out) < count:
+        theta = random_bijective(seed)
         m = corner_fixing_power(theta)
-        if len(theta.alphabet) * math.prod(theta.size) ** m <= 2**20:
-            thetas.append(power(theta, m))
-    for t in thetas:
-        for axis in range(t.dim):
-            want = _pair_outcome(half_space_fracture_pair_oracle, t, axis)
-            assert _pair_outcome(half_space_fracture_pair, t, axis) == want, axis
+        if len(theta.alphabet) * math.prod(theta.size) ** m <= cells:
+            out.append((theta, power(theta, m)))
+        seed += 1
+    return out
+
+
+def test_theta_points_are_the_corner_fixing_power_points():
+    # a seed on a cycle heads the same point under theta as under theta^m,
+    # which fixes it: windows and symbols agree, at shifts up to 2^70, and the
+    # symbols match the oracle walks that step the corner symbols back
+    rng = random.Random(2070)
+    for theta, theta_m in small_power_specs(120):
+        d, n = theta.dim, len(theta.alphabet)
+        for _ in range(2):
+            seed = Seed(d, tuple(rng.randrange(n) for _ in range(1 << d)))
+            shift = tuple(rng.randint(-(2**70), 2**70) for _ in range(d))
+            x, x_m = AddressablePoint(theta, seed, shift), AddressablePoint(theta_m, seed, shift)
+            rect = Rect.centered(d, 3).translate(shift)
+            assert x.window(rect) == x_m.window(rect), (theta.size, seed, shift)
+            for k in [shift, *(tuple(rng.randint(-(2**72), 2**72) for _ in range(d)) for _ in range(3))]:
+                want = symbol_at_oracle(x, k)
+                assert x.symbol_at(k) == x_m.symbol_at(k) == digit_walk_oracle(x, k) == want, (seed, shift, k)
+
+
+def test_desubstitute_point_steps_the_seed_back(tm2d):
+    # (0, 0, 0, 1) is not fixed by tm2d's seed step: y carries the seed one
+    # step back on its cycle, and sigma_k1(theta(y)) is x
+    x = AddressablePoint(tm2d, Seed(2, (0, 0, 0, 1)), (13, -6))
+    k1, y = desubstitute_point(x)
+    assert y.seed == Seed(2, (0, 1, 1, 1)) and y.shift == (6, -3)
+    rect, s = Rect((-9, -9), (8, 8)), tm2d.size
+    lo, hi = (tuple((a - b) // si for a, b, si in zip(c, k1, s)) for c in (rect.lo, rect.hi))
+    image = apply(tm2d, y.window(Rect(lo, hi))).translate(k1).subpattern(rect)
+    assert image == x.window(rect)
+
+
+def test_off_cycle_seed_is_rejected():
+    # 0 -> 01, 1 -> 00: at the low corner 1 maps to 0 and 0 to itself, so 1
+    # is on no cycle there; the high corner swaps 0 and 1
+    from subsym.substitution import Alphabet, RectSubstitution
+
+    rules = (Pattern((0,), (2,), bytes([0, 1])), Pattern((0,), (2,), bytes([0, 0])))
+    theta = RectSubstitution(Alphabet(("0", "1")), (2,), rules)
+    with pytest.raises(ScopeError, match="not on a cycle"):
+        AddressablePoint(theta, Seed(1, (0, 1)))
+    x = AddressablePoint(theta, Seed(1, (0, 0)))  # period 2, not fixed
+    for k in range(-20, 20):
+        assert x.symbol_at((k,)) == symbol_at_oracle(x, (k,)) == x.window(Rect((-20,), (19,))).get((k,))
 
 
 @pytest.mark.parametrize("seed", range(24))
