@@ -27,10 +27,23 @@ patches are n wide.  For w in C, a q-window of depth j, the q-windows and
 n-windows of theta(w) are windows of depth j + 1 <= K + 1; depth K + 1
 added no n-window, so they lie in C and in S.  By induction over k >= K,
 every q-window of depth k lies in C and every n-window of depth k + 1 in
-S.  `_grow` uses the same q-window fact to inflate only distinct windows.
-It never builds the image theta(w) of such a window w as a pattern: one
-gather through a cached index plan per (size, q, shape) reads all the
-windows of theta(w) out of the rules of w's cells laid end to end.
+S.
+
+The covering lemma behind `_grow`.  Let J be the least j >= 1 with
+s^j + 1 >= n on every axis.  An n-window of theta^J(P) starts inside the
+block theta^J(c) of a cell c of P and ends at most s^J + n - 2 < 2 s^J
+cells past its start, so it meets at most two such blocks per axis: it
+lies in theta^J(w) for a 2x...x2 window w of P, once P is 2 wide.  As
+s >= 2, every 2x...x2 window of theta(P) lies in theta(w) for such a w.
+So past J, depth k holds exactly the n-windows of theta^J(w) for the
+2x...x2 windows w (blocks) of theta^(k - J)(roots), and each depth's
+blocks are those of theta of the previous depth's.  `_grow` reads depths
+1..J off theta^depth of each root and, past J, theta^J of each distinct
+block once.  A depth that brings no new block adds no window, and depth
+J + 1 finds windows (2 s^J >= n), so growth stabilizes within
+J + #blocks + 1 depths.  Each read is one gather through a cached index
+plan per (size, extent, shape) from the rules of the cells laid end to
+end; no depth builds theta^k(root) as a pattern.
 """
 
 from __future__ import annotations
@@ -40,6 +53,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import Callable, Iterable, Iterator
 
 from . import substitution
 from .errors import CapExceeded, ScopeError, ValidationError
@@ -50,9 +64,9 @@ from .substitution import (
     Seed,
     _run_starts,
     _strides,
-    apply,
     fixed_seeds,
     is_primitive,
+    power,
 )
 
 DEFAULT_MAX_DEPTH = 8
@@ -115,73 +129,56 @@ def _grow(theta: RectSubstitution, patches: list[Pattern], shape: Vec,
     level adds nothing new; returns (windows, depth reached, stabilized).
     A stabilized result holds every window of every level (module docstring).
 
-    With q = ceil((shape - 1) / s) + 1, every shape-window and every
-    q-window of theta(P) lies inside theta of a q-window of P, once P is
-    at least q wide.  So as soon as the patches are that wide and hold no
-    fewer q-window positions than there are q-patterns, the loop keeps
-    only their distinct q-windows and takes each level from those; a
-    window's image is built once and kept in `images` for later levels.
-    Until the switch the cell cap is charged on the whole patches; after
-    it, on the cells that the plans of every image gathered so far read.
+    Levels 1..J read theta^depth of each root.  Past J a level's distinct
+    2x...x2 blocks are read off theta of the previous level's (of the
+    roots at J + 1), and its windows off theta^J of its blocks; a root or
+    block is read once per growth for each (theta^j, extent, shape).  The
+    cell cap refuses before allocating: theta^j's rules in `power`, a plan
+    in `_window_reader`.
     """
+    two = (2,) * theta.dim
+    top = next(j for j in itertools.count(1)  # J
+               if all(s**j + 1 >= n for s, n in zip(theta.size, shape)))
+    (extent,) = {p.extent for p in patches}  # the roots share one extent
+    images: dict[tuple, dict[bytes, set[bytes]]] = {}
+
+    def read(theta_j: RectSubstitution, extent: Vec, ws: Iterable[bytes], sh: Vec) -> Iterator[set[bytes]]:
+        """The sh-windows of theta_j(w) for each of the distinct windows ws of that extent."""
+        memo = images.setdefault((theta_j.size, extent, sh), {})
+        if missing := [w for w in ws if w not in memo]:
+            memo.update(zip(missing, map(_window_reader(theta_j, extent, sh), missing)))
+        return map(memo.__getitem__, ws)
+
     seen: set[bytes] = set()
-    q = tuple(-(-(n - 1) // s) + 1 for n, s in zip(shape, theta.size))
-    windows: set[bytes] | None = None  # the level's distinct q-windows, once switched
-    images: dict[bytes, tuple[set[bytes], set[bytes]]] = {}
-    cells = max((math.prod(p.extent) for p in patches), default=0)  # per patch, then gathered
+    blocks = [p.cells for p in patches]  # the roots, then each level's distinct blocks past J
     for depth in range(1, max_depth + 1):
-        if windows is None and _holds_every_q_pattern(theta, patches, q):
-            windows, cells = {k for p in patches for k in p.subpattern_keys(q)}, 0
-            cost = sum(_window_plan(theta.size, q, sh)[2] for sh in {shape, q})
         before = len(seen)
-        if windows is None:
-            cells *= math.prod(theta.size)
-            if cells > substitution.DEFAULT_CELL_CAP:
-                raise CapExceeded("language generation exceeded the cell cap")
-            patches = [apply(theta, p) for p in patches]
-            for p in patches:
-                seen.update(p.subpattern_keys(shape))
+        if depth <= top:
+            theta_j = power(theta, depth)
         else:
-            level: set[bytes] = set()
-            for w in windows:
-                image = images.get(w)
-                if image is None:
-                    cells += cost
-                    if cells > substitution.DEFAULT_CELL_CAP:
-                        raise CapExceeded("language generation exceeded the cell cap")
-                    image = images[w] = _window_image(theta, q, w, shape)
-                seen.update(image[0])
-                level.update(image[1])
-            windows = level
+            blocks, extent = set().union(*read(theta, extent, blocks, two)), two
+        seen.update(*read(theta_j, extent, blocks, shape))
         if depth > 1 and len(seen) == before and seen:
             return seen, depth, True
     return seen, depth, False
 
 
-def _holds_every_q_pattern(theta: RectSubstitution, patches: list[Pattern], q: Vec) -> bool:
-    """Are the patches at least q wide, with no fewer q-window positions
-    than there are q-patterns over the alphabet?"""
-    if any(e < k for p in patches for e, k in zip(p.extent, q)):
-        return False
-    positions = sum(math.prod(e - k + 1 for e, k in zip(p.extent, q)) for p in patches)
-    q_cells = math.prod(q)
-    # |A| >= 2, so the power is only built when it has at most that many bits
-    return q_cells <= positions.bit_length() and len(theta.alphabet) ** q_cells <= positions
-
-
-def _window_image(theta: RectSubstitution, q: Vec, w: bytes,
-                  shape: Vec) -> tuple[set[bytes], set[bytes]]:
-    """The shape-windows and the q-windows of theta(w), gathered through
-    `_window_plan` from the rules of w's cells laid end to end."""
-    rules = b"".join(map([r.cells for r in theta.rules].__getitem__, w))
-    keys = _gather(rules, _window_plan(theta.size, q, shape))
-    return keys, keys if q == shape else _gather(rules, _window_plan(theta.size, q, q))
+def _window_reader(theta: RectSubstitution, extent: Vec, shape: Vec) -> Callable[[bytes], set[bytes]]:
+    """w -> the distinct shape-windows of theta(w), w the cells of a pattern
+    of that extent: one gather through `_window_plan` from the rules of w's
+    cells laid end to end, its plan refused before it would pass the cap."""
+    offsets = [e * s - n + 1 for e, s, n in zip(extent, theta.size, shape)]
+    cells = math.prod(offsets) * math.prod(shape)
+    if min(offsets) > 0 and cells > substitution.DEFAULT_CELL_CAP:
+        raise CapExceeded(f"a language window plan would read {cells} cells")
+    plan, rules = _window_plan(theta.size, extent, shape), [r.cells for r in theta.rules]
+    return lambda w: _gather(b"".join(map(rules.__getitem__, w)), plan)
 
 
 @functools.lru_cache(maxsize=64)
 def _window_plan(size: Vec, q: Vec, shape: Vec) -> tuple[itemgetter | None, int, int]:
     """(getter, cells per window, entries) that reads every shape-window of
-    theta(w), for a q-window w, out of `b"".join(rules[a] for a in w)`; the
+    theta(w), w of extent q, out of `b"".join(rules[a] for a in w)`; the
     getter is None, and reads no entry, when no window fits.
 
     Cell m * s + k of theta(w) is cell k of the rule of w's cell m: entry

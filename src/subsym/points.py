@@ -171,6 +171,8 @@ class AddressablePoint:
     def __init__(self, theta: RectSubstitution, seed: Seed, shift: Vec | None = None):
         if seed.dim != theta.dim:
             raise ValidationError("seed dimension mismatch")
+        if not all(0 <= a < len(theta.alphabet) for a in seed.symbols):
+            raise ValidationError(f"seed symbols {seed.symbols} outside [0, {len(theta.alphabet)})")
         cycles = []  # per corner, a, P(a), P^2(a), ... for its corner map P and symbol a
         for table, a in zip(_corner_maps(theta), seed.symbols):
             cycle = [a]

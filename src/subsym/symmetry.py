@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -356,15 +357,14 @@ def _language_comparison(
     conjugate (A, tau) theta, tau in lexicographic order.
 
     `languages` maps a side to theta's complete language of that side.  A
-    side not in it is grown from symbol 0 until it stabilizes: a level that
-    adds a window doubles the whole patches or gathers a new window image,
-    so a growth that never does raises CapExceeded within cap + its bit
-    length levels, no more than the 2 cap allowed.  A stabilized
-    language holds every window of every theta^k(0), and for primitive
-    theta that is the language of X_theta whatever the root, as theta^p(b)
-    contains 0 for every b.  The conjugate's language is that set moved
-    through A and relabeled by tau; each side is moved once, when a tau
-    first reaches it, and every tau relabels the moved words.
+    side not in it is grown from symbol 0 until it stabilizes, within
+    J + #blocks + 1 levels (`subsym.language`) unless the cell cap refuses
+    first.  A stabilized language holds every window of every theta^k(0),
+    and for primitive theta that is the language of X_theta whatever the
+    root, as theta^p(b) contains 0 for every b.  The conjugate's language
+    is that set moved through A and relabeled by tau; each side is moved
+    once, when a tau first reaches it, and every tau relabels the moved
+    words.
     """
     origin = (0,) * theta.dim
     shapes = [(side,) * theta.dim for side in range(2, depth + 1)]
@@ -374,9 +374,8 @@ def _language_comparison(
         for sh in shapes:
             if sh not in moved:
                 if sh[0] not in languages:
-                    cap_depth = 2 * substitution.DEFAULT_CELL_CAP
-                    keys, _, stabilized = _grow(theta, [Pattern.single(origin, 0)], sh, cap_depth)
-                    assert stabilized, "a growth below the cell cap did not stabilize"
+                    keys, _, stabilized = _grow(theta, [Pattern.single(origin, 0)], sh, sys.maxsize)
+                    assert stabilized, "a growth ran past J + #blocks + 1 levels"
                     languages[sh[0]] = keys
                 idx = _moved(sh, a)
                 moved[sh] = [bytes(map(w.__getitem__, idx)) for w in languages[sh[0]]]

@@ -52,8 +52,8 @@ def two_by_three():
 @pytest.fixture(scope="session")
 def r18_spec():
     """A 2x2 rule on 4 symbols whose 192 side-2 patterns stabilize only at
-    depth 18, where whole patches hold 4^18 = 2^36 cells; grown from
-    windows, its 192 images gather 192 * 36 cells."""
+    depth 18, where whole patches hold 4^18 = 2^36 cells; grown from 2x2
+    blocks, no level reads a plan of more than 36 cells."""
     return {
         "name": "r18",
         "dim": 2,

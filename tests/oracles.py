@@ -12,12 +12,12 @@ theta^m from theta and read its position maps one cell at a time, or the
 closure and subgroup checks that composed one pair at a time, or the seed step read through `Pattern.get` and the
 one-digit-per-level walk of `symbol_at` that the per-quadrant tables of
 theta^c replaced, or the language loop that inflated whole patches where
-`language._grow` now inflates their distinct windows, or the dihedral
+`language._grow` now reads theta^J of their distinct 2x...x2 blocks, or the dihedral
 action on Robinson edge signatures that the spelling tables replaced, or
 the set-domain torus search over pairwise rule (1) tables that the
 search over edge-class tables replaced.  Some are the earlier table
 kernels themselves: the walk of `symbol_at` one theta^c digit per
-`divmod`, the window image of `language._grow` as `apply` plus
+`divmod`, the window gather of `language._grow` as `apply` plus
 `subpattern_keys`, the per-cell glyph lookup of the text render and
 the seed pattern read one corner lookup per cell.  The position maps
 and de-substitution read through `Pattern.get` one symbol at a time,

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -11,14 +12,14 @@ from subsym import language, substitution
 from subsym.errors import CapExceeded, ScopeError, ValidationError
 from subsym.language import (
     _grow,
-    _window_image,
     _root_patterns,
+    _window_reader,
     contains_pattern,
     patch_language,
     periodicity_scan,
     seed_admissible_minimal,
 )
-from subsym.lattice import Rect
+from subsym.lattice import Rect, spow
 from subsym.points import AddressablePoint
 from subsym.specio import BUNDLED, build_substitution, bundled_substitution, parse_spec
 from subsym.substitution import (
@@ -30,6 +31,7 @@ from subsym.substitution import (
     apply,
     corner_fixed,
     fixed_seeds,
+    power,
 )
 
 
@@ -132,12 +134,42 @@ def test_contains_pattern_shape_mismatch(tm2d):
         contains_pattern(lang, Pattern((0, 0), (2, 3), bytes(6)))
 
 
-# -- growth from distinct windows against the whole-patch loop ---------------------
+# -- growth on 2x...x2 blocks against the whole-patch loop ---------------------------
 
-#: per dimension: shapes whose full-mode growth switches to distinct windows
-#: on the bundled specs of that dimension, and shapes that never switch
-SWITCHING = {1: [(5,)], 2: [(2, 3), (3, 2)], 3: [(2, 2, 2), (2, 2, 3), (3, 3, 3)]}
-WHOLE_PATCH = {1: [(64,)], 2: [(8, 8)], 3: []}
+#: per dimension: shapes with J = 1 on the bundled specs of that dimension,
+#: J being the least j >= 1 with s^j + 1 >= n on every axis, and shapes with J >= 2
+SHAPES = {1: [(3,), (5,), (7,), (64,)], 2: [(2, 3), (3, 2), (5, 5), (8, 8)],
+          3: [(2, 2, 2), (2, 2, 3), (3, 3, 3), (2, 2, 4)]}
+
+
+def cover_power(size, shape):
+    """J: the least j >= 1 with s^j + 1 >= n on every axis."""
+    return next(j for j in itertools.count(1) if all(s**j + 1 >= n for s, n in zip(size, shape)))
+
+
+def plan_cells(size, extent, shape):
+    """The entries of the plan that reads every shape-window of theta(w),
+    theta of that size and w of that extent: 0 when no window fits."""
+    offsets = [e * s - n + 1 for e, s, n in zip(extent, size, shape)]
+    return math.prod(offsets) * math.prod(shape) if min(offsets) > 0 else 0
+
+
+def growth_steps(theta, extent, shape, depth):
+    """The cap oracle: what growth from roots of that extent allocates, level
+    by level up to `depth` and in order, as (level, what, cells): theta^j's
+    rules at levels j <= J, then the gather plans (size, extent, shape) that
+    each level reads through, from the covering lemma of `subsym.language`."""
+    top, two, steps = cover_power(theta.size, shape), (2,) * theta.dim, []
+    for level in range(1, depth + 1):
+        if level <= top:
+            size = spow(theta.size, level)
+            steps.append((level, level, math.prod(size) * len(theta.alphabet)))
+            plans = [(size, extent, shape)]
+        else:
+            blocks = (theta.size, extent if level == top + 1 else two, two)
+            plans = [blocks, (spow(theta.size, top), two, shape)]
+        steps += [(level, plan, plan_cells(*plan)) for plan in plans]
+    return steps
 
 
 def root_sets(theta):
@@ -158,75 +190,98 @@ def outcome(grow, *args):
         return "CapExceeded", str(exc)
 
 
-def spy_window_images(monkeypatch):
-    """Record the calls of `language._window_image`, made only once growth has switched."""
+def spy_plans(monkeypatch):
+    """Record the (size, extent, shape) of every gather plan `_grow` reads through."""
     calls = []
-    real = language._window_image
+    real = language._window_reader
 
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
+    def spy(theta, extent, shape):
+        calls.append((theta.size, extent, shape))
+        return real(theta, extent, shape)
 
-    monkeypatch.setattr(language, "_window_image", spy)
+    monkeypatch.setattr(language, "_window_reader", spy)
     return calls
 
 
 @pytest.mark.parametrize("name", sorted(BUNDLED))
 def test_grow_matches_whole_patch_oracle(name, monkeypatch):
     theta = bundled_substitution(name)
-    calls = spy_window_images(monkeypatch)
+    calls = spy_plans(monkeypatch)
     for kind, roots in root_sets(theta).items():
-        for switching, shapes in ((True, SWITCHING), (False, WHOLE_PATCH)):
-            for shape in shapes[theta.dim]:
+        for shape in SHAPES[theta.dim]:
+            for max_depth in (1, 2, 3, 8):
+                want = grow_oracle(theta, roots, shape, max_depth)
                 calls.clear()
-                for max_depth in (1, 2, 3, 8):
-                    want = grow_oracle(theta, roots, shape, max_depth)
-                    assert _grow(theta, roots, shape, max_depth) == want, (kind, shape, max_depth)
-                if kind == "full":
-                    # the fast path really ran where it should, and only there
-                    assert bool(calls) == switching, shape
-
-
-def image_cells(size, q, shape):
-    """The cells of every shape-window of theta(w), w a q-window, read one by one."""
-    windows = math.prod(max(0, k * s - n + 1) for k, s, n in zip(q, size, shape))
-    return windows * math.prod(shape)
+                assert _grow(theta, roots, shape, max_depth) == want, (kind, shape, max_depth)
+                # every level read the plans the covering lemma gives it, levels
+                # past J only 2x...x2 blocks, and no level a whole patch
+                steps = growth_steps(theta, roots[0].extent, shape, want[1])
+                plans = [what for _, what, _ in steps if isinstance(what, tuple)]
+                assert list(dict.fromkeys(calls)) == list(dict.fromkeys(plans)), (kind, shape, max_depth)
 
 
 @pytest.mark.parametrize("name, shape", [("tm2d", (2, 3)), ("tm3d", (2, 2, 2)), ("cyc3", (5,))])
 def test_grow_cap_fires_at_the_oracle_depth(name, shape, monkeypatch):
-    # before the switch the cap fires where the whole-patch oracle fires;
-    # after it, once the cells gathered into window images pass the cap
+    # the cap refuses before allocating: theta^j's rules in `power`, and a
+    # plan whose entries pass it before the plan is built.  Growth fails at
+    # the first allocation of the cap oracle `growth_steps` that passes the
+    # cap, on the levels it reaches uncapped, and is unchanged below that
     theta = bundled_substitution(name)
-    step = math.prod(theta.size)
-    q = tuple(-(-(n - 1) // s) + 1 for n, s in zip(shape, theta.size))
-    per_image = sum(image_cells(theta.size, q, sh) for sh in {shape, q})
-    calls = spy_window_images(monkeypatch)
-    refused = {"patches": 0, "gathered": 0, None: 0}
+    refused = {"power": 0, "plan": 0, None: 0}
     for roots in root_sets(theta).values():
-        cells = max(math.prod(p.extent) for p in roots)
-        uncapped, gathered = {}, {}  # by max_depth: the result, the cells its images read
-        for max_depth in range(1, 9):
-            calls.clear()
-            uncapped[max_depth] = _grow(theta, roots, shape, max_depth)
-            gathered[max_depth] = len(calls) * per_image
-        caps = {cells * step**levels - k for levels in (1, 2) for k in (1, 0)}
-        caps |= {g - k for g in gathered.values() if g for k in (1, 0)}
-        for cap in sorted(caps):
-            with monkeypatch.context() as capped:
-                capped.setattr(substitution, "DEFAULT_CELL_CAP", cap)
-                for max_depth in (1, 2, 3, 8):
-                    oracle = outcome(grow_oracle, theta, roots, shape, max_depth)
-                    fired = next((k for k in range(1, max_depth + 1) if cells * step**k > cap), None)
-                    if oracle[0] == "CapExceeded" and gathered[fired] == 0:
-                        kind, want = "patches", oracle
-                    elif gathered[max_depth] > cap:
-                        kind, want = "gathered", ("CapExceeded", "language generation exceeded the cell cap")
-                    else:
-                        kind, want = None, uncapped[max_depth]
-                    assert outcome(_grow, theta, roots, shape, max_depth) == want, (cap, max_depth)
-                    refused[kind] += 1
-    assert refused["patches"] and refused["gathered"]
+        uncapped = {max_depth: _grow(theta, roots, shape, max_depth) for max_depth in (1, 2, 3, 8)}
+        steps = growth_steps(theta, roots[0].extent, shape, 8)
+        for cap in sorted({cells - k for _, _, cells in steps if cells for k in (1, 0)}):
+            monkeypatch.setattr(substitution, "DEFAULT_CELL_CAP", cap)
+            for max_depth, grown in uncapped.items():
+                fired = next(((what, cells) for level, what, cells in steps
+                              if level <= grown[1] and cells > cap), None)
+                if fired is None:
+                    kind, want = None, grown
+                elif isinstance(fired[0], int):
+                    per_rule = fired[1] // len(theta.alphabet)
+                    kind, want = "power", ("CapExceeded", f"theta^{fired[0]} needs {per_rule} cells per rule")
+                else:
+                    kind, want = "plan", ("CapExceeded", f"a language window plan would read {fired[1]} cells")
+                assert outcome(_grow, theta, roots, shape, max_depth) == want, (cap, max_depth)
+                refused[kind] += 1
+    assert refused["power"] and refused["plan"] and refused[None]
+
+
+def test_grow_reads_each_block_once(monkeypatch):
+    # tm3d's full 4x4x4 language: J = 2, so each root is read at levels 1
+    # and 2 (and once for its blocks), and each distinct block of level 3
+    # at most once for its windows and once for its own blocks.  About
+    # 39 000 windows are read; the whole 16^3 patches of level 3 hold 595 000
+    theta, shape, two = bundled_substitution("tm3d"), (4, 4, 4), (2, 2, 2)
+    roots, top, depth = _root_patterns(theta, "full"), cover_power(theta.size, shape), 3
+    patches, blocks = roots, set()  # the distinct blocks of the levels past J
+    for _ in range(depth - top):
+        patches = [apply(theta, p) for p in patches]
+        blocks.update(k for p in patches for k in p.subpattern_keys(two))
+
+    def windows(j, extent, sh):
+        return plan_cells(spow(theta.size, j), extent, sh) // math.prod(sh)
+
+    per_root = sum(windows(j, two, shape) for j in range(1, top + 1)) + windows(1, two, two)
+    bound = len(roots) * per_root + len(blocks) * (windows(top, two, shape) + windows(1, two, two))
+    read = []
+    real_keys, real_gather = Pattern.subpattern_keys, language._gather
+
+    def keys(self, sh):
+        for k in real_keys(self, sh):
+            read.append(1)
+            yield k
+
+    def gather(cells, plan):
+        read.append(plan[2] // plan[1])
+        return real_gather(cells, plan)
+
+    monkeypatch.setattr(Pattern, "subpattern_keys", keys)
+    monkeypatch.setattr(language, "_gather", gather)
+    seen, reached, stabilized = _grow(theta, roots, shape, 8)
+    assert (len(seen), reached, stabilized) == (6514, depth, True)  # as the whole patches give
+    assert sum(read) <= bound < 80_000, (sum(read), bound)
 
 
 def window_closure_oracle(theta, symbol, shape):
@@ -269,35 +324,36 @@ def test_grow_matches_oracle_on_random_rules(d, n, seed, data):
 @settings(max_examples=120, deadline=None)
 @given(st.integers(1, 3), st.integers(2, 3), st.integers(0, 2**32 - 1), st.data())
 def test_window_image_matches_oracle(d, n, seed, data):
-    # sizes differ across axes, q is the growth's own or any other, shapes go down to one cell
+    # a gather through theta^j's rules: sizes differ across axes, w is a
+    # block, a root or any other window, shapes go down to one cell
     rng = random.Random(seed)
     size = tuple(rng.randint(2, 3) for _ in range(d))
     rules = tuple(Pattern((0,) * d, size, bytes(rng.randrange(n) for _ in range(math.prod(size))))
                   for _ in range(n))
-    theta = RectSubstitution(Alphabet(tuple("abc"[:n])), size, rules)
+    theta = power(RectSubstitution(Alphabet(tuple("abc"[:n])), size, rules), data.draw(st.integers(1, 4 - d)))
     shape = tuple(data.draw(st.integers(1, 4)) for _ in range(d))
-    q = tuple(-(-(m - 1) // s) + 1 for m, s in zip(shape, size))
-    if data.draw(st.booleans()):
-        q = tuple(data.draw(st.integers(1, 3)) for _ in range(d))
+    q = tuple(data.draw(st.integers(1, 3)) for _ in range(d))
     w = bytes(rng.randrange(n) for _ in range(math.prod(q)))
-    assert _window_image(theta, q, w, shape) == window_image_oracle(theta, q, w, shape)
+    assert _window_reader(theta, q, shape)(w) == window_image_oracle(theta, q, w, shape)[0]
 
 
 @pytest.mark.parametrize("size, q, shape", [
-    ((2, 3), (2, 2), (2, 3)),  # unequal sizes, the growth's q
-    ((2, 3), (2, 2), (2, 2)),  # q == shape
+    ((2, 3), (2, 2), (2, 3)),  # unequal sizes
+    ((2, 3), (2, 2), (2, 2)),  # 2x2 blocks read for their blocks
     ((2, 3), (1, 1), (1, 1)),  # one-cell windows
     ((3,), (1,), (1,)),
     ((2, 2, 2), (2, 2, 2), (2, 2, 3)),
-    ((2, 3), (1, 1), (3, 4)),  # no window fits
+    ((2, 3), (1, 1), (3, 4)),  # no window of theta fits, one of theta^2 does
 ])
 def test_window_image_matches_oracle_on_every_window(size, q, shape):
     rng = random.Random(str(size))
     rules = tuple(Pattern(tuple(0 for _ in size), size, bytes(rng.randrange(3) for _ in range(math.prod(size))))
                   for _ in range(3))
     theta = RectSubstitution(Alphabet(("a", "b", "c")), size, rules)
-    for w in sorted({bytes(rng.randrange(3) for _ in range(math.prod(q))) for _ in range(40)}):
-        assert _window_image(theta, q, w, shape) == window_image_oracle(theta, q, w, shape), w
+    for theta_j in (theta, power(theta, 2)):
+        read = _window_reader(theta_j, q, shape)
+        for w in sorted({bytes(rng.randrange(3) for _ in range(math.prod(q))) for _ in range(40)}):
+            assert read(w) == window_image_oracle(theta_j, q, w, shape)[0], w
 
 
 @settings(max_examples=50, deadline=None)

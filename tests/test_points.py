@@ -676,6 +676,16 @@ def test_off_cycle_seed_is_rejected():
         assert x.symbol_at((k,)) == symbol_at_oracle(x, (k,)) == x.window(Rect((-20,), (19,))).get((k,))
 
 
+@pytest.mark.parametrize("symbols", [(0, 7), (0, 2), (0, -1), (-2, 1), (255, 0)])
+def test_seed_symbol_outside_the_alphabet_is_rejected(tm1d, tm2d, symbols):
+    # a corner map indexed past its end raised IndexError, and one indexed
+    # from its end called a symbol -1 off its cycle
+    with pytest.raises(ValidationError, match=r"outside \[0, 2\)"):
+        AddressablePoint(tm1d, Seed(1, symbols))
+    with pytest.raises(ValidationError, match=r"outside \[0, 2\)"):
+        AddressablePoint(tm2d, Seed(2, (1, 0) + symbols))
+
+
 @pytest.mark.parametrize("seed", range(24))
 def test_analyze_counts_the_fixed_seeds_of_the_corner_fixing_power(seed, tmp_path):
     theta = random_bijective(seed)

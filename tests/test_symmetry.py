@@ -596,7 +596,7 @@ def test_cell_cap_ends_power_search():
 
 def test_report_builds_no_power(monkeypatch):
     # the alignment search composes position maps and builds no theta^m;
-    # rig3's language fallback inflates through `language`'s own import of apply
+    # rig3's language fallback reads sides 2 and 3 through theta's own rules (J = 1)
     for name in sorted(BUNDLED):
         theta = bundled_substitution(name)
         if not is_primitive(theta).primitive:
@@ -957,11 +957,11 @@ def test_sym_falls_back_on_a_language_past_the_whole_patch_cap(r18_spec, tmp_pat
     assert lines[8] == "psi_image_order=1 split=yes"
 
 
-@pytest.mark.parametrize("cap, stops", [(2**16, False), (192 * 36, False), (192 * 36 - 1, True), (255, True)])
+@pytest.mark.parametrize("cap, stops", [(2**16, False), (36, False), (35, True), (15, True)])
 def test_fallback_growth_ends_at_the_cap_not_at_its_depth_bound(cap, stops, r18_spec, monkeypatch):
-    # the whole patches pass 255 cells before the switch and the gathered
-    # cells pass 6911 after it; any cap the growth stays within lets it
-    # stabilize, however many levels past the cap's bit length it needs
+    # theta's rules take 16 cells and its largest plan reads 36, the 9
+    # windows of theta of a 2x2 block; any cap the growth stays within lets
+    # it stabilize at depth 18, however far past the cap's bit length
     theta = build_substitution(parse_spec(json.dumps(r18_spec)))
     swap = SignedPerm((1, 0), (0, 0))
     want = _language_comparison(theta, swap, 2, {})
