@@ -147,7 +147,7 @@ def cmd_lang(args) -> int:
     if args.cache_dir == "":
         raise ValidationError("--cache-dir '' names no directory")
     if args.cache_dir is not None:
-        key = f"{specio.spec_digest(spec)}-{shape}-{args.mode}-{args.depth}-{__version__}"
+        key = f"{specio.spec_digest(spec)}-{shape}-{args.mode}-{__version__}"
         digest = hashlib.sha256(key.encode()).hexdigest()[:16]
         cache_path = Path(args.cache_dir) / f"lang-{digest}.txt"
         # an entry is the stats line, then the dump; one without the stats line,
@@ -161,12 +161,9 @@ def cmd_lang(args) -> int:
             _write_out(args, dump)
             print(stats, file=sys.stderr)
             return 0
-    lang = patch_language(theta, shape, mode=args.mode, max_depth=args.depth)
+    lang = patch_language(theta, shape, mode=args.mode)
     dump = specio.dump_language(lang.shape, lang.patterns)
-    stats = (
-        f"# patterns={len(lang.patterns)} depth={lang.depth_reached} "
-        f"stabilized={'yes' if lang.stabilized else 'no'}"
-    )
+    stats = f"# patterns={len(lang.patterns)} depth={lang.depth_reached}"
     if cache_path is not None:
         cache_path.parent.mkdir(parents=True, exist_ok=True)
         # a killed run must not leave a torn entry for later runs to serve
@@ -313,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     spec_arg(p)
     p.add_argument("--shape", required=True, help="comma-separated extents")
     p.add_argument("--mode", choices=("minimal", "full"), default="minimal")
-    p.add_argument("--depth", type=int, default=8)
     p.add_argument("--cache-dir", default=None)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_lang)

@@ -10,9 +10,7 @@ Two generation modes:
 
 Generation accumulates the shape-windows of theta^k(roots) over k = 1, 2, ...
 and stops at the first depth K + 1 >= 2 that adds none to a nonempty set.
-The result is then flagged `stabilized`, and it is complete: no later
-depth adds a window either.  Without the flag (`max_depth` came first) it
-may be incomplete.
+The result is complete: no later depth adds a window either.
 
 Why the stopping rule is a proof.  Let n be the shape, s the size and
 q = ceil((n - 1) / s) + 1, all per axis, so q <= n.  A q-window
@@ -37,11 +35,14 @@ lies in theta^J(w) for a 2x...x2 window w of P, once P is 2 wide.  As
 s >= 2, every 2x...x2 window of theta(P) lies in theta(w) for such a w.
 So past J, depth k holds exactly the n-windows of theta^J(w) for the
 2x...x2 windows w (blocks) of theta^(k - J)(roots), and each depth's
-blocks are those of theta of the previous depth's.  `_grow` reads depths
-1..J off theta^depth of each root and, past J, theta^J of each distinct
-block once.  A depth that brings no new block adds no window, and depth
-J + 1 finds windows (2 s^J >= n), so growth stabilizes within
-J + #blocks + 1 depths.  Each read is one gather through a cached index
+blocks are those of theta of the previous depth's.  A block met at depth
+j gave its blocks to depth j + 1 and its windows to depth j, so a depth's
+new blocks (met at no earlier depth) are among the blocks of theta of the
+previous depth's new blocks, and only they can add a window.  `_grow`
+reads depths 1..J off theta^depth of each root and, past J, keeps only
+each depth's new blocks and reads theta^J of each once.  A depth that
+brings no new block adds no window, and depth J + 1 finds windows
+(2 s^J >= n), so growth stops within J + #blocks + 1 depths.  Each read is one gather through a cached index
 plan per (size, extent, shape) from the rules of the cells laid end to
 end; no depth builds theta^k(root) as a pattern.
 """
@@ -69,9 +70,6 @@ from .substitution import (
     power,
 )
 
-DEFAULT_MAX_DEPTH = 8
-
-
 @dataclass(frozen=True)
 class PatchLanguage:
     """Deduplicated set of shape-patterns, keyed by raw cell bytes."""
@@ -80,7 +78,6 @@ class PatchLanguage:
     mode: str
     patterns: frozenset[bytes]
     depth_reached: int
-    stabilized: bool
 
     def __len__(self) -> int:
         return len(self.patterns)
@@ -108,31 +105,24 @@ def _root_patterns(theta: RectSubstitution, mode: str) -> list[Pattern]:
     raise ValidationError(f"unknown language mode {mode!r}")
 
 
-def patch_language(
-    theta: RectSubstitution,
-    shape: Vec,
-    mode: str = "minimal",
-    max_depth: int = DEFAULT_MAX_DEPTH,
-) -> PatchLanguage:
-    """Generate the shape-pattern language by iterated inflation."""
-    if max_depth < 1:
-        raise ValidationError("max_depth must be >= 1")
+def patch_language(theta: RectSubstitution, shape: Vec, mode: str = "minimal") -> PatchLanguage:
+    """The complete shape-pattern language, by iterated inflation."""
     if any(x < 1 for x in shape) or len(shape) != theta.dim:
         raise ValidationError(f"bad shape {shape}")
-    keys, depth, stabilized = _grow(theta, _root_patterns(theta, mode), shape, max_depth)
-    return PatchLanguage(tuple(shape), mode, frozenset(keys), depth, stabilized)
+    keys, depth = _grow(theta, _root_patterns(theta, mode), shape)
+    return PatchLanguage(tuple(shape), mode, frozenset(keys), depth)
 
 
-def _grow(theta: RectSubstitution, patches: list[Pattern], shape: Vec,
-          max_depth: int) -> tuple[set[bytes], int, bool]:
+def _grow(theta: RectSubstitution, patches: list[Pattern], shape: Vec) -> tuple[set[bytes], int]:
     """Inflate the roots level by level, collecting shape-windows, until a
-    level adds nothing new; returns (windows, depth reached, stabilized).
-    A stabilized result holds every window of every level (module docstring).
+    level adds nothing new; returns (windows, depth reached).  The result
+    holds every window of every level (module docstring).
 
-    Levels 1..J read theta^depth of each root.  Past J a level's distinct
-    2x...x2 blocks are read off theta of the previous level's (of the
-    roots at J + 1), and its windows off theta^J of its blocks; a root or
-    block is read once per growth for each (theta^j, extent, shape).  The
+    Levels 1..J read theta^depth of each root.  Past J a level's new
+    2x...x2 blocks, those no earlier level met, are read off theta of the
+    previous level's new blocks (of the roots at J + 1), and its windows
+    off theta^J of them; a root or block is read once per growth for each
+    (theta^j, extent, shape).  The
     cell cap refuses before allocating: theta^j's rules in `power`, a plan
     in `_window_reader`.
     """
@@ -150,17 +140,18 @@ def _grow(theta: RectSubstitution, patches: list[Pattern], shape: Vec,
         return map(memo.__getitem__, ws)
 
     seen: set[bytes] = set()
-    blocks = [p.cells for p in patches]  # the roots, then each level's distinct blocks past J
-    for depth in range(1, max_depth + 1):
+    met: set[bytes] = set()  # the blocks of the levels past J
+    blocks = [p.cells for p in patches]  # the roots, then each level's new blocks past J
+    for depth in itertools.count(1):
         before = len(seen)
         if depth <= top:
             theta_j = power(theta, depth)
         else:
-            blocks, extent = set().union(*read(theta, extent, blocks, two)), two
+            blocks, extent = set().union(*read(theta, extent, blocks, two)) - met, two
+            met |= blocks
         seen.update(*read(theta_j, extent, blocks, shape))
         if depth > 1 and len(seen) == before and seen:
-            return seen, depth, True
-    return seen, depth, False
+            return seen, depth
 
 
 def _window_reader(theta: RectSubstitution, extent: Vec, shape: Vec) -> Callable[[bytes], set[bytes]]:
@@ -221,43 +212,41 @@ def _gather(cells: bytes, plan: tuple[itemgetter | None, int, int]) -> set[bytes
 class SeedAdmissibility:
     admissible: bool
     depth_used: int
-    stabilized: bool
 
 
 def seed_admissible_minimal(theta: RectSubstitution, seed: Seed) -> SeedAdmissibility:
     """Does the seed's 2^d-cell pattern occur in the minimal language?
 
-    The verdict always reports the generation depth it relied on: the
-    depth needed for admissibility has no a-priori bound.
+    The 2x...x2 language is complete, so the verdict is exact; `depth_used`
+    is the depth at which its growth stopped, within J + #blocks + 1.
     """
     lang = patch_language(theta, (2,) * theta.dim, mode="minimal")
-    return SeedAdmissibility(
-        seed.pattern().cells in lang.patterns, lang.depth_reached, lang.stabilized
-    )
+    return SeedAdmissibility(seed.pattern().cells in lang.patterns, lang.depth_reached)
 
 
 @dataclass(frozen=True)
 class PeriodicityReport:
-    """Heuristic faithfulness scan: found periods are evidence, absence is not proof."""
+    """Faithfulness scan: a found period holds on the whole language,
+    absence is no proof of aperiodicity (longer periods are not scanned)."""
 
     radius: int
     periods: tuple[Vec, ...]
     depth_used: int
-    stabilized: bool
 
 
 def periodicity_scan(theta: RectSubstitution, radius: int) -> PeriodicityReport:
-    """Report vectors p (|p|_inf <= radius) leaving every generated pattern
-    of side 2*radius invariant under translation by p."""
+    """Report vectors p (|p|_inf <= radius) leaving every pattern of side
+    2*radius invariant under translation by p: the complete language of
+    that side, grown from every symbol."""
     if radius < 0:
         raise ValidationError("radius must be >= 0")
     if radius == 0:
-        return PeriodicityReport(0, (), 0, False)
+        return PeriodicityReport(0, (), 0)
     d = theta.dim
     shape = (2 * radius,) * d
     # union over every symbol's expansions; works for non-primitive input too
     roots = [Pattern.single((0,) * d, a) for a in range(len(theta.alphabet))]
-    seen, depth, stabilized = _grow(theta, roots, shape, DEFAULT_MAX_DEPTH)
+    seen, depth = _grow(theta, roots, shape)
     zero = (0,) * d
     pats = [Pattern(zero, shape, c) for c in seen]
     periods = []
@@ -266,7 +255,7 @@ def periodicity_scan(theta: RectSubstitution, radius: int) -> PeriodicityReport:
             continue
         if all(_is_periodic(p, p_vec) for p in pats):
             periods.append(p_vec)
-    return PeriodicityReport(radius, tuple(periods), depth, stabilized)
+    return PeriodicityReport(radius, tuple(periods), depth)
 
 
 def _is_periodic(p: Pattern, v: Vec) -> bool:

@@ -1,10 +1,12 @@
 """Automorphisms and extended symmetries of substitutive subshifts.
 
-The relabeling part of the automorphism group is computed exactly (a
-symbol permutation commuting with the substitution induces a radius-0
-automorphism, and for primitive bijective substitutions these are all of
-them up to shifts).  Extended-symmetry candidates range over the signed
-permutations of the axes; the checker first looks for an exact rule-table
+`aut` lists the relabelings that commute with theta itself; each induces
+a radius-0 automorphism.  They need not be all the relabeling
+automorphisms up to shifts: one that commutes only with a power theta^m
+maps X_theta onto itself too.  The rule 0->210, 1->102, 2->021 has two
+such 3-cycles (they commute with theta^2), and `aut` prints order 1 for
+it.  Extended-symmetry candidates range over the signed permutations of
+the axes; the checker first looks for an exact rule-table
 equality at some alignment power and only then falls back to bounded
 language comparison, whose positive outcome is reported as evidence, not
 proof.  Both read theta's position maps P_k (`substitution._columns`),
@@ -19,7 +21,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -85,7 +86,9 @@ def compose_relabelings(p: Relabeling, q: Relabeling) -> Relabeling:
 
 @dataclass(frozen=True)
 class AutDescription:
-    """Aut is (shifts) x (relabel group) for primitive bijective input."""
+    """The shifts and the relabelings that commute with theta itself, for
+    primitive bijective input; a relabeling that commutes only with a power
+    of theta is an automorphism too, and is not listed."""
 
     dim: int
     relabel_group: tuple[Relabeling, ...]
@@ -357,9 +360,9 @@ def _language_comparison(
     conjugate (A, tau) theta, tau in lexicographic order.
 
     `languages` maps a side to theta's complete language of that side.  A
-    side not in it is grown from symbol 0 until it stabilizes, within
+    side not in it is grown from symbol 0 to its complete language, within
     J + #blocks + 1 levels (`subsym.language`) unless the cell cap refuses
-    first.  A stabilized language holds every window of every theta^k(0),
+    first.  That language holds every window of every theta^k(0),
     and for primitive theta that is the language of X_theta whatever the
     root, as theta^p(b) contains 0 for every b.  The conjugate's language
     is that set moved through A and relabeled by tau; each side is moved
@@ -374,9 +377,7 @@ def _language_comparison(
         for sh in shapes:
             if sh not in moved:
                 if sh[0] not in languages:
-                    keys, _, stabilized = _grow(theta, [Pattern.single(origin, 0)], sh, sys.maxsize)
-                    assert stabilized, "a growth ran past J + #blocks + 1 levels"
-                    languages[sh[0]] = keys
+                    languages[sh[0]], _ = _grow(theta, [Pattern.single(origin, 0)], sh)
                 idx = _moved(sh, a)
                 moved[sh] = [bytes(map(w.__getitem__, idx)) for w in languages[sh[0]]]
             lang = languages[sh[0]]  # as many distinct moved words: inclusion is equality

@@ -11,8 +11,10 @@ matrix one power at a time, or the per-matrix symmetry check that rebuilt every
 theta^m from theta and read its position maps one cell at a time, or the
 closure and subgroup checks that composed one pair at a time, or the seed step read through `Pattern.get` and the
 one-digit-per-level walk of `symbol_at` that the per-quadrant tables of
-theta^c replaced, or the language loop that inflated whole patches where
-`language._grow` now reads theta^J of their distinct 2x...x2 blocks, or the dihedral
+theta^c replaced, or the language loop that inflated whole patches, or read theta^J of every
+2x...x2 block of every level, where `language._grow` now reads theta^J of
+each new block once (and the complete language as the closure of its
+windows under theta), or the dihedral
 action on Robinson edge signatures that the spelling tables replaced, or
 the set-domain torus search over pairwise rule (1) tables that the
 search over edge-class tables replaced.  Some are the earlier table
@@ -109,12 +111,13 @@ def subpattern_keys_oracle(p, shape):
     return out
 
 
-def grow_oracle(theta, patches, shape, max_depth):
+def grow_oracle(theta, patches, shape, cap=None):
     """`language._grow` inflating every whole patch at every level and
-    hashing every shape-window of it."""
+    hashing every shape-window of it, until a level adds none; a patch of
+    theta^k past `cap` cells (the cell cap by default) is refused."""
     seen = set()
-    cap = substitution.DEFAULT_CELL_CAP
-    for depth in range(1, max_depth + 1):
+    cap = substitution.DEFAULT_CELL_CAP if cap is None else cap
+    for depth in itertools.count(1):
         if any(p.rect().cell_count() * math.prod(theta.size) > cap for p in patches):
             raise CapExceeded("language generation exceeded the cell cap")
         patches = [apply(theta, p) for p in patches]
@@ -122,8 +125,45 @@ def grow_oracle(theta, patches, shape, max_depth):
         for p in patches:
             seen.update(p.subpattern_keys(shape))
         if depth > 1 and len(seen) == before and seen:
-            return seen, depth, True
-    return seen, depth, False
+            return seen, depth
+
+
+def block_grow_oracle(theta, patches, shape):
+    """`language._grow` keeping every block of every level, each read by
+    `apply`: depths 1..J hash the windows of theta^depth of each root, and
+    each later depth all the 2x...x2 blocks of theta of the previous
+    depth's blocks (of the roots at J + 1) and the windows of theta^J of
+    each, until a depth adds none."""
+    origin, two = (0,) * theta.dim, (2,) * theta.dim
+    top = next(j for j in itertools.count(1) if all(s**j + 1 >= n for s, n in zip(theta.size, shape)))
+    seen, level = set(), patches
+    for depth in itertools.count(1):
+        before = len(seen)
+        if depth <= top:
+            images = [apply(_power_once(theta, depth), p) for p in patches]
+        else:
+            blocks = {k for p in level for k in apply(theta, p).subpattern_keys(two)}
+            level = [Pattern(origin, two, b) for b in blocks]
+            images = [apply(_power_once(theta, top), p) for p in level]
+        for p in images:
+            seen.update(p.subpattern_keys(shape))
+        if depth > 1 and len(seen) == before and seen:
+            return seen, depth
+
+
+def window_closure_oracle(theta, symbol, shape):
+    """The least set of shape-windows that holds those of theta(symbol) and,
+    with each window w, every shape-window of `apply(theta, w)`; for shapes
+    no smaller than the growth's q-windows (2x...x2 blocks among them) that
+    is every window of every theta^k(symbol), the complete language."""
+    origin = (0,) * theta.dim
+    todo = set(apply(theta, Pattern.single(origin, symbol)).subpattern_keys(shape))
+    found = set()
+    while todo:
+        w = todo.pop()
+        found.add(w)
+        todo.update(set(apply(theta, Pattern(origin, shape, w)).subpattern_keys(shape)) - found)
+    return found
 
 
 def is_primitive_oracle(theta):
@@ -459,22 +499,15 @@ def transform_oracle(theta, a, tau):
 def language_comparison_oracle(theta, a, depth):
     """The language fallback by regeneration: the minimal cube languages of
     every conjugate (A, tau) theta, tau in lexicographic order, against
-    theta's, each grown until it stabilizes (or the cell cap stops it)."""
+    theta's, each grown complete (unless the cell cap stops it)."""
     shapes = [(side,) * theta.dim for side in range(2, depth + 1)]
-    max_depth = substitution.DEFAULT_CELL_CAP.bit_length()
-
-    def language(theta, sh):
-        lang = patch_language(theta, sh, mode="minimal", max_depth=max_depth)
-        assert lang.stabilized
-        return lang
-
-    base = {sh: language(theta, sh) for sh in shapes}
+    base = {sh: patch_language(theta, sh, mode="minimal") for sh in shapes}
     first_witness = None
     for tau in itertools.permutations(range(len(theta.alphabet))):
         cand = transform_oracle(theta, a, tau)
         agree = True
         for sh in shapes:
-            lang_t = language(cand, sh)
+            lang_t = patch_language(cand, sh, mode="minimal")
             extra = lang_t.patterns - base[sh].patterns
             missing = base[sh].patterns - lang_t.patterns
             if extra or missing:

@@ -200,10 +200,9 @@ def test_08_quadrant_lemma_properties():
 
 
 def test_09_minimality_gap(tm2d):
-    lang_min = patch_language(tm2d, (2, 2), mode="minimal", max_depth=8)
-    lang_full = patch_language(tm2d, (2, 2), mode="full", max_depth=8)
-    ok = lang_min.stabilized and lang_full.stabilized
-    ok &= lang_min.patterns < lang_full.patterns
+    lang_min = patch_language(tm2d, (2, 2), mode="minimal")
+    lang_full = patch_language(tm2d, (2, 2), mode="full")
+    ok = lang_min.patterns < lang_full.patterns
     failing = [
         s.symbols
         for s in all_seeds(tm2d)

@@ -255,8 +255,9 @@ def test_seed_questions_step_only_the_seeds_on_cycles(tmp_path):
     code, out, err = run_cli("analyze", spec)
     assert (code, err) == (0, "")
     assert out.splitlines()[-1] == "seed_cycles=1 fixed_seeds=1"
-    code, out, err = run_cli("lang", spec, "--shape", "2,2,2", "--mode", "full", "--depth", "3")
-    assert code == 0 and err.startswith("# patterns=")
+    # its complete 2x2x2 language stops only at depth 216
+    code, out, err = run_cli("lang", spec, "--shape", "2,2,2", "--mode", "full")
+    assert (code, err) == (0, "# patterns=11277 depth=216\n")
 
 
 def test_aut_tm2d():
@@ -368,6 +369,15 @@ def test_lang_dump_and_cache(tmp_path):
     assert out2 == out1
     shape, cells = parse_language_dump(out1)
     assert shape == (2, 2) and len(cells) == 8
+
+
+def test_lang_prints_the_complete_language():
+    # tm1d has 654 words of length 200 and 932 of length 298, where a growth
+    # cut at depth 8 holds 57 and none; `lang` has no option that cuts it
+    code, out, err = run_cli("lang", "tm1d", "--shape", "200")
+    assert (code, len(out.splitlines()), err) == (0, 654, "# patterns=654 depth=11\n")
+    assert run_cli("lang", "tm1d", "--shape", "298")[1].count("\n") == 932
+    assert run_cli("lang", "tm1d", "--shape", "2", "--depth", "3")[:2] == (2, "")
 
 
 def test_lang_cache_hit_prints_what_the_miss_printed(tmp_path):

@@ -72,7 +72,6 @@ COMMANDS = {
         (None, _SPECS, True),
         ("--shape", _int_lists([1, 2, 2, 3], 0, 3), True),
         ("--mode", st.sampled_from(["minimal", "full", "max"]), False),
-        ("--depth", _ints(-1, 4), True),
     ],
     "fracture": [
         (None, _SPECS, True),
@@ -208,8 +207,8 @@ _SPEC_COMMANDS = st.sampled_from([
     ["analyze"],
     ["aut"],
     ["sym", "--depth", "2"],
-    ["lang", "--shape", "2", "--depth", "3"],
-    ["lang", "--shape", "2,2", "--depth", "3"],
+    ["lang", "--shape", "2"],
+    ["lang", "--shape", "2,2"],
     ["patch", "-m", "2"],
 ])
 

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import grow_oracle, window_image_oracle
+from oracles import block_grow_oracle, grow_oracle, window_closure_oracle, window_image_oracle
 
 from subsym import language, substitution
 from subsym.errors import CapExceeded, ScopeError, ValidationError
@@ -56,8 +56,25 @@ def test_tm1d_pairs(tm1d):
 
 def test_tm1d_single_letters(tm1d):
     lang = patch_language(tm1d, (1,))
-    assert len(lang) == 2
-    assert lang.stabilized
+    assert (len(lang), lang.depth_reached) == (2, 2)
+
+
+def thue_morse_complexity(n):
+    """p(n), the number of factors of length n of the Thue-Morse word
+    (Brlek 1989; de Luca-Varricchio 1989): with m = n - 1 = 2^r + q and
+    0 < q <= 2^r, 3*2^r + 4q when 2q <= 2^r and 4*2^r + 2q otherwise."""
+    if n <= 2:
+        return 2 * n
+    r = (n - 2).bit_length() - 1
+    q = n - 1 - 2**r
+    return 3 * 2**r + 4 * q if 2 * q <= 2**r else 4 * 2**r + 2 * q
+
+
+def test_tm1d_language_has_the_thue_morse_complexity(tm1d):
+    # the words of theta^8(0) are 256 long: a growth cut at depth 8 falls
+    # short from n = 66 on and holds no word of length 298
+    for n in [*range(1, 71), 100, 129, 200, 256, 257, 298, 513]:
+        assert len(patch_language(tm1d, (n,))) == thue_morse_complexity(n), n
 
 
 def test_minimal_mode_requires_primitive(dbl):
@@ -69,7 +86,6 @@ def test_tm2d_full_strictly_contains_minimal(tm2d):
     lang_min = patch_language(tm2d, (2, 2), mode="minimal")
     lang_full = patch_language(tm2d, (2, 2), mode="full")
     assert lang_min.patterns < lang_full.patterns
-    assert lang_min.stabilized and lang_full.stabilized
     # pinned goldens from the brute-force oracle: the minimal 2x2 patterns
     # of the parity substitution are exactly the even-sum blocks
     assert len(lang_min) == 8 and len(lang_full) == 16
@@ -86,17 +102,21 @@ def test_minimal_subset_of_full(corpus):
             shape = (side,) * theta.dim
             if len(theta.alphabet) ** (side**theta.dim) > 1 << 16:
                 continue
-            lang_min = patch_language(theta, shape, mode="minimal", max_depth=5)
-            lang_full = patch_language(theta, shape, mode="full", max_depth=5)
+            lang_min = patch_language(theta, shape, mode="minimal")
+            lang_full = patch_language(theta, shape, mode="full")
             assert lang_min.patterns <= lang_full.patterns
 
 
 def test_monotone_in_depth(tm2d):
-    prev = frozenset()
-    for depth in range(1, 6):
-        lang = patch_language(tm2d, (2, 2), mode="minimal", max_depth=depth)
-        assert prev <= lang.patterns
-        prev = lang.patterns
+    # the windows of theta^1..theta^k(0) grow with k, all lie in the
+    # complete language, and reach it by the depth its growth stopped at
+    lang = patch_language(tm2d, (3, 3), mode="minimal")
+    prev = set()
+    for depth in range(1, lang.depth_reached + 2):
+        found = brute_subwords(tm2d, 0, depth, (3, 3))
+        assert prev <= found <= lang.patterns
+        prev = found
+    assert found == lang.patterns
 
 
 def test_language_patterns_occur_in_points(tm2d):
@@ -209,15 +229,14 @@ def test_grow_matches_whole_patch_oracle(name, monkeypatch):
     calls = spy_plans(monkeypatch)
     for kind, roots in root_sets(theta).items():
         for shape in SHAPES[theta.dim]:
-            for max_depth in (1, 2, 3, 8):
-                want = grow_oracle(theta, roots, shape, max_depth)
-                calls.clear()
-                assert _grow(theta, roots, shape, max_depth) == want, (kind, shape, max_depth)
-                # every level read the plans the covering lemma gives it, levels
-                # past J only 2x...x2 blocks, and no level a whole patch
-                steps = growth_steps(theta, roots[0].extent, shape, want[1])
-                plans = [what for _, what, _ in steps if isinstance(what, tuple)]
-                assert list(dict.fromkeys(calls)) == list(dict.fromkeys(plans)), (kind, shape, max_depth)
+            want = grow_oracle(theta, roots, shape)
+            calls.clear()
+            assert _grow(theta, roots, shape) == want, (kind, shape)
+            # every level read the plans the covering lemma gives it, levels
+            # past J only 2x...x2 blocks, and no level a whole patch
+            steps = growth_steps(theta, roots[0].extent, shape, want[1])
+            plans = [what for _, what, _ in steps if isinstance(what, tuple)]
+            assert list(dict.fromkeys(calls)) == list(dict.fromkeys(plans)), (kind, shape)
 
 
 @pytest.mark.parametrize("name, shape", [("tm2d", (2, 3)), ("tm3d", (2, 2, 2)), ("cyc3", (5,))])
@@ -229,22 +248,20 @@ def test_grow_cap_fires_at_the_oracle_depth(name, shape, monkeypatch):
     theta = bundled_substitution(name)
     refused = {"power": 0, "plan": 0, None: 0}
     for roots in root_sets(theta).values():
-        uncapped = {max_depth: _grow(theta, roots, shape, max_depth) for max_depth in (1, 2, 3, 8)}
-        steps = growth_steps(theta, roots[0].extent, shape, 8)
+        grown = _grow(theta, roots, shape)
+        steps = growth_steps(theta, roots[0].extent, shape, grown[1])
         for cap in sorted({cells - k for _, _, cells in steps if cells for k in (1, 0)}):
             monkeypatch.setattr(substitution, "DEFAULT_CELL_CAP", cap)
-            for max_depth, grown in uncapped.items():
-                fired = next(((what, cells) for level, what, cells in steps
-                              if level <= grown[1] and cells > cap), None)
-                if fired is None:
-                    kind, want = None, grown
-                elif isinstance(fired[0], int):
-                    per_rule = fired[1] // len(theta.alphabet)
-                    kind, want = "power", ("CapExceeded", f"theta^{fired[0]} needs {per_rule} cells per rule")
-                else:
-                    kind, want = "plan", ("CapExceeded", f"a language window plan would read {fired[1]} cells")
-                assert outcome(_grow, theta, roots, shape, max_depth) == want, (cap, max_depth)
-                refused[kind] += 1
+            fired = next(((what, cells) for _, what, cells in steps if cells > cap), None)
+            if fired is None:
+                kind, want = None, grown
+            elif isinstance(fired[0], int):
+                per_rule = fired[1] // len(theta.alphabet)
+                kind, want = "power", ("CapExceeded", f"theta^{fired[0]} needs {per_rule} cells per rule")
+            else:
+                kind, want = "plan", ("CapExceeded", f"a language window plan would read {fired[1]} cells")
+            assert outcome(_grow, theta, roots, shape) == want, cap
+            refused[kind] += 1
     assert refused["power"] and refused["plan"] and refused[None]
 
 
@@ -279,30 +296,15 @@ def test_grow_reads_each_block_once(monkeypatch):
 
     monkeypatch.setattr(Pattern, "subpattern_keys", keys)
     monkeypatch.setattr(language, "_gather", gather)
-    seen, reached, stabilized = _grow(theta, roots, shape, 8)
-    assert (len(seen), reached, stabilized) == (6514, depth, True)  # as the whole patches give
+    seen, reached = _grow(theta, roots, shape)
+    assert (len(seen), reached) == (6514, depth)  # as the whole patches give
     assert sum(read) <= bound < 80_000, (sum(read), bound)
-
-
-def window_closure_oracle(theta, symbol, shape):
-    """The least set of shape-windows that holds those of theta(symbol) and,
-    with each window w, every shape-window of theta(w); for shapes no
-    smaller than the growth's q-windows that is every window of every
-    theta^k(symbol)."""
-    origin = (0,) * theta.dim
-    todo = set(apply(theta, Pattern.single(origin, symbol)).subpattern_keys(shape))
-    found = set()
-    while todo:
-        w = todo.pop()
-        found.add(w)
-        todo.update(set(apply(theta, Pattern(origin, shape, w)).subpattern_keys(shape)) - found)
-    return found
 
 
 def test_grow_past_the_whole_patch_cap_matches_the_window_closure(r18_spec):
     theta = build_substitution(parse_spec(json.dumps(r18_spec)))
-    seen, depth, stabilized = _grow(theta, [Pattern.single((0, 0), 0)], (2, 2), 30)
-    assert (len(seen), depth, stabilized) == (192, 18, True)
+    seen, depth = _grow(theta, [Pattern.single((0, 0), 0)], (2, 2))
+    assert (len(seen), depth) == (192, 18)
     assert seen == window_closure_oracle(theta, 0, (2, 2))
 
 
@@ -316,9 +318,35 @@ def test_grow_matches_oracle_on_random_rules(d, n, seed, data):
                   for _ in range(n))
     theta = RectSubstitution(Alphabet(tuple("abc"[:n])), size, rules)
     shape = tuple(data.draw(st.integers(1, 4)) for _ in range(d))
-    max_depth = data.draw(st.integers(1, 5 - d))
     for roots in ([Pattern.single((0,) * d, 0)], [Pattern.single((0,) * d, a) for a in range(n)]):
-        assert _grow(theta, roots, shape, max_depth) == grow_oracle(theta, roots, shape, max_depth)
+        try:  # complete growths whose whole patches stay small enough for the oracle
+            want = grow_oracle(theta, roots, shape, cap=2**16)
+        except CapExceeded:
+            continue
+        assert _grow(theta, roots, shape) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2), st.integers(2, 4), st.integers(0, 2**32 - 1), st.data())
+def test_grow_reads_only_new_blocks_as_every_block_would(d, n, seed, data):
+    # past J each level reads only the blocks no earlier level met: the same
+    # windows and depth as reading every block of every level, on growths
+    # too deep for whole patches
+    rng = random.Random(seed)
+    size = tuple(rng.randint(2, 3) for _ in range(d))
+    rules = tuple(Pattern((0,) * d, size, bytes(rng.randrange(n) for _ in range(math.prod(size))))
+                  for _ in range(n))
+    theta = RectSubstitution(Alphabet(tuple("abcd"[:n])), size, rules)
+    shape = tuple(data.draw(st.integers(1, 5 - d)) for _ in range(d))
+    for roots in ([Pattern.single((0,) * d, 0)], [Pattern.single((0,) * d, a) for a in range(n)]):
+        assert _grow(theta, roots, shape) == block_grow_oracle(theta, roots, shape)
+
+
+def test_deep_growth_matches_the_level_oracle(r18_spec):
+    theta = build_substitution(parse_spec(json.dumps(r18_spec)))
+    for shape in [(2, 2), (3, 2), (3, 3)]:
+        roots = [Pattern.single((0, 0), 0)]
+        assert _grow(theta, roots, shape) == block_grow_oracle(theta, roots, shape), shape
 
 
 @settings(max_examples=120, deadline=None)
@@ -359,8 +387,8 @@ def test_window_image_matches_oracle_on_every_window(size, q, shape):
 @settings(max_examples=50, deadline=None)
 @given(st.integers(1, 2), st.integers(2, 3), st.integers(0, 2**32 - 1), st.data())
 def test_stabilized_language_is_closed(d, n, seed, data):
-    # the closure argument of the module docstring: once _grow reports a
-    # stabilized language, four more levels of whole patches add no window
+    # the closure argument of the module docstring: past the depth where
+    # _grow stops, four more levels of whole patches add no window
     rng = random.Random(seed)
     size = tuple(rng.randint(2, 4 - d) for _ in range(d))
     cells = math.prod(size)
@@ -369,8 +397,8 @@ def test_stabilized_language_is_closed(d, n, seed, data):
     theta = RectSubstitution(Alphabet(tuple("abc"[:n])), size, rules)
     shape = tuple(data.draw(st.integers(1, 5 - d)) for _ in range(d))
     for roots in ([Pattern.single((0,) * d, 0)], [Pattern.single((0,) * d, a) for a in range(n)]):
-        seen, depth, stabilized = _grow(theta, roots, shape, 8)
-        if not stabilized or cells ** (depth + 4) > 2**15:
+        seen, depth = _grow(theta, roots, shape)
+        if cells ** (depth + 4) > 2**15:
             continue
         patches = roots
         for level in range(1, depth + 5):
@@ -405,8 +433,7 @@ def test_tm1d_seed_00(tm1d):
 
 def test_verdict_reports_depth(tm2d):
     res = seed_admissible_minimal(tm2d, Seed(2, (0, 0, 0, 0)))
-    assert res.depth_used >= 1
-    assert res.stabilized
+    assert res.depth_used == patch_language(tm2d, (2, 2)).depth_reached >= 2
 
 
 # -- periodicity scan ------------------------------------------------------------

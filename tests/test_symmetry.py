@@ -23,12 +23,14 @@ from oracles import (
     straddle_counts_oracle,
     sym_group_report_oracle,
     transform_oracle,
+    window_closure_oracle,
 )
 
 from subsym import substitution
 from subsym import symmetry as sym
 from subsym.cli import main
 from subsym.errors import CapExceeded, ScopeError, ValidationError
+from subsym.language import SeedAdmissibility, seed_admissible_minimal
 from subsym.lattice import Rect, SignedPerm, signed_perm_group
 from subsym.specio import (
     BUNDLED,
@@ -42,6 +44,7 @@ from subsym.substitution import (
     Alphabet,
     Pattern,
     RectSubstitution,
+    Seed,
     _columns,
     apply,
     complement_pattern,
@@ -347,7 +350,7 @@ def test_refuted_witness_is_genuine(rig3):
     cand = extended_symmetry_check(rig3, SignedPerm((0,), (1,)), depth=4)
     w = cand.witness
     assert cand.witness_missing_from == "original"
-    lang = patch_language(rig3, w.extent, mode="minimal", max_depth=10)
+    lang = patch_language(rig3, w.extent, mode="minimal")
     assert w.cells not in lang.patterns
 
 
@@ -383,13 +386,14 @@ def test_language_comparison_quarter_turns_match_oracle():
 
 
 def test_fallback_compares_only_stabilized_languages(monkeypatch):
-    # verified3's side-5 language has not stabilized at depth 8; it does at depth 9
+    # each side is grown to its stop: verified3's side-5 language adds its
+    # last window at depth 8 and stops at depth 9, past a depth-8 cut
     grown = []
     real = sym._grow
 
-    def spy(theta, roots, shape, max_depth):
-        out = real(theta, roots, shape, max_depth)
-        grown.append((shape, out[2]))
+    def spy(theta, roots, shape):
+        out = real(theta, roots, shape)
+        grown.append((shape, out[1]))
         return out
 
     monkeypatch.setattr(sym, "_grow", spy)
@@ -397,7 +401,7 @@ def test_fallback_compares_only_stabilized_languages(monkeypatch):
     cand = extended_symmetry_check(theta, SignedPerm((0,), (1,)), depth=5)
     assert cand.describe() == "VerifiedUpTo(5),tau=1,0,2"
     assert {shape for shape, _ in grown} == {(2,), (3,), (4,), (5,)}
-    assert all(stabilized for _, stabilized in grown), grown
+    assert dict(grown)[(5,)] == 9, grown
 
 
 @settings(max_examples=60, deadline=None)
@@ -411,14 +415,12 @@ def test_stabilized_language_is_the_same_from_every_root(d, n, seed, side):
     rules = tuple(Pattern((0,) * d, size, bytes(col[a] for col in columns)) for a in range(n))
     theta = RectSubstitution(Alphabet(tuple("abcd"[:n])), size, rules)
     assume(is_primitive(theta).primitive)
-    max_depth = substitution.DEFAULT_CELL_CAP.bit_length()
     languages = []
     for b in range(n):
         try:
-            keys, _, stabilized = sym._grow(theta, [Pattern.single((0,) * d, b)], (side,) * d, max_depth)
+            keys, _ = sym._grow(theta, [Pattern.single((0,) * d, b)], (side,) * d)
         except CapExceeded:  # some 2-d rules need more levels than the cap allows
             continue
-        assert stabilized
         languages.append(keys)
     assume(len(languages) >= 2)
     assert all(keys == languages[0] for keys in languages)
@@ -712,6 +714,15 @@ def random_primitive_bijective(seed):
         theta = RectSubstitution(Alphabet(tuple(map(str, range(n)))), size, rules)
         if is_primitive(theta).primitive:
             return theta
+
+
+def test_seed_admissibility_reads_the_complete_language():
+    # the complete 2x2 language of this rule, whose growth stops at depth 18,
+    # holds the seed 0,1,0,1, and a growth cut at depth 8 does not.  The
+    # oracle closes the 2x2 blocks of theta(0) under w -> the blocks of theta(w)
+    theta, seed = random_primitive_bijective(13), Seed(2, (0, 1, 0, 1))
+    assert seed.pattern().cells in window_closure_oracle(theta, 0, (2, 2))
+    assert seed_admissible_minimal(theta, seed) == SeedAdmissibility(True, 18)
 
 
 def pair_sets(theta):
