@@ -16,7 +16,6 @@ import sys
 from pathlib import Path
 
 from . import __version__, specio
-from . import robinson as rob
 from .errors import SubsymError, ValidationError
 from .language import patch_language
 from .lattice import Rect
@@ -201,16 +200,9 @@ def cmd_fracture(args) -> int:
     return 0 if witness.ok else 1
 
 
-def _robinson_render(args, patch: rob.RobinsonPatch) -> None:
-    if args.render == "txt":
-        _write_out(args, rob.save_patch_text(patch))
-    elif args.render == "ppm":
-        _write_out(args, rob.render_ppm(patch, scale=args.scale), binary=True)
-    elif args.render == "svg":
-        _write_out(args, rob.render_svg(patch))
-
-
 def cmd_robinson(args) -> int:
+    from . import robinson as rob  # only robinson commands load it
+
     if args.rob_cmd == "torus":
         res = rob.torus_tiling_search(
             args.w, args.h, parity=(0, 0), time_cap=args.time_cap
@@ -242,7 +234,12 @@ def cmd_robinson(args) -> int:
     else:
         patch = rob.fracture_shift_demo(args.n, args.k)
     violations = rob.verify_patch(patch)
-    _robinson_render(args, patch)
+    if args.render == "txt":
+        _write_out(args, rob.save_patch_text(patch))
+    elif args.render == "ppm":
+        _write_out(args, rob.render_ppm(patch, scale=args.scale), binary=True)
+    elif args.render == "svg":
+        _write_out(args, rob.render_svg(patch))
     print(f"violations={len(violations)}", file=sys.stderr)
     return 1 if violations else 0
 
@@ -327,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rp = rsub.add_parser("supertile")
     rp.add_argument("n", type=int)
-    rp.add_argument("--orient", choices=rob.ORIENTATIONS, default="NE")
+    rp.add_argument("--orient", choices=("NE", "NW", "SE", "SW"), default="NE")  # robinson.ORIENTATIONS
 
     rw = rsub.add_parser("window")
     rw.add_argument("n", type=int)
@@ -366,10 +363,7 @@ def main(argv=None) -> int:
         if [] in vars(args).values():  # argparse leaves a positional empty after a second "--"
             raise ValidationError("a positional argument is missing")
         return args.func(args)
-    except SubsymError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SubsymError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

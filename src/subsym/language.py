@@ -54,7 +54,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from . import substitution
 from .errors import CapExceeded, ScopeError, ValidationError
@@ -121,37 +121,39 @@ def _grow(theta: RectSubstitution, patches: list[Pattern], shape: Vec) -> tuple[
     Levels 1..J read theta^depth of each root.  Past J a level's new
     2x...x2 blocks, those no earlier level met, are read off theta of the
     previous level's new blocks (of the roots at J + 1), and its windows
-    off theta^J of them; a root or block is read once per growth for each
-    (theta^j, extent, shape).  The
-    cell cap refuses before allocating: theta^j's rules in `power`, a plan
-    in `_window_reader`.
+    off theta^J of them.  Two facts of the covering lemma make every
+    (theta^j, extent, shape) read of a root or block the only one: roots
+    of extent 2x...x2 are blocks of depth J, so no later level reads them
+    again; and with shape 2x...x2 (J = 1) a level's windows are its
+    blocks' blocks, so one read gives both.  Each level unions its reads
+    into one set as it makes them, and nothing is kept per root or block.
+    The cell cap refuses before allocating: theta^j's rules in `power`, a
+    plan in `_window_reader`.
     """
     two = (2,) * theta.dim
     top = next(j for j in itertools.count(1)  # J
                if all(s**j + 1 >= n for s, n in zip(theta.size, shape)))
     (extent,) = {p.extent for p in patches}  # the roots share one extent
-    images: dict[tuple, dict[bytes, set[bytes]]] = {}
-
-    def read(theta_j: RectSubstitution, extent: Vec, ws: Iterable[bytes], sh: Vec) -> Iterator[set[bytes]]:
-        """The sh-windows of theta_j(w) for each of the distinct windows ws of that extent."""
-        memo = images.setdefault((theta_j.size, extent, sh), {})
-        if missing := [w for w in ws if w not in memo]:
-            memo.update(zip(missing, map(_window_reader(theta_j, extent, sh), missing)))
-        return map(memo.__getitem__, ws)
-
+    blocks = {p.cells for p in patches}  # the roots, then each level's new blocks past J
+    met = set(blocks) if extent == two else set()  # the blocks of the levels from J on
     seen: set[bytes] = set()
-    met: set[bytes] = set()  # the blocks of the levels past J
-    blocks = [p.cells for p in patches]  # the roots, then each level's new blocks past J
     for depth in itertools.count(1):
-        before = len(seen)
         if depth <= top:
             theta_j = power(theta, depth)
-        else:
-            blocks, extent = set().union(*read(theta, extent, blocks, two)) - met, two
-            met |= blocks
-        seen.update(*read(theta_j, extent, blocks, shape))
-        if depth > 1 and len(seen) == before and seen:
+        windows = _read(theta_j, extent, blocks, shape)
+        if depth > 1 and seen and seen.issuperset(windows):
             return seen, depth
+        seen |= windows
+        if depth >= top:
+            if shape != two:
+                windows = _read(theta, extent, blocks, two)
+            blocks, extent = windows - met, two
+            met |= blocks
+
+
+def _read(theta: RectSubstitution, extent: Vec, ws: Iterable[bytes], shape: Vec) -> set[bytes]:
+    """The union of the shape-windows of theta(w) over the windows ws of that extent."""
+    return functools.reduce(set.__ior__, map(_window_reader(theta, extent, shape), ws), set())
 
 
 def _window_reader(theta: RectSubstitution, extent: Vec, shape: Vec) -> Callable[[bytes], set[bytes]]:
@@ -159,18 +161,26 @@ def _window_reader(theta: RectSubstitution, extent: Vec, shape: Vec) -> Callable
     of that extent: one gather through `_window_plan` from the rules of w's
     cells laid end to end, its plan refused before it would pass the cap."""
     offsets = [e * s - n + 1 for e, s, n in zip(extent, theta.size, shape)]
-    cells = math.prod(offsets) * math.prod(shape)
+    n = math.prod(shape)  # cells per window
+    cells = math.prod(offsets) * n
     if min(offsets) > 0 and cells > substitution.DEFAULT_CELL_CAP:
         raise CapExceeded(f"a language window plan would read {cells} cells")
-    plan, rules = _window_plan(theta.size, extent, shape), [r.cells for r in theta.rules]
-    return lambda w: _gather(b"".join(map(rules.__getitem__, w)), plan)
+    getter = _window_plan(theta.size, extent, shape)
+    if getter is None:
+        return lambda w: set()
+    rules = [r.cells for r in theta.rules]
+
+    def read(w: bytes) -> set[bytes]:
+        flat = bytes(getter(b"".join(map(rules.__getitem__, w))))
+        return {flat[i : i + n] for i in range(0, len(flat), n)}
+    return read
 
 
 @functools.lru_cache(maxsize=64)
-def _window_plan(size: Vec, q: Vec, shape: Vec) -> tuple[itemgetter | None, int, int]:
-    """(getter, cells per window, entries) that reads every shape-window of
-    theta(w), w of extent q, out of `b"".join(rules[a] for a in w)`; the
-    getter is None, and reads no entry, when no window fits.
+def _window_plan(size: Vec, q: Vec, shape: Vec) -> itemgetter | None:
+    """The getter that reads every shape-window of theta(w), w of extent q,
+    out of `b"".join(rules[a] for a in w)`; None, which reads no entry, when
+    no window fits.
 
     Cell m * s + k of theta(w) is cell k of the rule of w's cell m: entry
     flat(m) * prod(s) + flat(k) of that concatenation.  The windows follow
@@ -179,7 +189,7 @@ def _window_plan(size: Vec, q: Vec, shape: Vec) -> tuple[itemgetter | None, int,
     extent = tuple(n * s for n, s in zip(q, size))
     offsets = tuple(e - n + 1 for e, n in zip(extent, shape))
     if min(offsets) < 1:
-        return None, math.prod(shape), 0
+        return None
     block = math.prod(size)
     axes = [
         [x // s * qs * block + x % s * ks for x in range(n * s)]
@@ -196,16 +206,7 @@ def _window_plan(size: Vec, q: Vec, shape: Vec) -> tuple[itemgetter | None, int,
         for run in runs
         for e in entry[x + run : x + run + width]
     ]
-    return itemgetter(*plan), math.prod(shape), len(plan)
-
-
-def _gather(cells: bytes, plan: tuple[itemgetter | None, int, int]) -> set[bytes]:
-    """The distinct windows that a `_window_plan` reads from `cells`."""
-    getter, n, _ = plan
-    if getter is None:
-        return set()
-    flat = bytes(getter(cells))
-    return {flat[i : i + n] for i in range(0, len(flat), n)}
+    return itemgetter(*plan)
 
 
 @dataclass(frozen=True)

@@ -633,6 +633,25 @@ def test_robinson_renders(tmp_path):
     assert svg.read_text().startswith("<?xml")
 
 
+def test_orient_choices_are_the_robinson_orientations():
+    # the parser spells them out, so building it loads no robinson
+    (commands,) = build_parser()._subparsers._group_actions
+    (robinson,) = commands.choices["robinson"]._subparsers._group_actions
+    (orient,) = (a for a in robinson.choices["supertile"]._actions if a.dest == "orient")
+    assert orient.choices == rob.ORIENTATIONS
+
+
+def test_only_robinson_commands_import_robinson():
+    src = os.path.dirname(os.path.dirname(specio.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = ("import sys; from subsym.cli import main; rc = main(sys.argv[1:]); "
+            "print('subsym.robinson' in sys.modules); sys.exit(rc)")
+    for argv, loaded in ((["aut", "tm2d"], "False"), (["robinson", "supertile", "1"], "True")):
+        out = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True,
+                             timeout=60)
+        assert (out.returncode, out.stdout.splitlines()[-1]) == (0, loaded), argv
+
+
 def test_usage_error_exit_code():
     code, _, _ = run_cli("no-such-command")
     assert code == 2

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import math
@@ -266,39 +267,32 @@ def test_grow_cap_fires_at_the_oracle_depth(name, shape, monkeypatch):
 
 
 def test_grow_reads_each_block_once(monkeypatch):
-    # tm3d's full 4x4x4 language: J = 2, so each root is read at levels 1
-    # and 2 (and once for its blocks), and each distinct block of level 3
-    # at most once for its windows and once for its own blocks.  About
-    # 39 000 windows are read; the whole 16^3 patches of level 3 hold 595 000
-    theta, shape, two = bundled_substitution("tm3d"), (4, 4, 4), (2, 2, 2)
-    roots, top, depth = _root_patterns(theta, "full"), cover_power(theta.size, shape), 3
-    patches, blocks = roots, set()  # the distinct blocks of the levels past J
-    for _ in range(depth - top):
-        patches = [apply(theta, p) for p in patches]
-        blocks.update(k for p in patches for k in p.subpattern_keys(two))
+    # no (theta^j, extent, shape, w) is read twice: roots of extent 2x...x2
+    # (the full-mode seeds) are blocks of depth J, and with shape 2x...x2
+    # (J = 1) one read gives a level's windows and its new blocks
+    counts, real = collections.Counter(), language._window_reader
 
-    def windows(j, extent, sh):
-        return plan_cells(spow(theta.size, j), extent, sh) // math.prod(sh)
+    def spy(theta_j, extent, sh):
+        read = real(theta_j, extent, sh)
 
-    per_root = sum(windows(j, two, shape) for j in range(1, top + 1)) + windows(1, two, two)
-    bound = len(roots) * per_root + len(blocks) * (windows(top, two, shape) + windows(1, two, two))
-    read = []
-    real_keys, real_gather = Pattern.subpattern_keys, language._gather
+        def counted(w):
+            counts[theta_j.size, extent, sh, w] += 1
+            return read(w)
+        return counted
 
-    def keys(self, sh):
-        for k in real_keys(self, sh):
-            read.append(1)
-            yield k
-
-    def gather(cells, plan):
-        read.append(plan[2] // plan[1])
-        return real_gather(cells, plan)
-
-    monkeypatch.setattr(Pattern, "subpattern_keys", keys)
-    monkeypatch.setattr(language, "_gather", gather)
-    seen, reached = _grow(theta, roots, shape)
-    assert (len(seen), reached) == (6514, depth)  # as the whole patches give
-    assert sum(read) <= bound < 80_000, (sum(read), bound)
+    monkeypatch.setattr(language, "_window_reader", spy)
+    # (windows, depth) as the whole patches give them, and the reads made
+    for name, mode, shape, grown, reads in [
+        ("tm3d", "full", (2, 2, 2), (256, 2), 256),
+        ("tm2d", "minimal", (2, 2), (8, 4), 9),
+        ("tm2d", "full", (2, 3), (28, 2), 32),
+        ("tm3d", "full", (4, 4, 4), (6514, 3), 768),
+    ]:
+        counts.clear()
+        theta = bundled_substitution(name)
+        seen, depth = _grow(theta, _root_patterns(theta, mode), shape)
+        assert (len(seen), depth) == grown, name
+        assert set(counts.values()) == {1} and sum(counts.values()) == reads, (name, counts.most_common(3))
 
 
 def test_grow_past_the_whole_patch_cap_matches_the_window_closure(r18_spec):
@@ -318,7 +312,8 @@ def test_grow_matches_oracle_on_random_rules(d, n, seed, data):
                   for _ in range(n))
     theta = RectSubstitution(Alphabet(tuple("abc"[:n])), size, rules)
     shape = tuple(data.draw(st.integers(1, 4)) for _ in range(d))
-    for roots in ([Pattern.single((0,) * d, 0)], [Pattern.single((0,) * d, a) for a in range(n)]):
+    for roots in ([Pattern.single((0,) * d, 0)], [Pattern.single((0,) * d, a) for a in range(n)],
+                  _root_patterns(theta, "full")):
         try:  # complete growths whose whole patches stay small enough for the oracle
             want = grow_oracle(theta, roots, shape, cap=2**16)
         except CapExceeded:
@@ -338,7 +333,8 @@ def test_grow_reads_only_new_blocks_as_every_block_would(d, n, seed, data):
                   for _ in range(n))
     theta = RectSubstitution(Alphabet(tuple("abcd"[:n])), size, rules)
     shape = tuple(data.draw(st.integers(1, 5 - d)) for _ in range(d))
-    for roots in ([Pattern.single((0,) * d, 0)], [Pattern.single((0,) * d, a) for a in range(n)]):
+    for roots in ([Pattern.single((0,) * d, 0)], [Pattern.single((0,) * d, a) for a in range(n)],
+                  _root_patterns(theta, "full")):
         assert _grow(theta, roots, shape) == block_grow_oracle(theta, roots, shape)
 
 
