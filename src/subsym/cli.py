@@ -129,12 +129,12 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 def cmd_point(args) -> int:
     _, theta = _load(args.spec)
-    m = corner_fixing_power(theta)
     seed = Seed(theta.dim, tuple(theta.alphabet.index(nm) for nm in args.seed.split(",")))
     shift = _parse_ints(args.shift) if args.shift is not None else (0,) * theta.dim
     x = AddressablePoint(theta, seed, shift)
     rect = Rect.centered(theta.dim, args.window)
-    print(f"corner_fixing_power={m}")
+    if is_bijective(theta):  # corner_fixing_power exists only then, as in analyze
+        print(f"corner_fixing_power={corner_fixing_power(theta)}")
     sys.stdout.write(specio.render_pattern_text(x.window(rect)))
     return 0
 

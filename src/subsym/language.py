@@ -4,9 +4,9 @@ Two generation modes:
 
 * minimal - shape-subpatterns of theta^k(a) for one fixed symbol a
   (primitivity makes the choice irrelevant);
-* full - shape-subpatterns of theta^k applied to every seed that the
-  seed dynamics keep on a cycle, i.e. the seeds that actually head
-  finite limit points.
+* full - shape-subpatterns of theta^k applied to every seed on a cycle
+  of the seed dynamics, the seeds that head finite limit points: those
+  whose corner symbols each lie on a cycle of their corner map.
 
 Generation accumulates the shape-windows of theta^k(roots) over k = 1, 2, ...
 and stops at the first depth K + 1 >= 2 that adds none to a nonempty set.
@@ -63,9 +63,10 @@ from .substitution import (
     Pattern,
     RectSubstitution,
     Seed,
+    _cycle_symbols,
     _run_starts,
+    _seed_cell_order,
     _strides,
-    fixed_seeds,
     is_primitive,
     power,
 )
@@ -94,14 +95,16 @@ def contains_pattern(lang: PatchLanguage, p: Pattern) -> bool:
     return p.cells in lang.patterns
 
 
-def _root_patterns(theta: RectSubstitution, mode: str) -> list[Pattern]:
+def _roots(theta: RectSubstitution, mode: str) -> tuple[Vec, Iterable[bytes]]:
+    """The roots' extent and cells: symbol 0 in minimal mode; in full mode the seeds on cycles,
+    each corner's on-cycle symbols placed on its cell of the 2x...x2 seed pattern."""
     if mode == "minimal":
-        report = is_primitive(theta)
-        if not report.primitive:
+        if not is_primitive(theta).primitive:
             raise ScopeError("minimal-mode language requires a primitive substitution")
-        return [Pattern.single((0,) * theta.dim, 0)]
+        return (1,) * theta.dim, [b"\0"]
     if mode == "full":
-        return [s.pattern() for s in fixed_seeds(theta).on_cycles]
+        cells = map(_cycle_symbols(theta).__getitem__, _seed_cell_order(theta.dim))  # in cell order
+        return (2,) * theta.dim, map(bytes, itertools.product(*cells))
     raise ValidationError(f"unknown language mode {mode!r}")
 
 
@@ -109,14 +112,15 @@ def patch_language(theta: RectSubstitution, shape: Vec, mode: str = "minimal") -
     """The complete shape-pattern language, by iterated inflation."""
     if any(x < 1 for x in shape) or len(shape) != theta.dim:
         raise ValidationError(f"bad shape {shape}")
-    keys, depth = _grow(theta, _root_patterns(theta, mode), shape)
+    keys, depth = _grow(theta, *_roots(theta, mode), shape)
     return PatchLanguage(tuple(shape), mode, frozenset(keys), depth)
 
 
-def _grow(theta: RectSubstitution, patches: list[Pattern], shape: Vec) -> tuple[set[bytes], int]:
-    """Inflate the roots level by level, collecting shape-windows, until a
-    level adds nothing new; returns (windows, depth reached).  The result
-    holds every window of every level (module docstring).
+def _grow(theta: RectSubstitution, extent: Vec, roots: Iterable[bytes], shape: Vec) -> tuple[set[bytes], int]:
+    """Inflate the roots, the cells of patterns of that one extent, level by
+    level, collecting shape-windows, until a level adds nothing new; returns
+    (windows, depth reached).  The result holds every window of every level
+    (module docstring).
 
     Levels 1..J read theta^depth of each root.  Past J a level's new
     2x...x2 blocks, those no earlier level met, are read off theta of the
@@ -133,9 +137,8 @@ def _grow(theta: RectSubstitution, patches: list[Pattern], shape: Vec) -> tuple[
     two = (2,) * theta.dim
     top = next(j for j in itertools.count(1)  # J
                if all(s**j + 1 >= n for s, n in zip(theta.size, shape)))
-    (extent,) = {p.extent for p in patches}  # the roots share one extent
-    blocks = {p.cells for p in patches}  # the roots, then each level's new blocks past J
-    met = set(blocks) if extent == two else set()  # the blocks of the levels from J on
+    blocks = set(roots)  # the roots, then each level's new blocks past J
+    met = blocks if extent == two else set()  # blocks from J on, grown once `blocks` is rebound
     seen: set[bytes] = set()
     for depth in itertools.count(1):
         if depth <= top:
@@ -161,13 +164,12 @@ def _window_reader(theta: RectSubstitution, extent: Vec, shape: Vec) -> Callable
     of that extent: one gather through `_window_plan` from the rules of w's
     cells laid end to end, its plan refused before it would pass the cap."""
     offsets = [e * s - n + 1 for e, s, n in zip(extent, theta.size, shape)]
+    if min(offsets) < 1:  # no window fits
+        return lambda w: set()
     n = math.prod(shape)  # cells per window
-    cells = math.prod(offsets) * n
-    if min(offsets) > 0 and cells > substitution.DEFAULT_CELL_CAP:
+    if (cells := math.prod(offsets) * n) > substitution.DEFAULT_CELL_CAP:
         raise CapExceeded(f"a language window plan would read {cells} cells")
     getter = _window_plan(theta.size, extent, shape)
-    if getter is None:
-        return lambda w: set()
     rules = [r.cells for r in theta.rules]
 
     def read(w: bytes) -> set[bytes]:
@@ -177,10 +179,9 @@ def _window_reader(theta: RectSubstitution, extent: Vec, shape: Vec) -> Callable
 
 
 @functools.lru_cache(maxsize=64)
-def _window_plan(size: Vec, q: Vec, shape: Vec) -> itemgetter | None:
+def _window_plan(size: Vec, q: Vec, shape: Vec) -> itemgetter:
     """The getter that reads every shape-window of theta(w), w of extent q,
-    out of `b"".join(rules[a] for a in w)`; None, which reads no entry, when
-    no window fits.
+    out of `b"".join(rules[a] for a in w)`; at least one window fits.
 
     Cell m * s + k of theta(w) is cell k of the rule of w's cell m: entry
     flat(m) * prod(s) + flat(k) of that concatenation.  The windows follow
@@ -188,8 +189,6 @@ def _window_plan(size: Vec, q: Vec, shape: Vec) -> itemgetter | None:
     """
     extent = tuple(n * s for n, s in zip(q, size))
     offsets = tuple(e - n + 1 for e, n in zip(extent, shape))
-    if min(offsets) < 1:
-        return None
     block = math.prod(size)
     axes = [
         [x // s * qs * block + x % s * ks for x in range(n * s)]
@@ -246,8 +245,7 @@ def periodicity_scan(theta: RectSubstitution, radius: int) -> PeriodicityReport:
     d = theta.dim
     shape = (2 * radius,) * d
     # union over every symbol's expansions; works for non-primitive input too
-    roots = [Pattern.single((0,) * d, a) for a in range(len(theta.alphabet))]
-    seen, depth = _grow(theta, roots, shape)
+    seen, depth = _grow(theta, (1,) * d, [bytes([a]) for a in range(len(theta.alphabet))], shape)
     zero = (0,) * d
     pats = [Pattern(zero, shape, c) for c in seen]
     periods = []

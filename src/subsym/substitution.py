@@ -439,14 +439,20 @@ class SeedCycles:
         return tuple(s for c in self.cycles for s in c)
 
 
-def fixed_seeds(theta: RectSubstitution) -> SeedCycles:
-    """All cycles of seed_step, ordered by and started at their least seeds; a seed on a cycle of
-    length L is theta^L-fixed.  Only seeds whose corners lie on cycles of their maps are stepped."""
+def _cycle_symbols(theta: RectSubstitution) -> list[list[int]]:
+    """Per corner, in `corner_order`, the symbols on a cycle of its corner map: the seeds on cycles of
+    seed_step are their product, as the step acts corner by corner.  Refused before any is enumerated."""
     corners = 1 << theta.dim
     symbols = [[a for a, n in enumerate(_cycle_lengths(p)) if n] for p in _corner_maps(theta)]
     if (count := math.prod(map(len, symbols))) * corners > DEFAULT_CELL_CAP:
         raise CapExceeded(f"fixed_seeds would step {count} seeds of {corners} cells")
-    stepper = _seed_stepper(theta)
+    return symbols
+
+
+def fixed_seeds(theta: RectSubstitution) -> SeedCycles:
+    """All cycles of seed_step, ordered by and started at their least seeds; a seed on a cycle of
+    length L is theta^L-fixed.  Only the seeds of `_cycle_symbols` are stepped."""
+    symbols, stepper = _cycle_symbols(theta), _seed_stepper(theta)
     cycles: list[tuple[Seed, ...]] = []
     seen: set[tuple[int, ...]] = set()
     for start in itertools.product(*symbols):

@@ -377,7 +377,7 @@ def _language_comparison(
         for sh in shapes:
             if sh not in moved:
                 if sh[0] not in languages:
-                    languages[sh[0]], _ = _grow(theta, [Pattern.single(origin, 0)], sh)
+                    languages[sh[0]], _ = _grow(theta, (1,) * theta.dim, [b"\0"], sh)
                 idx = _moved(sh, a)
                 moved[sh] = [bytes(map(w.__getitem__, idx)) for w in languages[sh[0]]]
             lang = languages[sh[0]]  # as many distinct moved words: inclusion is equality

@@ -26,7 +26,7 @@ from subsym.specio import (
     parse_language_dump,
     parse_spec,
 )
-from subsym.substitution import Pattern, Seed
+from subsym.substitution import Pattern, Seed, fixed_seeds
 
 
 def run_cli(*argv):
@@ -352,6 +352,49 @@ def test_point_window():
     assert code == 0
     assert "corner_fixing_power=2" in out
     assert "0110100101101001" in out
+
+
+#: a -> ab, b -> aa and its 2-d kin: primitive, not bijective, so no corner-fixing power
+NON_BIJECTIVE = {
+    1: ((2,), {"a": ["a", "b"], "b": ["a", "a"]}),
+    2: ((2, 2), {"a": [["a", "b"], ["b", "b"]], "b": [["a", "a"], ["a", "a"]]}),
+}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_point_on_a_non_bijective_spec_prints_the_library_window(tmp_path, d):
+    path = write_spec(tmp_path, f"nb{d}", *NON_BIJECTIVE[d])
+    theta = specio.parse_and_build(specio.read_utf8(path))[1]
+    seeds = fixed_seeds(theta).on_cycles
+    assert seeds
+    for seed in seeds:
+        names = ",".join(theta.alphabet.names[a] for a in seed.symbols)
+        want = specio.render_pattern_text(AddressablePoint(theta, seed).window(Rect.centered(d, 4)))
+        assert run_cli("point", path, "--seed", names, "--window", "4") == (0, want, ""), names
+
+
+def test_point_on_a_non_bijective_spec_checks_its_seed(tmp_path):
+    path = write_spec(tmp_path, "nb1", *NON_BIJECTIVE[1])
+    assert run_cli("point", path, "--seed", "b,a", "--window", "4") == (0, "01010100\n", "")
+    code, out, err = run_cli("point", path, "--seed", "a,b", "--window", "4")
+    assert (code, out, err) == (2, "", "error: seed symbol 1 is not on a cycle of its corner map\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fracture", "tm2d", "--axis", "2"], "axis 2 out of range"),
+    (["fracture", "tm2d", "--axis", "-1"], "axis -1 out of range"),
+    (["fracture", "{nb1}", "--axis", "0"], "half_space_fracture_pair requires a bijective substitution"),
+    (["fracture", "{nb2}", "--refute", "1,1", "--threshold", "2"],
+     "the refuter argument needs a bijective substitution"),
+    (["fracture", "tm2d", "--refute", "1,1", "--threshold", "0"], "threshold must be >= 1"),
+    (["analyze", "{norules}"], "$.rules: must be an object"),
+])
+def test_fracture_and_spec_input_checks_exit_2(tmp_path, argv, message):
+    files = {f"nb{d}": write_spec(tmp_path, f"nb{d}", *NON_BIJECTIVE[d]) for d in NON_BIJECTIVE}
+    norules = {"alphabet": ["a", "b"], "dim": 1, "name": "norules", "rules": [], "size": [2]}
+    files["norules"] = str(tmp_path / "norules.json")
+    (tmp_path / "norules.json").write_text(json.dumps(norules))
+    assert run_cli(*(a.format(**files) for a in argv)) == (2, "", f"error: {message}\n")
 
 
 def test_lang_dump_and_cache(tmp_path):

@@ -13,7 +13,7 @@ from subsym import language, substitution
 from subsym.errors import CapExceeded, ScopeError, ValidationError
 from subsym.language import (
     _grow,
-    _root_patterns,
+    _roots,
     _window_reader,
     contains_pattern,
     patch_language,
@@ -32,6 +32,7 @@ from subsym.substitution import (
     apply,
     corner_fixed,
     fixed_seeds,
+    is_bijective,
     power,
 )
 
@@ -155,6 +156,60 @@ def test_contains_pattern_shape_mismatch(tm2d):
         contains_pattern(lang, Pattern((0, 0), (2, 3), bytes(6)))
 
 
+def test_language_membership_is_membership_of_its_patterns(tm2d):
+    lang = patch_language(tm2d, (2, 2), mode="minimal")
+    for cells in itertools.product(range(2), repeat=4):
+        key = bytes(cells)
+        assert (key in lang) == (key in lang.patterns), key
+
+
+# -- full-mode roots: the seeds on cycles, read off the corner maps --------------
+
+def full_root_specs(count):
+    """The bundled specs, then `count` random rules of d <= 3, about half of
+    them bijective (every cell's position map a permutation)."""
+    yield from (bundled_substitution(name) for name in sorted(BUNDLED))
+    rng = random.Random(30)
+    for _ in range(count):
+        d = rng.randint(1, 3)
+        n = rng.randint(2, 5 - d)
+        size = tuple(rng.randint(2, 3) for _ in range(d))
+        if rng.random() < 0.5:
+            columns = [rng.sample(range(n), n) for _ in range(math.prod(size))]
+        else:
+            columns = [[rng.randrange(n) for _ in range(n)] for _ in range(math.prod(size))]
+        rules = tuple(Pattern((0,) * d, size, bytes(col[a] for col in columns)) for a in range(n))
+        yield RectSubstitution(Alphabet(tuple("abcd"[:n])), size, rules)
+
+
+def test_full_roots_are_the_patterns_of_the_seeds_on_cycles():
+    bijective = collections.Counter()
+    for theta in full_root_specs(1000):
+        extent, roots = _roots(theta, "full")
+        roots = list(roots)
+        want = {seed.pattern().cells for seed in fixed_seeds(theta).on_cycles}
+        assert extent == (2,) * theta.dim
+        assert len(roots) == len(want) and set(roots) == want, theta
+        bijective[is_bijective(theta)] += 1
+    assert min(bijective[True], bijective[False]) > 400
+
+
+def test_full_language_steps_no_seed(tm2d, tm3d, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a seed was stepped or built")
+
+    monkeypatch.setattr(substitution, "fixed_seeds", refuse)
+    monkeypatch.setattr(language, "fixed_seeds", refuse, raising=False)
+    monkeypatch.setattr(Seed, "pattern", refuse)
+    assert len(patch_language(tm2d, (2, 2), mode="full")) == 16
+    assert len(patch_language(tm3d, (2, 2, 2), mode="full")) == 256
+    # 2 symbols on each of 4 corners: 16 seeds of 4 cells, refused before any root is made
+    monkeypatch.setattr(substitution, "DEFAULT_CELL_CAP", 63)
+    monkeypatch.setattr(language, "_grow", refuse)
+    with pytest.raises(CapExceeded, match=r"^fixed_seeds would step 16 seeds of 4 cells$"):
+        patch_language(tm2d, (2, 2), mode="full")
+
+
 # -- growth on 2x...x2 blocks against the whole-patch loop ---------------------------
 
 #: per dimension: shapes with J = 1 on the bundled specs of that dimension,
@@ -194,14 +249,26 @@ def growth_steps(theta, extent, shape, depth):
 
 
 def root_sets(theta):
-    """Minimal roots (primitive specs only), full roots, one root per symbol."""
-    sets = {"full": _root_patterns(theta, "full")}
+    """Minimal roots (primitive specs only), full roots, one root per symbol,
+    each as (extent, cells)."""
+    sets = {"full": _roots(theta, "full")}
     try:
-        sets["minimal"] = _root_patterns(theta, "minimal")
+        sets["minimal"] = _roots(theta, "minimal")
     except ScopeError:
         pass
-    sets["per-symbol"] = [Pattern.single((0,) * theta.dim, a) for a in range(len(theta.alphabet))]
-    return sets
+    sets["per-symbol"] = ((1,) * theta.dim, [bytes([a]) for a in range(len(theta.alphabet))])
+    return {kind: (extent, list(roots)) for kind, (extent, roots) in sets.items()}
+
+
+def random_rule_roots(theta):
+    """Symbol 0, every symbol and the full-mode roots, each as (extent, cells)."""
+    one, (extent, full) = (1,) * theta.dim, _roots(theta, "full")
+    return [(one, [b"\0"]), (one, [bytes([a]) for a in range(len(theta.alphabet))]), (extent, list(full))]
+
+
+def as_patterns(extent, roots):
+    """The roots of that extent as patterns, for the oracles."""
+    return [Pattern((0,) * len(extent), extent, w) for w in roots]
 
 
 def outcome(grow, *args):
@@ -228,14 +295,14 @@ def spy_plans(monkeypatch):
 def test_grow_matches_whole_patch_oracle(name, monkeypatch):
     theta = bundled_substitution(name)
     calls = spy_plans(monkeypatch)
-    for kind, roots in root_sets(theta).items():
+    for kind, (extent, roots) in root_sets(theta).items():
         for shape in SHAPES[theta.dim]:
-            want = grow_oracle(theta, roots, shape)
+            want = grow_oracle(theta, as_patterns(extent, roots), shape)
             calls.clear()
-            assert _grow(theta, roots, shape) == want, (kind, shape)
+            assert _grow(theta, extent, roots, shape) == want, (kind, shape)
             # every level read the plans the covering lemma gives it, levels
             # past J only 2x...x2 blocks, and no level a whole patch
-            steps = growth_steps(theta, roots[0].extent, shape, want[1])
+            steps = growth_steps(theta, extent, shape, want[1])
             plans = [what for _, what, _ in steps if isinstance(what, tuple)]
             assert list(dict.fromkeys(calls)) == list(dict.fromkeys(plans)), (kind, shape)
 
@@ -248,9 +315,9 @@ def test_grow_cap_fires_at_the_oracle_depth(name, shape, monkeypatch):
     # cap, on the levels it reaches uncapped, and is unchanged below that
     theta = bundled_substitution(name)
     refused = {"power": 0, "plan": 0, None: 0}
-    for roots in root_sets(theta).values():
-        grown = _grow(theta, roots, shape)
-        steps = growth_steps(theta, roots[0].extent, shape, grown[1])
+    for extent, roots in root_sets(theta).values():
+        grown = _grow(theta, extent, roots, shape)
+        steps = growth_steps(theta, extent, shape, grown[1])
         for cap in sorted({cells - k for _, _, cells in steps if cells for k in (1, 0)}):
             monkeypatch.setattr(substitution, "DEFAULT_CELL_CAP", cap)
             fired = next(((what, cells) for _, what, cells in steps if cells > cap), None)
@@ -261,7 +328,7 @@ def test_grow_cap_fires_at_the_oracle_depth(name, shape, monkeypatch):
                 kind, want = "power", ("CapExceeded", f"theta^{fired[0]} needs {per_rule} cells per rule")
             else:
                 kind, want = "plan", ("CapExceeded", f"a language window plan would read {fired[1]} cells")
-            assert outcome(_grow, theta, roots, shape) == want, cap
+            assert outcome(_grow, theta, extent, roots, shape) == want, cap
             refused[kind] += 1
     assert refused["power"] and refused["plan"] and refused[None]
 
@@ -290,14 +357,14 @@ def test_grow_reads_each_block_once(monkeypatch):
     ]:
         counts.clear()
         theta = bundled_substitution(name)
-        seen, depth = _grow(theta, _root_patterns(theta, mode), shape)
+        seen, depth = _grow(theta, *_roots(theta, mode), shape)
         assert (len(seen), depth) == grown, name
         assert set(counts.values()) == {1} and sum(counts.values()) == reads, (name, counts.most_common(3))
 
 
 def test_grow_past_the_whole_patch_cap_matches_the_window_closure(r18_spec):
     theta = build_substitution(parse_spec(json.dumps(r18_spec)))
-    seen, depth = _grow(theta, [Pattern.single((0, 0), 0)], (2, 2))
+    seen, depth = _grow(theta, (1, 1), [b"\0"], (2, 2))
     assert (len(seen), depth) == (192, 18)
     assert seen == window_closure_oracle(theta, 0, (2, 2))
 
@@ -312,13 +379,12 @@ def test_grow_matches_oracle_on_random_rules(d, n, seed, data):
                   for _ in range(n))
     theta = RectSubstitution(Alphabet(tuple("abc"[:n])), size, rules)
     shape = tuple(data.draw(st.integers(1, 4)) for _ in range(d))
-    for roots in ([Pattern.single((0,) * d, 0)], [Pattern.single((0,) * d, a) for a in range(n)],
-                  _root_patterns(theta, "full")):
+    for extent, roots in random_rule_roots(theta):
         try:  # complete growths whose whole patches stay small enough for the oracle
-            want = grow_oracle(theta, roots, shape, cap=2**16)
+            want = grow_oracle(theta, as_patterns(extent, roots), shape, cap=2**16)
         except CapExceeded:
             continue
-        assert _grow(theta, roots, shape) == want
+        assert _grow(theta, extent, roots, shape) == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -333,16 +399,15 @@ def test_grow_reads_only_new_blocks_as_every_block_would(d, n, seed, data):
                   for _ in range(n))
     theta = RectSubstitution(Alphabet(tuple("abcd"[:n])), size, rules)
     shape = tuple(data.draw(st.integers(1, 5 - d)) for _ in range(d))
-    for roots in ([Pattern.single((0,) * d, 0)], [Pattern.single((0,) * d, a) for a in range(n)],
-                  _root_patterns(theta, "full")):
-        assert _grow(theta, roots, shape) == block_grow_oracle(theta, roots, shape)
+    for extent, roots in random_rule_roots(theta):
+        assert _grow(theta, extent, roots, shape) == block_grow_oracle(theta, as_patterns(extent, roots), shape)
 
 
 def test_deep_growth_matches_the_level_oracle(r18_spec):
     theta = build_substitution(parse_spec(json.dumps(r18_spec)))
     for shape in [(2, 2), (3, 2), (3, 3)]:
-        roots = [Pattern.single((0, 0), 0)]
-        assert _grow(theta, roots, shape) == block_grow_oracle(theta, roots, shape), shape
+        want = block_grow_oracle(theta, [Pattern.single((0, 0), 0)], shape)
+        assert _grow(theta, (1, 1), [b"\0"], shape) == want, shape
 
 
 @settings(max_examples=120, deadline=None)
@@ -393,7 +458,7 @@ def test_stabilized_language_is_closed(d, n, seed, data):
     theta = RectSubstitution(Alphabet(tuple("abc"[:n])), size, rules)
     shape = tuple(data.draw(st.integers(1, 5 - d)) for _ in range(d))
     for roots in ([Pattern.single((0,) * d, 0)], [Pattern.single((0,) * d, a) for a in range(n)]):
-        seen, depth = _grow(theta, roots, shape)
+        seen, depth = _grow(theta, (1,) * d, [p.cells for p in roots], shape)
         if cells ** (depth + 4) > 2**15:
             continue
         patches = roots

@@ -185,6 +185,17 @@ def test_cone_rejects_non_unimodular():
         cone_contains_quadrant(((2, 0), (0, 1)), Quadrant.canonical((1, 1)))
 
 
+def test_quadrant_contains_is_the_sign_test_on_p_minus_vertex():
+    rng = random.Random(7)
+    for d in (1, 2, 3):
+        for sign in itertools.product((-1, 1), repeat=d):
+            q = Quadrant(sign, tuple(rng.randint(-3, 3) for _ in range(d)))
+            assert q.contains(q.vertex)
+            for p in itertools.product(range(-5, 6), repeat=d):
+                offset = tuple(x - v for x, v in zip(p, q.vertex))
+                assert q.contains(p) == all(u * x >= 0 for u, x in zip(sign, offset)), (q, p)
+
+
 def _brute_force_finite(a, p, axis, bound=1000):
     hits = 0
     e = [0, 0]

@@ -403,6 +403,15 @@ def test_odometer_coherence_enforced():
     OdometerCoord((2,), ((1,), (3,)))  # 3 mod 2 == 1, coherent
 
 
+def test_odometer_precision_is_its_number_of_residues():
+    assert OdometerCoord((2,), ()).precision == 0
+    assert OdometerCoord((2,), ((1,), (3,))).precision == 2
+    for precision in range(5):
+        coord = OdometerCoord.from_integer((5, -7), (2, 3), precision)
+        assert coord.precision == len(coord.residues) == precision
+        assert coord.add_integer((1, 1)).precision == precision
+
+
 # -- desubstitution ------------------------------------------------------------
 
 def test_desubstitute_fixed_point(tm1d_point):
@@ -558,6 +567,16 @@ def test_half_space_pair_1d(tm1d):
     wx, wy = pair.x.window(rect), pair.y.window(rect)
     for k in rect.cells():
         assert (wx.get(k) == wy.get(k)) == (k[0] >= 0)
+
+
+@pytest.mark.parametrize("name, half", [("tm1d", 64), ("tm2d", 16), ("cyc3", 40), ("tm3d", 4)])
+def test_half_space_pair_expected_equal_matches_its_points(name, half):
+    theta = bundled_substitution(name)
+    rect = Rect((-half,) * theta.dim, (half - 1,) * theta.dim)
+    for axis in range(theta.dim):
+        pair = half_space_fracture_pair(theta, axis)
+        for k in rect.cells():
+            assert pair.expected_equal(k) == (pair.x.symbol_at(k) == pair.y.symbol_at(k)), (axis, k)
 
 
 def test_half_space_pair_needs_no_fixed_seeds(tm1d):

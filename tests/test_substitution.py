@@ -43,6 +43,15 @@ def word(p: Pattern) -> str:
 
 # -- apply -------------------------------------------------------------------
 
+def test_equal_patterns_hash_equal():
+    rows = Pattern.from_rows((1, -2), [[0, 1, 1], [1, 0, 0]])
+    same = Pattern((1, -2), (3, 2), bytes([0, 1, 1, 1, 0, 0]))
+    assert rows == same and hash(rows) == hash(same)
+    assert len({rows, same, rows.translate((0, 0))}) == 1
+    moved, other = rows.translate((1, 0)), Pattern((1, -2), (2, 3), rows.cells)
+    assert moved != rows and other != rows and len({rows, moved, other}) == 3
+
+
 def test_apply_single_letter(tm1d):
     out = apply(tm1d, Pattern.single((0,), 0))
     assert out.anchor == (0,) and word(out) == "01"

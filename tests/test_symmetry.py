@@ -391,8 +391,8 @@ def test_fallback_compares_only_stabilized_languages(monkeypatch):
     grown = []
     real = sym._grow
 
-    def spy(theta, roots, shape):
-        out = real(theta, roots, shape)
+    def spy(theta, extent, roots, shape):
+        out = real(theta, extent, roots, shape)
         grown.append((shape, out[1]))
         return out
 
@@ -418,7 +418,7 @@ def test_stabilized_language_is_the_same_from_every_root(d, n, seed, side):
     languages = []
     for b in range(n):
         try:
-            keys, _ = sym._grow(theta, [Pattern.single((0,) * d, b)], (side,) * d)
+            keys, _ = sym._grow(theta, (1,) * d, [bytes([b])], (side,) * d)
         except CapExceeded:  # some 2-d rules need more levels than the cap allows
             continue
         languages.append(keys)
