@@ -127,15 +127,23 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise ValidationError(f"expected comma-separated integers, got {text!r}") from None
 
 
+def _window_radius(args) -> int:
+    """The r of `--window r` (the box [-r, r-1]^d), refused unless r >= 1."""
+    if args.window < 1:
+        raise ValidationError(f"--window must be a positive integer, got '{args.window}'")
+    return args.window
+
+
 def cmd_point(args) -> int:
+    """The window is read before anything is printed, so a refusal prints nothing."""
     _, theta = _load(args.spec)
     seed = Seed(theta.dim, tuple(theta.alphabet.index(nm) for nm in args.seed.split(",")))
     shift = _parse_ints(args.shift) if args.shift is not None else (0,) * theta.dim
-    x = AddressablePoint(theta, seed, shift)
-    rect = Rect.centered(theta.dim, args.window)
+    rect = Rect.centered(theta.dim, _window_radius(args))
+    window = AddressablePoint(theta, seed, shift).window(rect)
     if is_bijective(theta):  # corner_fixing_power exists only then, as in analyze
         print(f"corner_fixing_power={corner_fixing_power(theta)}")
-    sys.stdout.write(specio.render_pattern_text(x.window(rect)))
+    sys.stdout.write(specio.render_pattern_text(window))
     return 0
 
 
@@ -191,7 +199,7 @@ def cmd_fracture(args) -> int:
             return 0
         print(f"inconclusive: window too small, need about {report.required_window}")
         return 1
-    witness = fracture_normal_witness(theta, args.axis, window=args.window)
+    witness = fracture_normal_witness(theta, args.axis, window=_window_radius(args))
     print(
         f"axis={args.axis} window={args.window} "
         f"equal_on_upper={'yes' if witness.equal_on_upper else 'no'} "

@@ -10,7 +10,10 @@ the top grows from P^(-D)(a), with no power of theta built.  Queries
 walk the base-s^c digits of the coordinate, a chunk per `divmod`, through
 per-quadrant tables of theta^c (cached, 64 KiB at most unless theta's own
 tables are larger), from the corner's cycle entry c * D levels back:
-O(depth / c) table hits, and no patch is ever materialized.
+O(depth / c) table hits, and no patch is ever materialized.  In d >= 2 a
+chunk's terms sit in fixed-width bit fields of one int, so the axes join
+level by level with one integer add: the terms of one level sum to a flat
+offset into one rule, below 2^w for the field width w, and never carry.
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ from __future__ import annotations
 import copy
 import functools
 import math
+import struct
+import sys
 from dataclasses import dataclass
-from itertools import zip_longest
 
 from . import substitution
 from .errors import CapExceeded, ScopeError, ValidationError
@@ -96,31 +100,41 @@ def _table_power(theta: RectSubstitution) -> int:
 @functools.lru_cache(maxsize=16)
 def _digit_tables(
     theta: RectSubstitution, c: int
-) -> tuple[Vec, tuple[tuple[bytes, ...], ...], tuple[tuple[tuple[int, ...], ...], ...]]:
-    """(s^c, rules of theta^c per quadrant, chunk table per axis).
+) -> tuple[Vec, tuple[tuple[bytes, ...], ...], tuple[tuple[int, int, tuple], ...], str]:
+    """(s^c, rules of theta^c per quadrant, chunk table per axis, field format).
 
     Quadrant q is the q-th seed cell u of `corner_order`; its rules are those of
     theta^c reflected on every axis with u_i = -1, so that a non-negative
     in-quadrant offset reads its digits straight through them.
 
-    The chunk table of an axis with base b and flat stride t maps each
-    k-digit chunk r < b^k, for the largest k with b^k <= prod(s^c) (no more
-    entries than one rule of theta^c has cells), to its k terms digit * t,
-    low digit first.
+    The chunk table of an axis with base b and flat stride t is (b^k, k * w,
+    entries) for the largest k with b^k <= prod(s^c) (no more entries than one
+    rule of theta^c has cells): entry r < b^k holds the k terms digit * t of
+    r, low digit first.  In 1-d an entry is the tuple of its terms.  In d >= 2
+    it packs term j into the field of bits [w j, w (j + 1)) of one int, w the
+    width of the `memoryview` format `fmt`: 16 bits while prod(s^c) <= 2^16,
+    wider otherwise.  The terms of all axes at one level sum to a flat offset
+    into one rule, below prod(s^c) <= 2^w, so chunk ints of different axes
+    add with no carry across a field.
     """
     d, theta_c, bases = theta.dim, power(theta, c), spow(theta.size, c)
     quadrants = []
     for u in corner_order(d):
         idx = _moved(bases, SignedPerm(tuple(range(d)), tuple(-ui for ui in u)))
         quadrants.append(tuple(bytes(map(r.cells.__getitem__, idx)) for r in theta_c.rules))
-    cells, chunks = math.prod(bases), []
+    cells, axes = math.prod(bases), []
+    fmt = next(f for f in "HIQ" if cells <= 1 << 8 * struct.calcsize(f))
+    w = 8 * struct.calcsize(fmt)
     for b, t in zip(bases, _strides(bases)):
         terms = [r * t for r in range(b)]
         table = [(x,) for x in terms]
         while len(table) * b <= cells:
             table = [low + (high,) for high in terms for low in table]
-        chunks.append(tuple(table))
-    return bases, tuple(quadrants), tuple(chunks)
+        k = len(table[0])
+        if d > 1:
+            table = [sum(x << w * j for j, x in enumerate(entry)) for entry in table]
+        axes.append((len(table), k * w, tuple(table)))
+    return bases, tuple(quadrants), tuple(axes), fmt
 
 
 def _walk(k: Vec, shift: Vec, cycles, tables, c: int, back: int) -> int:
@@ -129,23 +143,37 @@ def _walk(k: Vec, shift: Vec, cycles, tables, c: int, back: int) -> int:
 
     k is routed to the quadrant of its seed cell and made a non-negative
     in-quadrant offset (x or ~x per axis), whose D base-s^c digits, split
-    off a chunk per `divmod` and padded with 0 on shorter axes, are read
-    from the top down through the quadrant's rules of theta^c, starting
-    from the corner symbol c * D + back levels back on its cycle.
+    off a chunk per `divmod`, are read from the top down through the
+    quadrant's rules of theta^c, starting from the corner symbol c * D +
+    back levels back on its cycle.  In 1-d the levels are the chunks' terms
+    in a list.  In d >= 2 each axis adds its packed chunks, shifted into
+    place, into one int, whose fields are the levels' flat offsets (shorter
+    axes read 0 above their top chunk); one `to_bytes` in native byte order
+    and a `memoryview` cast split it into levels.
     """
-    _, quadrants, chunks = tables
-    q, axes = 0, []
-    for x, v, chunk in zip(k, shift, chunks):
-        x -= v
-        # a 1 bit per non-negative axis, first axis highest: u's place in corner_order
-        q = q << 1 | (x >= 0)
-        x = x if x >= 0 else ~x
-        terms, radix = [], len(chunk)
+    _, quadrants, axes, fmt = tables
+    if len(axes) == 1:
+        (radix, _, chunk), x = axes[0], k[0] - shift[0]
+        q, x = int(x >= 0), x if x >= 0 else ~x
+        levels = []
         while x:
             x, r = divmod(x, radix)
-            terms += chunk[r]
-        axes.append(terms)
-    levels = axes[0] if len(axes) == 1 else list(map(sum, zip_longest(*axes, fillvalue=0)))
+            levels += chunk[r]
+    else:
+        q = total = top = 0
+        for x, v, (radix, bits, chunk) in zip(k, shift, axes):
+            x -= v
+            # a 1 bit per non-negative axis, first axis highest: u's place in corner_order
+            q = q << 1 | (x >= 0)
+            x = x if x >= 0 else ~x
+            at = 0
+            while x:
+                x, r = divmod(x, radix)
+                total += chunk[r] << at
+                at += bits
+            if at > top:
+                top = at
+        levels = memoryview(total.to_bytes(top >> 3, sys.byteorder)).cast(fmt)
     rules, cycle = quadrants[q], cycles[q]
     sym = cycle[-(c * len(levels) + back) % len(cycle)]
     for i in reversed(levels):

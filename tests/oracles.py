@@ -261,7 +261,7 @@ def digit_walk_oracle(x, k):
     per-quadrant rules of theta^c, the levels joined by `zip_longest`, from
     the corner symbol stepped back c levels per digit by `cycle_back`."""
     power = _table_power(x.theta)
-    bases, quadrants, _ = _digit_tables(x.theta, power)
+    bases, quadrants = _digit_tables(x.theta, power)[:2]
     q, axes = 0, []
     for c, v, b, st in zip(k, x.shift, bases, _strides(bases)):
         c -= v
@@ -401,7 +401,7 @@ def cycle_back(theta, u, sym, steps):
     """sym stepped `steps` levels back on the cycle of seed corner u's map P,
     one predecessor at a time: the last symbol before sym on the walk
     P(sym), P(P(sym)), ...; a symbol off every cycle fails the assert."""
-    table = quadrant_maps(theta, u)[0]
+    table = position_map_oracle(theta, tuple(0 if ui == 0 else si - 1 for ui, si in zip(u, theta.size)))
     for _ in range(steps):
         prev, b = sym, table[sym]
         for _ in table:

@@ -354,6 +354,17 @@ def test_point_window():
     assert "0110100101101001" in out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["point", "tm1d", "--seed", "0,1", "--window", "100000000"], "window of 200000000 cells exceeds cap 67108864"),
+    (["point", "tm1d", "--seed", "0,1", "--window", "0"], "--window must be a positive integer, got '0'"),
+    (["point", "tm2d", "--seed", "0,0,0,0", "--window", "-3"], "--window must be a positive integer, got '-3'"),
+    (["fracture", "tm2d", "--axis", "0", "--window", "0"], "--window must be a positive integer, got '0'"),
+])
+def test_window_refusals_print_nothing_to_stdout(argv, message):
+    # the window is checked and read before the corner_fixing_power line is printed
+    assert run_cli(*argv) == (2, "", f"error: {message}\n")
+
+
 #: a -> ab, b -> aa and its 2-d kin: primitive, not bijective, so no corner-fixing power
 NON_BIJECTIVE = {
     1: ((2,), {"a": ["a", "b"], "b": ["a", "a"]}),

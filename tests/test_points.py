@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import struct
 import subprocess
 import sys
 
@@ -25,7 +26,7 @@ from oracles import (
 from subsym import language, points
 from subsym.cli import main
 from subsym.errors import CapExceeded, ScopeError, SearchFailure, ValidationError
-from subsym.lattice import Rect, zero
+from subsym.lattice import Rect, vadd, vsub, zero
 from subsym.points import (
     DIGIT_TABLE_BYTES,
     AddressablePoint,
@@ -41,7 +42,9 @@ from subsym.points import (
 )
 from subsym.specio import BUNDLED, bundled_substitution, parse_and_build
 from subsym.substitution import (
+    Alphabet,
     Pattern,
+    RectSubstitution,
     Seed,
     apply,
     _strides,
@@ -178,12 +181,14 @@ def eligible(theta):
 def probe_coords(x, rng):
     """The quadrant seams at the shift, coordinates one either side of the
     digit boundaries +-(s^c)^j and of the chunk boundaries +-(b^k)^j (b^k
-    the length of the axis's chunk table) on each axis and on all axes at
+    the radix of the axis's chunk table) on each axis and on all axes at
     once, and random coordinates up to 2^60."""
-    bases, _, chunks = _digit_tables(x.theta, _table_power(x.theta))
+    bases, _, axes, _ = _digit_tables(x.theta, _table_power(x.theta))
+    chunk_radices = tuple(radix for radix, _, _ in axes)
+    assert chunk_radices == tuple(len(chunk) for _, _, chunk in axes)
     d, v = x.dim, x.shift
     coords = list(itertools.product(*((c, c - 1) for c in v)))
-    for radices in (bases, tuple(map(len, chunks))):
+    for radices in (bases, chunk_radices):
         for j in (1, 2, 3):
             for sign in (1, -1):
                 for e in (0, -1):
@@ -220,6 +225,28 @@ def test_symbol_at_matches_oracle_on_unequal_axes(two_by_three):
     assert_matches_oracle(theta, random.Random(23))
 
 
+def test_symbol_at_matches_oracle_on_wide_fields():
+    # a rule of 257 x 256 cells: even theta's own tables exceed the budget, so
+    # c = 1, and the flat offsets need more than 16 bits a field; the axes
+    # take chunks of 1 and 2 digits
+    rng, size = random.Random(65792), (257, 256)
+    low_bit = bytes(i & 1 for i in range(256))
+    rule = rng.randbytes(math.prod(size)).translate(low_bit)
+    rules = tuple(Pattern((0, 0), size, rule.translate(bytes((a, a ^ 1)) + bytes(254))) for a in range(2))
+    theta = RectSubstitution(Alphabet(("0", "1")), size, rules)
+    assert is_bijective(theta) and _table_power(theta) == 1
+    _, _, axes, fmt = _digit_tables(theta, 1)
+    assert struct.calcsize(fmt) == 4 and [radix for radix, _, _ in axes] == [257, 256**2]
+    for symbols, shift in [((0, 0, 0, 0), (0, 0)), ((0, 1, 1, 0), (5, -5)), ((1, 0, 0, 1), (-(2**40), 2**40))]:
+        x = AddressablePoint(theta, Seed(2, symbols), shift)
+        far = [tuple(rng.choice((-1, 1)) * (2**1100 + rng.randrange(2**1099)) for _ in range(2)) for _ in range(4)]
+        for k in probe_coords(x, rng) + far:
+            assert x.symbol_at(k) == digit_walk_oracle(x, k), (symbols, shift, k)
+        for lo in (vsub(shift, (2, 2)), vadd(shift, (255, 65534)), vsub(shift, (259, 65538))):
+            r = Rect(lo, vadd(lo, (4, 4)))
+            assert x.window(r) == Pattern(lo, r.extent(), bytes(digit_walk_oracle(x, k) for k in r.cells()))
+
+
 def test_symbol_at_has_no_depth_limit(corpus, two_by_three):
     rng = random.Random(1100)
 
@@ -239,7 +266,7 @@ def test_symbol_at_has_no_depth_limit(corpus, two_by_three):
 def test_digit_tables_fill_the_budget(corpus, two_by_three):
     for theta in [*corpus.values(), two_by_three]:
         theta = eligible(theta)
-        bases, quadrants, chunks = _digit_tables(theta, _table_power(theta))
+        bases, quadrants, axes, fmt = _digit_tables(theta, _table_power(theta))
         per_level = math.prod(theta.size)
         c = round(math.log(math.prod(bases), per_level))
         assert bases == tuple(si**c for si in theta.size)
@@ -250,13 +277,19 @@ def test_digit_tables_fill_the_budget(corpus, two_by_three):
         # the all-non-negative quadrant is theta^c itself
         assert quadrants[-1] == tuple(r.cells for r in power(theta, c).rules)
         # one chunk table per axis: the largest k with b^k <= prod(s^c) cells
-        # of a rule of theta^c, the k terms digit * stride of each chunk
-        assert len(chunks) == theta.dim
-        for b, stride, chunk in zip(bases, _strides(bases), chunks):
-            k = len(chunk[0])
-            assert len(chunk) == b**k <= math.prod(bases) < b ** (k + 1)
-            for r, terms in enumerate(chunk):
-                assert terms == tuple(r // b**i % b * stride for i in range(k)), r
+        # of a rule of theta^c, the k terms digit * stride of each chunk, as a
+        # tuple in 1-d and in k fields of w bits, 2^w >= prod(s^c), in d >= 2
+        assert len(axes) == theta.dim
+        w = 8 * struct.calcsize(fmt)
+        assert math.prod(bases) <= 1 << w and (w == 16 or math.prod(bases) > 1 << w // 2)
+        for b, stride, (radix, bits, chunk) in zip(bases, _strides(bases), axes):
+            k = bits // w
+            assert radix == len(chunk) == b**k <= math.prod(bases) < b ** (k + 1)
+            for r, entry in enumerate(chunk):
+                if theta.dim > 1:  # k fields of w bits, nothing above them
+                    assert entry >> bits == 0, r
+                    entry = tuple(entry >> w * i & ((1 << w) - 1) for i in range(k))
+                assert entry == tuple(r // b**i % b * stride for i in range(k)), r
     assert _digit_tables.cache_info().maxsize is not None
 
 
