@@ -8,16 +8,12 @@ from .errors import (
     ValidationError,
 )
 from .lattice import (
-    EMPTY_RECT,
     Quadrant,
     Rect,
     SignedPerm,
     cone_contains_quadrant,
-    digits,
-    interior,
     line_intersection_finite,
     signed_perm_group,
-    undigits,
 )
 from .substitution import (
     Alphabet,
@@ -30,23 +26,18 @@ from .substitution import (
     fixed_seeds,
     is_bijective,
     is_primitive,
-    position_map,
     power,
-    seed_step,
 )
 from .points import (
     AddressablePoint,
     ContradictionPair,
     OdometerCoord,
     contradiction_pair,
-    desubstitute_pattern,
-    desubstitute_point,
     half_space_fracture_pair,
     shift_point,
 )
 from .language import (
     PatchLanguage,
-    contains_pattern,
     patch_language,
     periodicity_scan,
     seed_admissible_minimal,

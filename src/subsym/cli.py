@@ -157,14 +157,14 @@ def cmd_lang(args) -> int:
         key = f"{specio.spec_digest(spec)}-{shape}-{args.mode}-{__version__}"
         digest = hashlib.sha256(key.encode()).hexdigest()[:16]
         cache_path = Path(args.cache_dir) / f"lang-{digest}.txt"
-        # an entry is the stats line, then the dump; one without the stats line,
-        # or not UTF-8, is rebuilt
+        # an entry is the stats line and its newline, then the dump; one without
+        # either, or not UTF-8, is rebuilt
         try:
             entry = cache_path.read_text(encoding="utf-8")
         except (FileNotFoundError, UnicodeDecodeError):
             entry = ""
-        if entry.startswith("# patterns="):
-            stats, dump = entry.split("\n", 1)
+        stats, newline, dump = entry.partition("\n")
+        if stats.startswith("# patterns=") and newline:
             _write_out(args, dump)
             print(stats, file=sys.stderr)
             return 0
@@ -187,7 +187,7 @@ def cmd_fracture(args) -> int:
     if args.refute is not None:
         v = _parse_ints(args.refute)
         report = non_axis_fracture_refuter(
-            theta, v, args.threshold, window=args.window
+            theta, v, args.threshold, window=_window_radius(args)
         )
         if report.conclusive:
             b = report.block

@@ -87,14 +87,6 @@ class PatchLanguage:
         return key in self.patterns
 
 
-def contains_pattern(lang: PatchLanguage, p: Pattern) -> bool:
-    if p.extent != lang.shape:
-        raise ValidationError(
-            f"pattern shape {p.extent} does not match language shape {lang.shape}"
-        )
-    return p.cells in lang.patterns
-
-
 def _roots(theta: RectSubstitution, mode: str) -> tuple[Vec, Iterable[bytes]]:
     """The roots' extent and cells: symbol 0 in minimal mode; in full mode the seeds on cycles,
     each corner's on-cycle symbols placed on its cell of the 2x...x2 seed pattern."""

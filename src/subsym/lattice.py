@@ -13,7 +13,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import ScopeError, ValidationError
 
@@ -37,10 +37,6 @@ def vmul(a: Vec, b: Vec) -> Vec:
     return tuple(x * y for x, y in zip(a, b))
 
 
-def vmod(a: Vec, b: Vec) -> Vec:
-    return tuple(x % y for x, y in zip(a, b))
-
-
 def vfloordiv(a: Vec, b: Vec) -> Vec:
     return tuple(x // y for x, y in zip(a, b))
 
@@ -58,21 +54,6 @@ def unit(d: int, axis: int, sign: int = 1) -> Vec:
 def spow(s: Vec, m: int) -> Vec:
     """Componentwise power s^m."""
     return tuple(x**m for x in s)
-
-
-class _EmptyRect:
-    """Distinct marker for an empty rectangle (never lo > hi)."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return "EMPTY_RECT"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-EMPTY_RECT = _EmptyRect()
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,49 +104,6 @@ class Rect:
         ranges = [range(l, h + 1) for l, h in zip(self.lo, self.hi)]
         for rev in itertools.product(*reversed(ranges)):
             yield tuple(reversed(rev))
-
-
-def interior(r: Rect | _EmptyRect, m: int) -> Rect | _EmptyRect:
-    """Shrink `r` by m on every face; EMPTY_RECT when any side collapses."""
-    if m < 0:
-        raise ValidationError("interior requires m >= 0")
-    if isinstance(r, _EmptyRect):
-        return EMPTY_RECT
-    lo = tuple(l + m for l in r.lo)
-    hi = tuple(h - m for h in r.hi)
-    if any(l > h for l, h in zip(lo, hi)):
-        return EMPTY_RECT
-    return Rect(lo, hi)
-
-
-def digits(j: Vec, s: Vec, m: int) -> list[Vec]:
-    """Componentwise base-s expansion of j into m digit vectors.
-
-    Returns (d_0, ..., d_{m-1}), least significant first, with
-    j = sum_t d_t * s^t componentwise.
-    """
-    if any(x < 2 for x in s):
-        raise ValidationError("all base components must be >= 2")
-    if any(not 0 <= x < b**m for x, b in zip(j, s)):
-        raise ValidationError(f"{j} out of range [0, {spow(s, m)} - 1]")
-    out = []
-    rest = list(j)
-    for _ in range(m):
-        digit = []
-        for i, b in enumerate(s):
-            rest[i], r = divmod(rest[i], b)
-            digit.append(r)
-        out.append(tuple(digit))
-    return out
-
-
-def undigits(digs: Sequence[Vec], s: Vec) -> Vec:
-    """Inverse of :func:`digits`."""
-    acc = list(zero(len(s)))
-    for digit in reversed(digs):
-        for i, b in enumerate(s):
-            acc[i] = acc[i] * b + digit[i]
-    return tuple(acc)
 
 
 @dataclass(frozen=True, slots=True)

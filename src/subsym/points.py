@@ -27,12 +27,11 @@ from dataclasses import dataclass
 
 from . import substitution
 from .errors import CapExceeded, ScopeError, ValidationError
-from .lattice import Rect, SignedPerm, Vec, spow, vadd, vfloordiv, vmod, vsub, zero
+from .lattice import Rect, SignedPerm, Vec, spow, vadd, vfloordiv, vsub, zero
 from .substitution import (
     Pattern,
     RectSubstitution,
     Seed,
-    _columns,
     _corner_maps,
     _inflate,
     _moved,
@@ -272,51 +271,6 @@ class AddressablePoint:
 def shift_point(x: AddressablePoint, k: Vec) -> AddressablePoint:
     _require_dim(k, x.dim, "shift")
     return x.with_shift(vadd(x.shift, k))
-
-
-def desubstitute_point(x: AddressablePoint) -> tuple[Vec, AddressablePoint]:
-    """Unique k1 in S and y with x = sigma_k1(theta(y)): y's seed is x's one
-    step back on its cycle, since theta of that point is x's point."""
-    s, k1 = x.theta.size, vmod(x.shift, x.theta.size)
-    y_shift = tuple((v - r) // b for v, r, b in zip(x.shift, k1, s))
-    back = Seed(x.dim, tuple(cycle[-1] for cycle in x._cycles))
-    return k1, AddressablePoint(x.theta, back, y_shift)
-
-
-@dataclass(frozen=True)
-class DesubFit:
-    """One consistent de-substitution offset for a finite pattern."""
-
-    offset: Vec
-    block_candidates: dict[Vec, tuple[int, ...]]
-
-
-def desubstitute_pattern(theta: RectSubstitution, p: Pattern) -> list[DesubFit]:
-    """All offsets o in [0, s-1] consistent with p being part of sigma_o(theta(q)).
-
-    Each surviving offset carries, per touched block, the symbols whose
-    patches agree with p there.  No uniqueness is ever asserted.
-    """
-    s, strides, columns = theta.size, _strides(theta.size), _columns(theta)
-    nsym = len(theta.alphabet)
-    fits = []
-    for o in theta.support().cells():
-        blocks: dict[Vec, set[int]] = {}
-        ok = True
-        for k, symbol in zip(p.rect().cells(), p.cells):
-            rel = vsub(k, o)
-            block = tuple(x // b for x, b in zip(rel, s))
-            column = columns[sum(x % b * st for x, b, st in zip(rel, s, strides))]
-            cands = blocks.setdefault(block, set(range(nsym)))
-            cands &= {a for a in range(nsym) if column[a] == symbol}
-            if not cands:
-                ok = False
-                break
-        if ok:
-            fits.append(
-                DesubFit(o, {b: tuple(sorted(c)) for b, c in blocks.items()})
-            )
-    return fits
 
 
 # ---------------------------------------------------------------------------

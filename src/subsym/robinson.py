@@ -302,11 +302,6 @@ class RobinsonPatch:
         width = extent[0]
         return [self.tiles[i : i + width] for i in starts]
 
-    def subpatch(self, r: Rect) -> "RobinsonPatch":
-        if not self.rect.contains_rect(r):
-            raise ValidationError("subpatch outside support")
-        return RobinsonPatch(r, b"".join(self.rows(r)), self.parity)
-
 
 def verify_patch(patch: RobinsonPatch) -> list[Violation]:
     """All rule violations inside the patch (empty list means locally valid).

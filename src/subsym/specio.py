@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -172,31 +171,6 @@ def dump_language(shape: tuple[int, ...], patterns) -> str:
     ext = ",".join(str(s) for s in shape)
     lines = sorted(f"{ext}:{cells.hex()}" for cells in patterns)
     return "\n".join(lines) + "\n" if lines else ""
-
-
-def parse_language_dump(text: str) -> tuple[tuple[int, ...], frozenset[bytes]]:
-    shape: tuple[int, ...] | None = None
-    cells = set()
-    for i, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            ext, hx = line.split(":")
-            this_shape = tuple(int(v) for v in ext.split(","))
-            buf = bytes.fromhex(hx)
-        except ValueError:
-            raise ValidationError(f"line {i}: bad language dump entry") from None
-        if shape is None:
-            shape = this_shape
-        elif shape != this_shape:
-            raise ValidationError(f"line {i}: mixed shapes in language dump")
-        if len(buf) != math.prod(this_shape):
-            raise ValidationError(f"line {i}: cell count does not match extent")
-        cells.add(buf)
-    if shape is None:
-        raise ValidationError("empty language dump")
-    return shape, frozenset(cells)
 
 
 # ---------------------------------------------------------------------------

@@ -69,19 +69,6 @@ class Pattern:
     def single(cls, anchor: Vec, symbol: int) -> "Pattern":
         return cls(anchor, (1,) * len(anchor), bytes([symbol]))
 
-    @classmethod
-    def from_rows(cls, anchor: Vec, rows) -> "Pattern":
-        """Build from nested lists; outermost index is the last coordinate."""
-        dims = []
-        probe = rows
-        while isinstance(probe, (list, tuple)):
-            dims.append(len(probe))
-            probe = probe[0]
-        # the nesting already lists the cells in cell order
-        for _ in dims[1:]:
-            rows = [c for sub in rows for c in sub]
-        return cls(anchor, tuple(reversed(dims)), bytes(rows))
-
     @property
     def dim(self) -> int:
         return len(self.extent)
@@ -134,13 +121,6 @@ class Pattern:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Pattern(anchor={self.anchor}, extent={self.extent})"
-
-
-def complement_pattern(p: Pattern) -> Pattern:
-    """Swap the two symbols of a binary pattern."""
-    if any(c > 1 for c in p.cells):
-        raise ScopeError("complement_pattern requires a binary pattern")
-    return Pattern(p.anchor, p.extent, bytes(1 - c for c in p.cells))
 
 
 @dataclass(frozen=True)
@@ -302,13 +282,6 @@ def _columns(theta: RectSubstitution) -> list[bytes]:
     return list(map(bytes, zip(*(r.cells for r in theta.rules))))
 
 
-def position_map(theta: RectSubstitution, k: Vec) -> tuple[int, ...]:
-    """The map a -> theta(a)_k as a table."""
-    if not theta.support().contains(k):
-        raise ValidationError(f"position {k} outside substitution support")
-    return tuple(_columns(theta)[sum(map(operator.mul, k, _strides(theta.size)))])
-
-
 def is_bijective(theta: RectSubstitution) -> bool:
     n = len(theta.alphabet)
     return all(len(set(col)) == n for col in set(_columns(theta)))
@@ -408,14 +381,9 @@ def _corner_maps(theta: RectSubstitution) -> list[bytes]:
 
 
 def _seed_stepper(theta: RectSubstitution):
-    """seed_step on bare corner-order symbol tuples."""
+    """The seed step, one inflation step of a seed, on bare corner-order symbol tuples."""
     maps = _corner_maps(theta)
     return lambda syms: tuple(map(bytes.__getitem__, maps, syms))
-
-
-def seed_step(theta: RectSubstitution, seed: Seed) -> Seed:
-    """One inflation step of the seed dynamics."""
-    return Seed(theta.dim, _seed_stepper(theta)(seed.symbols))
 
 
 def all_seeds(theta: RectSubstitution) -> Iterator[Seed]:
@@ -441,7 +409,7 @@ class SeedCycles:
 
 def _cycle_symbols(theta: RectSubstitution) -> list[list[int]]:
     """Per corner, in `corner_order`, the symbols on a cycle of its corner map: the seeds on cycles of
-    seed_step are their product, as the step acts corner by corner.  Refused before any is enumerated."""
+    the seed step are their product, as the step acts corner by corner.  Refused before any is enumerated."""
     corners = 1 << theta.dim
     symbols = [[a for a, n in enumerate(_cycle_lengths(p)) if n] for p in _corner_maps(theta)]
     if (count := math.prod(map(len, symbols))) * corners > DEFAULT_CELL_CAP:
@@ -450,7 +418,7 @@ def _cycle_symbols(theta: RectSubstitution) -> list[list[int]]:
 
 
 def fixed_seeds(theta: RectSubstitution) -> SeedCycles:
-    """All cycles of seed_step, ordered by and started at their least seeds; a seed on a cycle of
+    """All cycles of the seed step, ordered by and started at their least seeds; a seed on a cycle of
     length L is theta^L-fixed.  Only the seeds of `_cycle_symbols` are stepped."""
     symbols, stepper = _cycle_symbols(theta), _seed_stepper(theta)
     cycles: list[tuple[Seed, ...]] = []

@@ -420,6 +420,19 @@ class SymReport:
 def sym_group_report(theta: RectSubstitution, depth: int = 3) -> SymReport:
     """Run the symmetry check over the whole hyperoctahedral group.
 
+    Only the 2^d d! signed permutations of `signed_perm_group(d)` are
+    checked; that is the paper's reduction of an extended symmetry's linear
+    part from GL(d, Z) to them.  Its hypothesis is an aperiodic X_theta,
+    which nothing in the package checks yet.  There, A must carry the
+    quadrant on which the two points of a `points.contradiction_pair`
+    differ onto the quadrant on which their images differ, and a
+    unimodular A that maps a quadrant cone onto a quadrant cone is a signed
+    permutation.  The lemmas it rests on, `lattice.cone_contains_quadrant`
+    (whether A Q_1 contains a given quadrant; at most one, for a unimodular
+    A) and `lattice.line_intersection_finite` (whether an axis line meets
+    A Q_1 in finitely many points), are exercised under acceptance
+    criterion 08.
+
     The ExactYes subset is checked for closure under composition, including
     compatibility of the relabelings; a nonempty subset of a finite group
     closed under composition is a subgroup, so inverses follow.

@@ -22,8 +22,8 @@ kernels themselves: the walk of `symbol_at` one theta^c digit per
 `divmod`, the window gather of `language._grow` as `apply` plus
 `subpattern_keys`, the per-cell glyph lookup of the text render and
 the seed pattern read one corner lookup per cell.  The position maps
-and de-substitution read through `Pattern.get` one symbol at a time,
-where `substitution._columns` now holds every position map, and the
+read through `Pattern.get` one symbol at a time, where
+`substitution._columns` now holds every position map, and the
 signed-permutation determinant by cycle parity, where `SignedPerm.det`
 now reads `lattice.mat_det`.  The half-space fracture pair is the first
 pair that a double loop over every fixed seed finds, where the module now
@@ -188,24 +188,6 @@ def is_primitive_oracle(theta):
     return substitution.PrimitivityReport(False, None, missing)
 
 
-def from_rows_oracle(anchor, rows):
-    """Walk the nested lists once per cell; outermost index is the last coordinate."""
-    dims = []
-    probe = rows
-    while isinstance(probe, (list, tuple)):
-        dims.append(len(probe))
-        probe = probe[0]
-    extent = tuple(reversed(dims))
-    buf = bytearray(math.prod(extent))
-    pat = Pattern(anchor, extent, bytes(buf))
-    for k in pat.rect().cells():
-        node = rows
-        for c in reversed(tuple(x - a for x, a in zip(k, anchor))):
-            node = node[c]
-        buf[pat.index_of(k)] = node
-    return Pattern(anchor, extent, bytes(buf))
-
-
 def seed_pattern_oracle(seed):
     ext = (2,) * seed.dim
     buf = bytearray(1 << seed.dim)
@@ -363,26 +345,6 @@ def half_space_fracture_pair_oracle(theta, axis):
                     AddressablePoint(theta, sx), AddressablePoint(theta, sy), axis
                 )
     raise SearchFailure("faithfulness witness not found at seed level")
-
-
-def desubstitute_pattern_oracle(theta, p):
-    """`desubstitute_pattern` comparing each cell through `Pattern.get` on
-    every symbol's patch: (offset, {block: candidates}) per surviving offset."""
-    s, nsym = theta.size, len(theta.alphabet)
-    fits = []
-    for o in theta.support().cells():
-        blocks = {}
-        for k in p.rect().cells():
-            rel = tuple(x - y for x, y in zip(k, o))
-            block = tuple(x // b for x, b in zip(rel, s))
-            inner = tuple(x % b for x, b in zip(rel, s))
-            cands = blocks.setdefault(block, set(range(nsym)))
-            cands &= {a for a in range(nsym) if theta.rule(a).get(inner) == p.get(k)}
-            if not cands:
-                break
-        else:
-            fits.append((o, {b: tuple(sorted(c)) for b, c in blocks.items()}))
-    return fits
 
 
 @functools.lru_cache(maxsize=64)
@@ -866,10 +828,6 @@ def shifted_window_oracle(n, dy_right, arm_config="vertical"):
     rect = Rect((-n, -n), (n, n))
     tiles = tuple(four_quadrant_cell(x, y, arm_config, dy_right) for x, y in rect.cells())
     return RobinsonPatch(rect, tiles, (1, 1))
-
-
-def subpatch_oracle(patch, r):
-    return RobinsonPatch(r, tuple(patch.get(x, y) for x, y in r.cells()), patch.parity)
 
 
 _SWAP_SENSE = {"h": "t", "t": "h"}

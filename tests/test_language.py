@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 from oracles import block_grow_oracle, grow_oracle, window_closure_oracle, window_image_oracle
 
 from subsym import language, substitution
-from subsym.errors import CapExceeded, ScopeError, ValidationError
+from subsym.errors import CapExceeded, ScopeError
 from subsym.language import (
     _grow,
     _roots,
     _window_reader,
-    contains_pattern,
     patch_language,
     periodicity_scan,
     seed_admissible_minimal,
@@ -137,23 +136,6 @@ def test_language_patterns_occur_in_points(tm2d):
             w = x.window(Rect((-half, -half), (half - 1, half - 1)))
             reachable.update(w.subpattern_keys(shape))
         assert lang.patterns <= reachable
-
-
-def test_contains_pattern(tm2d):
-    lang = patch_language(tm2d, (2, 2), mode="minimal")
-    some = next(iter(lang.patterns))
-    assert contains_pattern(lang, Pattern((0, 0), (2, 2), some))
-    # translation-invariant: anchors do not matter
-    assert contains_pattern(lang, Pattern((5, -3), (2, 2), some))
-    all_ones = Pattern((0, 0), (2, 2), bytes([1, 1, 1, 1]))
-    oracle = brute_subwords(tm2d, 0, 6, (2, 2))
-    assert contains_pattern(lang, all_ones) == (all_ones.cells in oracle)
-
-
-def test_contains_pattern_shape_mismatch(tm2d):
-    lang = patch_language(tm2d, (2, 2), mode="minimal")
-    with pytest.raises(ValidationError):
-        contains_pattern(lang, Pattern((0, 0), (2, 3), bytes(6)))
 
 
 def test_language_membership_is_membership_of_its_patterns(tm2d):

@@ -2,20 +2,15 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 from oracles import signed_perm_det_oracle
 
 from subsym.errors import ScopeError, ValidationError
 from subsym.lattice import (
-    EMPTY_RECT,
     Quadrant,
     Rect,
     SignedPerm,
     canonical_quadrants,
     cone_contains_quadrant,
-    digits,
-    interior,
     line_intersection_finite,
     mat_det,
     mat_inverse_unimodular,
@@ -24,66 +19,7 @@ from subsym.lattice import (
     point_in_cone,
     random_unimodular,
     signed_perm_group,
-    undigits,
 )
-
-
-# -- digits ------------------------------------------------------------------
-
-def test_digits_1d():
-    assert digits((5,), (2,), 3) == [(1,), (0,), (1,)]
-
-
-def test_digits_zero():
-    assert digits((0, 0), (2, 3), 2) == [(0, 0), (0, 0)]
-
-
-def test_digits_mixed_radix():
-    ds = digits((5, 7), (2, 3), 3)
-    assert ds == [(1, 1), (0, 2), (1, 0)]
-    assert undigits(ds, (2, 3)) == (5, 7)
-
-
-def test_digits_out_of_range():
-    with pytest.raises(ValidationError):
-        digits((8,), (2,), 3)
-    with pytest.raises(ValidationError):
-        digits((-1,), (2,), 3)
-
-
-def test_digits_roundtrip_bulk():
-    rng = random.Random(20240517)
-    for _ in range(10_000):
-        d = rng.randint(1, 3)
-        s = tuple(rng.randint(2, 5) for _ in range(d))
-        m = rng.randint(1, 6)
-        j = tuple(rng.randrange(b**m) for b in s)
-        assert undigits(digits(j, s, m), s) == j
-
-
-@given(st.integers(2, 7), st.integers(1, 8), st.data())
-def test_digits_roundtrip_hypothesis(base, m, data):
-    j = data.draw(st.integers(0, base**m - 1))
-    assert undigits(digits((j,), (base,), m), (base,)) == (j,)
-
-
-# -- interior ----------------------------------------------------------------
-
-def test_interior_square():
-    r = Rect((0, 0), (7, 7))
-    assert interior(r, 1) == Rect((1, 1), (6, 6))
-
-
-def test_interior_collapse():
-    assert interior(Rect((0, 0), (1, 1)), 1) is EMPTY_RECT
-
-
-def test_interior_one_axis_collapses():
-    assert interior(Rect((0, 0), (7, 3)), 2) is EMPTY_RECT
-
-
-def test_interior_empty_passthrough():
-    assert interior(EMPTY_RECT, 3) is EMPTY_RECT
 
 
 # -- signed permutations -----------------------------------------------------

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
-    desubstitute_pattern_oracle,
     digit_walk_oracle,
     fixed_seeds_oracle,
     half_space_fracture_pair_oracle,
@@ -26,14 +25,12 @@ from oracles import (
 from subsym import language, points
 from subsym.cli import main
 from subsym.errors import CapExceeded, ScopeError, SearchFailure, ValidationError
-from subsym.lattice import Rect, vadd, vsub, zero
+from subsym.lattice import Rect, vadd, vfloordiv, vsub, zero
 from subsym.points import (
     DIGIT_TABLE_BYTES,
     AddressablePoint,
     OdometerCoord,
     contradiction_pair,
-    desubstitute_pattern,
-    desubstitute_point,
     half_space_fracture_pair,
     quadrant_cell_of,
     _digit_tables,
@@ -447,71 +444,22 @@ def test_odometer_precision_is_its_number_of_residues():
 
 # -- desubstitution ------------------------------------------------------------
 
-def test_desubstitute_fixed_point(tm1d_point):
-    k1, y = desubstitute_point(tm1d_point)
-    assert k1 == (0,)
-    assert y.shift == (0,) and y.seed == tm1d_point.seed
-
-
-def test_desubstitute_shifted(tm1d_point):
-    x = shift_point(tm1d_point, (5,))
-    k1, y = desubstitute_point(x)
-    # the corner-fixed substitution has size 4, so 5 = 1 + 4*1
-    assert k1 == (1,) and y.shift == (1,)
-
-
 def test_desubstitute_reconstruction(tm2d):
+    # x = sigma_k1(theta(y)) for k1 = shift mod s and y the point of the same
+    # fixed seed at shift // s
     theta_cf, _ = corner_fixed(tm2d)
     from subsym.substitution import fixed_seeds
 
     seed = fixed_seeds(theta_cf).fixed[3]
     x = AddressablePoint(theta_cf, seed, (5, -2))
-    k1, y = desubstitute_point(x)
     s = theta_cf.size
+    k1 = tuple(v % b for v, b in zip(x.shift, s))
+    y = AddressablePoint(theta_cf, seed, vfloordiv(x.shift, s))
     for k in Rect((-32, -32), (31, 31)).cells():
         rel = tuple(a - b for a, b in zip(k, k1))
         block = tuple(r // b for r, b in zip(rel, s))
         inner = tuple(r % b for r, b in zip(rel, s))
         assert x.symbol_at(k) == theta_cf.rule(y.symbol_at(block)).get(inner)
-
-
-def test_desubstitute_pattern_rule_patch(tm1d):
-    # offset 0 must be consistent (the patch IS theta(0)); a 2-cell window
-    # is too short to rule out the other offset
-    fits = desubstitute_pattern(tm1d, tm1d.rule(0))
-    by_offset = {f.offset: f for f in fits}
-    assert (0,) in by_offset
-    assert by_offset[(0,)].block_candidates[(0,)] == (0,)
-
-
-def test_desubstitute_pattern_single_cell(tm2d):
-    fits = desubstitute_pattern(tm2d, Pattern.single((0, 0), 1))
-    assert len(fits) == 4  # no information: every offset consistent
-
-
-def test_desubstitute_pattern_paper_word(tm1d):
-    p = Pattern((0,), (16,), bytes(int(c) for c in PAPER_RIGHT))
-    fits = desubstitute_pattern(tm1d, p)
-    assert [f.offset for f in fits] == [(0,)]
-
-
-def test_desubstitute_pattern_matches_oracle(corpus, two_by_three):
-    # windows of theta^2 patches (some offset fits) and random fills (mostly none)
-    rng = random.Random(21)
-    fitted = set()
-    for theta in [*corpus.values(), two_by_three]:
-        big, n = power(theta, 2).rule(1), len(theta.alphabet)
-        for _ in range(20):
-            ext = tuple(rng.randint(1, min(e, 5)) for e in big.extent)
-            lo = tuple(rng.randint(0, e - x) for e, x in zip(big.extent, ext))
-            window = big.subpattern(Rect(lo, tuple(a + x - 1 for a, x in zip(lo, ext))))
-            shift = tuple(rng.randint(-9, 9) for _ in ext)
-            noisy = Pattern(shift, ext, bytes(rng.randrange(n) for _ in window.cells))
-            for p in (window.translate(shift), noisy):
-                got = [(f.offset, f.block_candidates) for f in desubstitute_pattern(theta, p)]
-                assert got == desubstitute_pattern_oracle(theta, p), (theta.size, p)
-                fitted.add(bool(got))
-    assert fitted == {True, False}
 
 
 # -- contradiction pairs -------------------------------------------------------
@@ -703,12 +651,13 @@ def test_theta_points_are_the_corner_fixing_power_points():
 
 
 def test_desubstitute_point_steps_the_seed_back(tm2d):
-    # (0, 0, 0, 1) is not fixed by tm2d's seed step: y carries the seed one
-    # step back on its cycle, and sigma_k1(theta(y)) is x
+    # (0, 0, 0, 1) is not fixed by tm2d's seed step: the point of the seed one
+    # step back on its cycle, (0, 1, 1, 1) at shift // s, is y with sigma_k1(theta(y)) = x
     x = AddressablePoint(tm2d, Seed(2, (0, 0, 0, 1)), (13, -6))
-    k1, y = desubstitute_point(x)
-    assert y.seed == Seed(2, (0, 1, 1, 1)) and y.shift == (6, -3)
     rect, s = Rect((-9, -9), (8, 8)), tm2d.size
+    k1 = tuple(v % b for v, b in zip(x.shift, s))
+    y = AddressablePoint(tm2d, Seed(2, (0, 1, 1, 1)), vfloordiv(x.shift, s))
+    assert y.shift == (6, -3)
     lo, hi = (tuple((a - b) // si for a, b, si in zip(c, k1, s)) for c in (rect.lo, rect.hi))
     image = apply(tm2d, y.window(Rect(lo, hi))).translate(k1).subpattern(rect)
     assert image == x.window(rect)
@@ -810,8 +759,9 @@ def test_random_desubstitution_roundtrip(data):
     seed = seeds[data.draw(st.integers(0, len(seeds) - 1))]
     shift = tuple(data.draw(st.integers(-50, 50)) for _ in range(theta.dim))
     x = AddressablePoint(theta_cf, seed, shift)
-    k1, y = desubstitute_point(x)
     s = theta_cf.size
+    k1 = tuple(v % b for v, b in zip(shift, s))
+    y = AddressablePoint(theta_cf, seed, vfloordiv(shift, s))
     assert all(0 <= c < b for c, b in zip(k1, s))
     for k in Rect((-5,) * theta.dim, (4,) * theta.dim).cells():
         rel = tuple(a - b for a, b in zip(k, k1))

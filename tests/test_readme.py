@@ -1,11 +1,13 @@
 """The README's examples run as written and print what their comments say.
 
 The Python example is executed, and each commented CLI example of the
-"Examples:" block is run in-process through `subsym.cli.main`.  The
+"Examples:" block is run in-process through `subsym.cli.main`.  Every
+name that the "Library tour" table gives a module resolves in it.  The
 examples and their comments are read from README.md itself, so editing
 either there without editing the checks here fails a test.
 """
 
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -73,3 +75,19 @@ def test_readme_python_example_runs(capsys):
     exec(compile(source, "README.md", "exec"), namespace)
     assert capsys.readouterr().out == "psi_image_order=8 split=yes\n"
     assert namespace["patch"].extent == (16, 16)  # "exact 16x16 window"
+
+
+#: backticked names in the tour that name no subsym API
+TOUR_EXEMPT = {"bytes.translate", "unsat"}
+
+
+def test_readme_library_tour_names_resolve():
+    rows = re.findall(r"^\| `(subsym\.\w+)` \| (.*) \|$", README.split("## Library tour", 1)[1], re.M)
+    assert len(rows) == 7
+    for module_name, contents in rows:
+        module = importlib.import_module(module_name)
+        classes = [v for v in vars(module).values() if isinstance(v, type) and v.__module__ == module_name]
+        for name in re.findall(r"`([^`]+)`", contents):
+            name = name.removesuffix("()")
+            if name not in TOUR_EXEMPT:
+                assert hasattr(module, name) or any(hasattr(c, name) for c in classes), (module_name, name)

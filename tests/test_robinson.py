@@ -214,9 +214,9 @@ def test_supertile_verifies_and_nests(n):
         (half + 1, half + 1): "SW",
     }
     for (x0, y0), orient in subs.items():
-        sub = st.subpatch(Rect((x0, y0), (x0 + half - 1, y0 + half - 1)))
+        sub = b"".join(st.rows(Rect((x0, y0), (x0 + half - 1, y0 + half - 1))))
         expect = supertile(n - 1, orient)
-        assert sub.tiles == expect.tiles
+        assert sub == expect.tiles
 
 
 @pytest.mark.parametrize("orient", rob.ORIENTATIONS)
@@ -276,7 +276,8 @@ def test_off_coset_crosses_head_second_order_assemblies():
                     continue
                 assert x % 2 == 1 and y % 2 == 1
                 orient = next(o for o in rob.ORIENTATIONS if cross_tile(o) == t)
-                sub = st.subpatch(Rect((x - 1, y - 1), (x + 1, y + 1)))
+                r = Rect((x - 1, y - 1), (x + 1, y + 1))
+                sub = rob.RobinsonPatch(r, b"".join(st.rows(r)), st.parity)
                 if (x % 4, y % 4) == (1, 1):
                     assert sub.tiles == supertile(2, orient).tiles
                     continue

@@ -23,16 +23,13 @@ from subsym.substitution import (
     Seed,
     all_seeds,
     apply,
-    complement_pattern,
     corner_fixed,
     corner_fixing_power,
     corner_order,
     fixed_seeds,
     is_bijective,
     is_primitive,
-    position_map,
     power,
-    seed_step,
 )
 
 
@@ -44,7 +41,7 @@ def word(p: Pattern) -> str:
 # -- apply -------------------------------------------------------------------
 
 def test_equal_patterns_hash_equal():
-    rows = Pattern.from_rows((1, -2), [[0, 1, 1], [1, 0, 0]])
+    rows = Pattern((1, -2), (3, 2), bytes([0, 1, 1]) + bytes([1, 0, 0]))
     same = Pattern((1, -2), (3, 2), bytes([0, 1, 1, 1, 0, 0]))
     assert rows == same and hash(rows) == hash(same)
     assert len({rows, same, rows.translate((0, 0))}) == 1
@@ -185,24 +182,20 @@ def test_bijective_powers(corpus):
 # -- position maps -----------------------------------------------------------
 
 def test_position_maps_tm1d(tm1d):
-    assert position_map(tm1d, (0,)) == (0, 1)
-    assert position_map(tm1d, (1,)) == (1, 0)
+    # substitution._columns holds the position map P_k of each cell k, in cell order
+    assert substitution._columns(tm1d) == [bytes((0, 1)), bytes((1, 0))]
 
 
 def test_position_map_rig3(rig3):
     # third letters of 123, 212, 331
-    assert position_map(rig3, (2,)) == (2, 1, 0)
+    assert substitution._columns(rig3)[2] == bytes((2, 1, 0))
 
 
 def test_position_map_matches_oracle(corpus, two_by_three):
     for theta in [*corpus.values(), two_by_three, power(corpus["tm3d"], 2)]:
-        for k in theta.support().cells():
-            assert position_map(theta, k) == position_map_oracle(theta, k), k
-
-
-def test_position_map_out_of_support(tm1d):
-    with pytest.raises(ValidationError):
-        position_map(tm1d, (2,))
+        columns = substitution._columns(theta)
+        for i, k in enumerate(theta.support().cells()):
+            assert columns[i] == bytes(position_map_oracle(theta, k)), k
 
 
 # -- corner fixing power -----------------------------------------------------
@@ -246,11 +239,11 @@ def test_cfp_is_least(corpus):
         theta_m = power(theta, m)
         for c in box_corners(theta_m.size):
             n = len(theta.alphabet)
-            assert position_map(theta_m, c) == tuple(range(n))
+            assert position_map_oracle(theta_m, c) == tuple(range(n))
         for k in range(1, m):
             theta_k = power(theta, k)
             assert any(
-                position_map(theta_k, c) != tuple(range(len(theta.alphabet)))
+                position_map_oracle(theta_k, c) != tuple(range(len(theta.alphabet)))
                 for c in box_corners(theta_k.size)
             )
 
@@ -258,14 +251,16 @@ def test_cfp_is_least(corpus):
 # -- seeds -------------------------------------------------------------------
 
 def test_seed_step_tm1d(tm1d):
-    # corner order for d=1 is [(-1,), (0,)]
-    assert seed_step(tm1d, Seed(1, (1, 0))).symbols == (0, 0)
-    assert seed_step(tm1d, Seed(1, (0, 0))).symbols == (1, 0)
+    # corner order for d=1 is [(-1,), (0,)]; substitution._seed_stepper steps bare symbol tuples
+    step = substitution._seed_stepper(tm1d)
+    assert step((1, 0)) == (0, 0)
+    assert step((0, 0)) == (1, 0)
 
 
 def test_seed_step_identity_corners(dbl):
+    step = substitution._seed_stepper(dbl)
     for seed in all_seeds(dbl):
-        assert seed_step(dbl, seed) == seed
+        assert step(seed.symbols) == seed.symbols
 
 
 def test_fixed_seeds_tm1d(tm1d):
@@ -300,13 +295,14 @@ def test_seed_step_enters_cycle(corpus):
     # pigeonhole: iterating |A|^(2^d)+1 times must revisit a seed
     for theta in corpus.values():
         n_seeds = len(theta.alphabet) ** (1 << theta.dim)
-        seed = next(iter(all_seeds(theta)))
+        step = substitution._seed_stepper(theta)
+        seed = next(iter(all_seeds(theta))).symbols
         seen = set()
         for _ in range(n_seeds + 1):
             if seed in seen:
                 break
             seen.add(seed)
-            seed = seed_step(theta, seed)
+            seed = step(seed)
         else:
             pytest.fail("seed dynamics never entered a cycle")
 
@@ -315,19 +311,20 @@ def test_fixed_seeds_are_seed_step_fixed(corpus):
     for theta in corpus.values():
         cyc = fixed_seeds(theta)
         for seed in cyc.fixed:
-            assert seed_step(theta, seed) == seed
+            assert seed_step_oracle(theta, seed) == seed
         for cycle in cyc.cycles:
             for i, seed in enumerate(cycle):
-                assert seed_step(theta, seed) == cycle[(i + 1) % len(cycle)]
+                assert seed_step_oracle(theta, seed) == cycle[(i + 1) % len(cycle)]
 
 
 def test_seed_dynamics_match_oracle(corpus):
-    """seed_step and the cycles of fixed_seeds against the step read through
+    """The seed step and the cycles of fixed_seeds against the step read through
     Pattern.get, on every seed of every bundled spec and its corner-fixed power."""
     for theta in corpus.values():
         for t in [theta, corner_fixed(theta)[0]] if is_bijective(theta) else [theta]:
             step = {seed: seed_step_oracle(t, seed) for seed in all_seeds(t)}
-            assert all(seed_step(t, seed) == image for seed, image in step.items())
+            stepper = substitution._seed_stepper(t)
+            assert all(stepper(seed.symbols) == image.symbols for seed, image in step.items())
             on_cycles = set()
             for seed in step:
                 node = step[seed]
@@ -427,15 +424,18 @@ def test_corner_maps_read_only_corner_cells(corpus, monkeypatch):
 
 # -- binary complement relation ----------------------------------------------
 
+def complement(p: Pattern) -> Pattern:
+    """The binary pattern p with its two symbols swapped."""
+    return Pattern(p.anchor, p.extent, bytes(1 - c for c in p.cells))
+
+
 def test_binary_complement_relation(corpus):
     for theta in corpus.values():
         if len(theta.alphabet) != 2 or not is_bijective(theta):
             continue
-        assert theta.rule(1) == complement_pattern(theta.rule(0))
+        assert theta.rule(1) == complement(theta.rule(0))
         p = Pattern((0,) * theta.dim, (2,) * theta.dim, bytes(1 << theta.dim))
-        assert apply(theta, complement_pattern(p)) == complement_pattern(
-            apply(theta, p)
-        )
+        assert apply(theta, complement(p)) == complement(apply(theta, p))
 
 
 def test_alphabet_validation():

@@ -47,7 +47,6 @@ from subsym.substitution import (
     Seed,
     _columns,
     apply,
-    complement_pattern,
     corner_fixed,
     is_bijective,
     is_primitive,
@@ -259,6 +258,11 @@ def test_transform_identity(tm2d):
     assert all(out.rule(a) == tm2d.rule(a) for a in range(2))
 
 
+def complement(p: Pattern) -> Pattern:
+    """The binary pattern p with its two symbols swapped."""
+    return Pattern(p.anchor, p.extent, bytes(1 - c for c in p.cells))
+
+
 def test_transform_rotation_is_complement(tm2d):
     # rotating the parity patch flips every cell: the transformed table is
     # the cellwise complement of the original (checked by direct comparison)
@@ -267,7 +271,7 @@ def test_transform_rotation_is_complement(tm2d):
     out = transformed_substitution(tm2d, rot90, (0, 1))
     assert not isinstance(out, SizeMismatch)
     for a in range(2):
-        assert out.rule(a) == complement_pattern(tm2d.rule(a))
+        assert out.rule(a) == complement(tm2d.rule(a))
 
 
 def test_transform_size_mismatch(two_by_three):
@@ -1061,9 +1065,7 @@ def test_flip_commutes_with_substitution(corpus):
             continue
         for a in range(2):
             patch = theta.rule(a)
-            assert apply(theta, complement_pattern(patch)) == complement_pattern(
-                apply(theta, patch)
-            )
+            assert apply(theta, complement(patch)) == complement(apply(theta, patch))
 
 
 # -- fracture witnesses -----------------------------------------------------------
