@@ -3,7 +3,6 @@
 from .errors import (
     CapExceeded,
     ScopeError,
-    SearchFailure,
     SubsymError,
     ValidationError,
 )

@@ -13,9 +13,10 @@ import hashlib
 import os
 import re
 import sys
+from importlib import resources
 from pathlib import Path
 
-from . import __version__, specio
+from . import specio
 from .errors import SubsymError, ValidationError
 from .language import patch_language
 from .lattice import Rect
@@ -128,7 +129,8 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 
 def _window_radius(args) -> int:
-    """The r of `--window r` (the box [-r, r-1]^d), refused unless r >= 1."""
+    """The r of `--window r`, refused unless r >= 1.  `point` and `fracture --axis` read the
+    box [-r, r-1]^d; `fracture --refute` looks for its block in [-r, r]^d."""
     if args.window < 1:
         raise ValidationError(f"--window must be a positive integer, got '{args.window}'")
     return args.window
@@ -147,14 +149,25 @@ def cmd_point(args) -> int:
     return 0
 
 
+def _source_digest() -> str:
+    """sha256 of the package's own .py files, by name."""
+    h = hashlib.sha256()
+    for f in sorted(resources.files(__package__).iterdir(), key=lambda f: f.name):
+        if f.name.endswith(".py"):
+            h.update(f.name.encode() + b"\0" + f.read_bytes())
+    return h.hexdigest()
+
+
 def cmd_lang(args) -> int:
-    spec, theta = _load(args.spec)
+    _, theta = _load(args.spec)
     shape = _parse_ints(args.shape)
     cache_path = None
     if args.cache_dir == "":
         raise ValidationError("--cache-dir '' names no directory")
     if args.cache_dir is not None:
-        key = f"{specio.spec_digest(spec)}-{shape}-{args.mode}-{__version__}"
+        # keyed by what decides the dump: theta's size and rule cells (not its names), the
+        # parsed shape, the mode, and the code that computes it
+        key = repr((theta.size, [r.cells for r in theta.rules], shape, args.mode, _source_digest()))
         digest = hashlib.sha256(key.encode()).hexdigest()[:16]
         cache_path = Path(args.cache_dir) / f"lang-{digest}.txt"
         # an entry is the stats line and its newline, then the dump; one without
@@ -197,7 +210,7 @@ def cmd_fracture(args) -> int:
                 f"upper_cells={b.upper_count} lower_cells={b.lower_count}"
             )
             return 0
-        print(f"inconclusive: window too small, need about {report.required_window}")
+        print(f"inconclusive: window too small, need {report.required_window}")
         return 1
     witness = fracture_normal_witness(theta, args.axis, window=_window_radius(args))
     print(
@@ -324,7 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", type=int, default=0, help="0-based axis")
     p.add_argument("--refute", default=None, help="non-axis direction, comma-separated integers")
     p.add_argument("--threshold", type=int, default=4)
-    p.add_argument("--window", type=int, default=64)
+    p.add_argument(
+        "--window", type=int, default=64,
+        help="radius r: --axis checks [-r, r-1]^d, --refute looks in [-r, r]^d",
+    )
     p.set_defaults(func=cmd_fracture)
 
     p = sub.add_parser("robinson", help="Robinson tiling commands")

@@ -15,7 +15,3 @@ class ScopeError(SubsymError):
 
 class CapExceeded(SubsymError):
     """A materialization would exceed the configured cell-count cap."""
-
-
-class SearchFailure(SubsymError):
-    """A witness search came up empty (reported, never silently swallowed)."""

@@ -83,9 +83,6 @@ class PatchLanguage:
     def __len__(self) -> int:
         return len(self.patterns)
 
-    def __contains__(self, key: bytes) -> bool:
-        return key in self.patterns
-
 
 def _roots(theta: RectSubstitution, mode: str) -> tuple[Vec, Iterable[bytes]]:
     """The roots' extent and cells: symbol 0 in minimal mode; in full mode the seeds on cycles,

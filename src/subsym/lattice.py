@@ -166,9 +166,6 @@ class SignedPerm:
     def dim(self) -> int:
         return len(self.perm)
 
-    def is_identity(self) -> bool:
-        return self.perm == tuple(range(self.dim)) and not any(self.signs)
-
     def inverse_perm(self) -> Vec:
         inv = [0] * self.dim
         for i, p in enumerate(self.perm):

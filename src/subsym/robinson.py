@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 from .errors import CapExceeded, ScopeError, ValidationError
-from .lattice import IntMatrix, Rect, SignedPerm, vsub
+from .lattice import IntMatrix, Rect, SignedPerm, vadd, vsub
 from .specio import ppm_image
 from .substitution import _moved, _relabel_table, _run_starts
 
@@ -102,27 +102,21 @@ def _signature_of(paths: tuple[_Path, ...]) -> Signature:
     return tuple(frozenset(m) for m in marks)  # type: ignore[return-value]
 
 
-def _rot_pt(pt: tuple[int, int]) -> tuple[int, int]:
-    """Quarter turn counterclockwise about the tile center."""
-    x, y = pt
-    return (4 - y, x)
-
-
-def _mir_pt(pt: tuple[int, int]) -> tuple[int, int]:
-    x, y = pt
-    return (4 - x, y)
+#: The tile motions about the tile centre (2, 2), which `PatchSymmetry` also
+#: applies to patches: the quarter turn counterclockwise and the mirror x -> -x.
+_QUARTER_TURN = SignedPerm((1, 0), (0, 1))
+_MIRROR = SignedPerm((0, 1), (1, 0))
+_CENTRE = (2, 2)
 
 
 def _transform_paths(paths: tuple[_Path, ...], rot: int, mirror: int) -> tuple[_Path, ...]:
-    out = []
-    for color, pts, heads in paths:
-        q = list(pts)
-        if mirror:
-            q = [_mir_pt(p) for p in q]
-        for _ in range(rot % 4):
-            q = [_rot_pt(p) for p in q]
-        out.append((color, tuple(q), heads))
-    return tuple(out)
+    a = _MIRROR if mirror else SignedPerm.identity(2)
+    for _ in range(rot):
+        a = _QUARTER_TURN.compose(a)
+    return tuple(
+        (color, tuple(vadd(a.apply(vsub(p, _CENTRE)), _CENTRE) for p in pts), heads)
+        for color, pts, heads in paths
+    )
 
 
 @dataclass(frozen=True)
@@ -519,11 +513,11 @@ class PatchSymmetry:
 
     @classmethod
     def rotation(cls) -> "PatchSymmetry":
-        return cls(SignedPerm((1, 0), (0, 1)), ROTATE_TABLE)
+        return cls(_QUARTER_TURN, ROTATE_TABLE)
 
     @classmethod
     def reflection(cls) -> "PatchSymmetry":
-        return cls(SignedPerm((0, 1), (1, 0)), MIRROR_TABLE)
+        return cls(_MIRROR, MIRROR_TABLE)
 
     @property
     def mat(self) -> IntMatrix:

@@ -9,7 +9,6 @@ are rejected; every diagnostic carries the offending path.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -125,10 +124,6 @@ def build_substitution(spec: SubstitutionSpec) -> RectSubstitution:
 def canonical_text(spec: SubstitutionSpec) -> str:
     """Byte-stable serialization: sorted keys, two-space indent, newline."""
     return json.dumps(spec.to_obj(), sort_keys=True, indent=2) + "\n"
-
-
-def spec_digest(spec: SubstitutionSpec) -> str:
-    return hashlib.sha256(canonical_text(spec).encode()).hexdigest()[:16]
 
 
 def read_utf8(path: str) -> str:

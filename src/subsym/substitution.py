@@ -148,9 +148,6 @@ class RectSubstitution:
     def dim(self) -> int:
         return len(self.size)
 
-    def support(self) -> Rect:
-        return Rect.box(self.size)
-
     def rule(self, symbol: int) -> Pattern:
         return self.rules[symbol]
 
@@ -401,10 +398,6 @@ class SeedCycles:
     @property
     def fixed(self) -> tuple[Seed, ...]:
         return tuple(c[0] for c in self.cycles if len(c) == 1)
-
-    @property
-    def on_cycles(self) -> tuple[Seed, ...]:
-        return tuple(s for c in self.cycles for s in c)
 
 
 def _cycle_symbols(theta: RectSubstitution) -> list[list[int]]:

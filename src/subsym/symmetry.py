@@ -18,6 +18,7 @@ the higher powers' candidates on (symbol, column) pairs.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -410,9 +411,6 @@ class SymReport:
     split: str  # yes | no | unknown
     closure_ok: bool
 
-    def by_matrix(self) -> dict[SignedPerm, SymmetryCandidate]:
-        return {c.a: c for c in self.candidates}
-
     def summary_line(self) -> str:
         return f"psi_image_order={self.psi_image_order} split={self.split}"
 
@@ -547,7 +545,9 @@ def non_axis_fracture_refuter(
 
     The block side is chosen so that the straddle is guaranteed for every
     possible inflation-grid offset, mirroring how the hierarchical
-    structure contradicts a fracture along a non-axis normal.
+    structure contradicts a fracture along a non-axis normal.  The block is
+    looked for in [-window, window]^d; when none lies there, the report's
+    `required_window` is the least window in which the same search finds one.
     """
     _require_dim(v, theta.dim, "v")
     if all(x == 0 for x in v):
@@ -559,7 +559,6 @@ def non_axis_fracture_refuter(
     if threshold < 1:
         raise ValidationError("threshold must be >= 1")
 
-    win = Rect((-window,) * theta.dim, (window,) * theta.dim)
     s = theta.size
     for m in range(1, 40):
         side = spow(s, m)
@@ -569,39 +568,50 @@ def non_axis_fracture_refuter(
             continue
         m_minus = sum(min(0, x * (L - 1)) for x, L in zip(v, side))
         m_plus = sum(max(0, x * (L - 1)) for x, L in zip(v, side))
-        lo_t, hi_t = threshold - m_plus, -threshold - m_minus
-        # first grid block in the window: solve for z_j on the last axis j with v_j != 0 (0 holds its place)
-        zr = [range(-(window // L), (window + 1) // L) for L in side]
-        j = max(i for i, x in enumerate(v) if x)
-        for z in itertools.product(*zr[:j], [0], *(r[:1] for r in zr[j + 1 :])):
-            rest = _dot([zi * L for zi, L in zip(z, side)], v)
-            a, b = (lo_t - rest, hi_t - rest)[:: 1 if v[j] > 0 else -1]
-            zj = max(zr[j].start, -(-a // (side[j] * v[j])))
-            if zj > min(zr[j].stop - 1, b // (side[j] * v[j])):
-                continue
-            t = tuple(zi * L for zi, L in zip(z[:j] + (zj,) + z[j + 1 :], side))
-            block = Rect(t, tuple(x + L - 1 for x, L in zip(t, side)))
-            assert win.contains_rect(block)
-            if block.cell_count() > substitution.DEFAULT_CELL_CAP:
-                raise CapExceeded(f"the straddling block has {block.cell_count()} cells")
-            first: dict[int, Vec] = {}
-            count = [0, 0, 0]  # by half: 1 for <k, v> >= threshold, -1 for <= -threshold
-            # the cells of an axis-0 run in one half form an interval of it
-            for rest in Rect(block.lo[1:], block.hi[1:]).cells():
-                for half in (1, -1):
-                    a, e = half * v[0], threshold - half * _dot(rest, v[1:])
-                    x0 = max(block.lo[0], -(-e // a)) if a > 0 else block.lo[0]
-                    x1 = min(block.hi[0], e // a) if a < 0 else block.hi[0]
-                    if x0 <= x1 and (a or e <= 0):
-                        first.setdefault(half, (x0,) + rest)
-                        count[half] += x1 - x0 + 1
-            assert count[1] and count[-1]
-            straddle = StraddlingBlock(m, block, first[1], first[-1], count[1], count[-1])
-            return RefuterReport(v, threshold, window, True, straddle)
-        # a straddling block exists but not inside this window
-        need = max(side) * (2 + max(abs(x) for x in v)) + 2 * threshold
-        return RefuterReport(v, threshold, window, False, None, need)
+        bounds = (threshold - m_plus, -threshold - m_minus)
+        block = _straddling_block(v, side, bounds, window)
+        if block is None:
+            # the span test passed, so some window holds a block of this grid, and a window
+            # holds every block a smaller one does: the need is the least window that holds one
+            fits = lambda w: _straddling_block(v, side, bounds, w) is not None
+            hi = window + 1
+            while not fits(hi):
+                hi *= 2
+            need = bisect.bisect_left(range(hi + 1), True, window + 1, key=fits)
+            return RefuterReport(v, threshold, window, False, None, need)
+        if block.cell_count() > substitution.DEFAULT_CELL_CAP:
+            raise CapExceeded(f"the straddling block has {block.cell_count()} cells")
+        first: dict[int, Vec] = {}
+        count = [0, 0, 0]  # by half: 1 for <k, v> >= threshold, -1 for <= -threshold
+        # the cells of an axis-0 run in one half form an interval of it
+        for rest in Rect(block.lo[1:], block.hi[1:]).cells():
+            for half in (1, -1):
+                a, e = half * v[0], threshold - half * _dot(rest, v[1:])
+                x0 = max(block.lo[0], -(-e // a)) if a > 0 else block.lo[0]
+                x1 = min(block.hi[0], e // a) if a < 0 else block.hi[0]
+                if x0 <= x1 and (a or e <= 0):
+                    first.setdefault(half, (x0,) + rest)
+                    count[half] += x1 - x0 + 1
+        assert count[1] and count[-1]
+        straddle = StraddlingBlock(m, block, first[1], first[-1], count[1], count[-1])
+        return RefuterReport(v, threshold, window, True, straddle)
     raise ScopeError("no straddling level found within 40 inflation levels")
+
+
+def _straddling_block(v: Vec, side: Vec, bounds: tuple[int, int], window: int) -> Rect | None:
+    """The first block of the origin-anchored grid of `side` blocks that lies in [-window, window]^d
+    and whose corner t has bounds[0] <= <t, v> <= bounds[1], or None: z is solved for on the last
+    axis j with v_j != 0 (0 holds its place)."""
+    zr = [range(-(window // L), (window + 1) // L) for L in side]
+    j = max(i for i, x in enumerate(v) if x)
+    for z in itertools.product(*zr[:j], [0], *(r[:1] for r in zr[j + 1 :])):
+        rest = _dot([zi * L for zi, L in zip(z, side)], v)
+        a, b = (bounds[0] - rest, bounds[1] - rest)[:: 1 if v[j] > 0 else -1]
+        zj = max(zr[j].start, -(-a // (side[j] * v[j])))
+        if zj <= min(zr[j].stop - 1, b // (side[j] * v[j])):
+            t = tuple(zi * L for zi, L in zip(z[:j] + (zj,) + z[j + 1 :], side))
+            return Rect(t, tuple(x + L - 1 for x, L in zip(t, side)))
+    return None
 
 
 def _dot(a: Vec, b: Vec) -> int:

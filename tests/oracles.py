@@ -47,7 +47,7 @@ import math
 
 from subsym import robinson as rob
 from subsym import substitution
-from subsym.errors import CapExceeded, SearchFailure, ValidationError
+from subsym.errors import CapExceeded, ValidationError
 from subsym.language import patch_language
 from subsym.lattice import Rect, mat_inverse_unimodular, mat_vec, signed_perm_group, spow, vadd, vmul, zero
 from subsym.points import AddressablePoint, HalfSpacePair, _digit_tables, _table_power
@@ -326,6 +326,10 @@ def perm_order_oracle(table):
             length += 1
         order = math.lcm(order, length)
     return order
+
+
+class SearchFailure(Exception):
+    """An oracle's witness search came up empty."""
 
 
 def half_space_fracture_pair_oracle(theta, axis):

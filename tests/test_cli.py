@@ -1,8 +1,10 @@
+import functools
 import io
 import itertools
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -362,7 +364,7 @@ NON_BIJECTIVE = {
 def test_point_on_a_non_bijective_spec_prints_the_library_window(tmp_path, d):
     path = write_spec(tmp_path, f"nb{d}", *NON_BIJECTIVE[d])
     theta = specio.parse_and_build(specio.read_utf8(path))[1]
-    seeds = fixed_seeds(theta).on_cycles
+    seeds = [s for c in fixed_seeds(theta).cycles for s in c]
     assert seeds
     for seed in seeds:
         names = ",".join(theta.alphabet.names[a] for a in seed.symbols)
@@ -448,6 +450,27 @@ def test_lang_cache_key_uses_parsed_shape(tmp_path):
     assert len(list(cache.iterdir())) == len(list(cache.glob("lang-*.txt"))) == 1
 
 
+def test_lang_cache_entry_is_not_served_to_changed_code(tmp_path):
+    # the key names the package's own sources, so editing one comment of a copy of the
+    # package makes the copy rebuild an entry it wrote, here overwritten with a bogus dump
+    pkg = tmp_path / "src" / "subsym"
+    shutil.copytree(os.path.dirname(specio.__file__), pkg, ignore=shutil.ignore_patterns("__pycache__"))
+    cache = tmp_path / "cache"
+    argv = [sys.executable, "-m", "subsym.cli", "lang", "tm1d", "--shape", "3", "--cache-dir", str(cache)]
+    env = {**os.environ, "PYTHONPATH": str(tmp_path / "src")}
+    run = functools.partial(subprocess.run, argv, env=env, capture_output=True, text=True, timeout=60)
+    fresh = run()
+    (entry,) = cache.glob("lang-*.txt")
+    entry.write_text(fresh.stderr + "3:ffffff\n")
+    assert run().stdout == "3:ffffff\n"  # the same code serves its entry
+    lines = (pkg / "lattice.py").read_text().splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines) if line.lstrip().startswith("# "))
+    lines[i] = lines[i].replace("# ", "# edited: ", 1)
+    (pkg / "lattice.py").write_text("".join(lines))
+    again = run()
+    assert (again.returncode, again.stdout) == (0, fresh.stdout)
+
+
 def test_fracture_witness_cli():
     code, out, _ = run_cli("fracture", "tm2d", "--axis", "1", "--window", "32")
     assert code == 0
@@ -467,9 +490,12 @@ def test_fracture_refuter_cli_prints_every_coordinate():
 
 
 def test_fracture_refuter_cli_window_too_small():
-    # the least window --window accepts; --window 0 is refused with exit 2
+    # the least window --window accepts; --window 0 is refused with exit 2.  The need is
+    # exact: --window 16 refutes, and --window 15 does not
     code, out, err = run_cli("fracture", "tm2d", "--refute", "1,1", "--window", "1")
-    assert (code, out, err) == (1, "inconclusive: window too small, need about 56\n", "")
+    assert (code, out, err) == (1, "inconclusive: window too small, need 16\n", "")
+    assert run_cli("fracture", "tm2d", "--refute", "1,1", "--window", "15")[0] == 1
+    assert run_cli("fracture", "tm2d", "--refute", "1,1", "--window", "16")[0] == 0
 
 
 def test_fracture_refuter_solves_for_its_block_on_a_large_window():

@@ -20,6 +20,8 @@ from subsym.lattice import (
     random_unimodular,
     signed_perm_group,
 )
+from subsym.points import contradiction_pair
+from subsym.specio import bundled_substitution
 
 
 # -- signed permutations -----------------------------------------------------
@@ -29,7 +31,7 @@ def test_signed_perm_group_sizes(d, count):
     group = signed_perm_group(d)
     assert len(group) == count
     assert len(set(group)) == count
-    assert group[0].is_identity()
+    assert group[0] == SignedPerm.identity(d)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -186,6 +188,28 @@ def test_quadrant_lemma_random_unimodular():
         assert abs(mat_det(a)) == 1
         contained = [q for q in quads if cone_contains_quadrant(a, q)]
         assert len(contained) <= 1
+
+
+def test_a_contradiction_quadrant_goes_onto_a_quadrant_only_under_a_signed_permutation():
+    """The paper's reduction, tied to `contradiction_pair`: a unimodular A maps the
+    quadrant Q_u on which the pair differs onto some Q_w exactly when A is in
+    signed_perm_group(2).  Onto Q_w: A diag(u) Q_1 contains Q_w, and
+    diag(w) A diag(u) has no negative entry, so A Q_u lies in Q_w."""
+    tm2d = bundled_substitution("tm2d")
+    group = {a.matrix() for a in signed_perm_group(2)}
+    rng = random.Random(20181008)
+    matrices = {tuple(map(tuple, random_unimodular(rng))) for _ in range(300)}
+    assert matrices & group and matrices - group
+    for u in itertools.product((1, -1), repeat=2):
+        q = contradiction_pair(tm2d, u).quadrant_sign
+        for a in matrices:
+            au = tuple(tuple(x * uj for x, uj in zip(row, q)) for row in a)
+            onto = [
+                w.sign for w in canonical_quadrants(2)
+                if cone_contains_quadrant(au, w)
+                and all(wi * x >= 0 for wi, row in zip(w.sign, au) for x in row)
+            ]
+            assert bool(onto) == (a in group), (a, u)
 
 
 def test_line_criterion_agrees_with_scan():

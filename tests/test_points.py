@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    SearchFailure,
     digit_walk_oracle,
     fixed_seeds_oracle,
     half_space_fracture_pair_oracle,
@@ -24,7 +25,7 @@ from oracles import (
 
 from subsym import language, points
 from subsym.cli import main
-from subsym.errors import CapExceeded, ScopeError, SearchFailure, ValidationError
+from subsym.errors import CapExceeded, ScopeError, ValidationError
 from subsym.lattice import Rect, vadd, vfloordiv, vsub, zero
 from subsym.points import (
     DIGIT_TABLE_BYTES,

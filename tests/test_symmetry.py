@@ -25,6 +25,7 @@ from oracles import (
     transform_oracle,
     window_closure_oracle,
 )
+from random_rules import random_primitive_bijective
 
 from subsym import substitution
 from subsym import symmetry as sym
@@ -479,7 +480,7 @@ def test_sym_report_rig3(rig3):
 
 def test_exact_compositions(tm2d):
     rep = sym_group_report(tm2d, depth=2)
-    by_a = rep.by_matrix()
+    by_a = {c.a: c for c in rep.candidates}
     exact = [c for c in rep.candidates if c.verdict == EXACT_YES]
     for c1, c2 in itertools.product(exact, repeat=2):
         prod = by_a[c1.a.compose(c2.a)]
@@ -597,7 +598,7 @@ def test_cell_cap_ends_power_search():
     assert read_pairs(pairs, 2) == position_pairs_oracle(power(theta, 2), reversal)
     rep = sym_group_report(theta, 3)
     assert rep == sym_group_report_oracle(theta, 3)
-    assert rep.by_matrix()[reversal].verdict != EXACT_YES
+    assert {c.a: c for c in rep.candidates}[reversal].verdict != EXACT_YES
 
 
 def test_report_builds_no_power(monkeypatch):
@@ -630,7 +631,7 @@ def broken_variants(candidates):
             out = list(candidates)
             out[i] = SymmetryCandidate(c.a, EXACT_YES, wrong[0], (wrong[0],) + c.taus[1:], c.align_power)
             yield f"replaced {c.a}", out
-        if not c.a.is_identity():
+        if c.a != SignedPerm.identity(c.a.dim):
             out = list(candidates)
             out[i] = SymmetryCandidate(c.a, REFUTED_AT, depth=2)
             yield f"refuted {c.a}", out
@@ -705,19 +706,6 @@ def test_report_solves_once_per_pair_set(tm3d, monkeypatch):
     monkeypatch.setattr(sym, "_align", lambda pairs, n: calls.append(pairs) or real_align(pairs, n))
     assert sym_group_report(tm3d, 3) == want
     assert len(calls) == 2 and set(calls) == distinct
-
-
-def random_primitive_bijective(seed):
-    """A seeded random primitive bijective rule: d <= 3, n <= 5, sides 2-3."""
-    rng = random.Random(seed)
-    while True:
-        d, n = rng.randint(1, 3), rng.randint(2, 5)
-        size = tuple(rng.randint(2, 3) for _ in range(d))
-        columns = [rng.sample(range(n), n) for _ in range(math.prod(size))]
-        rules = tuple(Pattern((0,) * d, size, bytes(col[a] for col in columns)) for a in range(n))
-        theta = RectSubstitution(Alphabet(tuple(map(str, range(n)))), size, rules)
-        if is_primitive(theta).primitive:
-            return theta
 
 
 def test_seed_admissibility_reads_the_complete_language():
@@ -858,10 +846,11 @@ def test_align_cap_ends_undecided(monkeypatch):
     full = sym_group_report(theta, 3)
     monkeypatch.setattr(sym, "_align", capped)
     report = sym_group_report(theta, 3)
-    assert report.by_matrix()[reversal] == _language_comparison(theta, reversal, 3, {})
-    assert report.by_matrix()[reversal] != full.by_matrix()[reversal]
+    got, want = ({c.a: c for c in r.candidates} for r in (report, full))
+    assert got[reversal] == _language_comparison(theta, reversal, 3, {})
+    assert got[reversal] != want[reversal]
     identity = SignedPerm.identity(1)
-    assert report.by_matrix()[identity] == full.by_matrix()[identity]
+    assert got[identity] == want[identity]
 
 
 @pytest.mark.parametrize("cap", [100, 400, 1600, 6400])
@@ -1174,3 +1163,19 @@ def test_refuter_small_window_inconclusive(tm2d):
     rep = non_axis_fracture_refuter(tm2d, (1, 1), 4, window=4)
     assert not rep.conclusive
     assert rep.required_window is not None
+
+
+@pytest.mark.parametrize("name, v, threshold", [
+    ("tm2d", (1, 1), 4), ("tm2d", (2, 1), 4), ("tm2d", (1, -1), 4),
+    ("tm2d", (1, 1), 8), ("tm2d", (2, 1), 8), ("tm2d", (1, -1), 8),
+    ("tm3d", (1, 1, 1), 4), ("tm3d", (1, 1, 0), 4),
+])
+def test_refuter_required_window_is_the_least_conclusive_window(name, v, threshold):
+    # walked one window at a time from 1: every window below the need reports it, and
+    # the need is the first window at which the same call is conclusive
+    theta = bundled_substitution(name)
+    need = non_axis_fracture_refuter(theta, v, threshold, window=1).required_window
+    for w in range(1, need):
+        rep = non_axis_fracture_refuter(theta, v, threshold, window=w)
+        assert (rep.conclusive, rep.required_window) == (False, need), w
+    assert non_axis_fracture_refuter(theta, v, threshold, window=need).conclusive
