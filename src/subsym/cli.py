@@ -47,14 +47,15 @@ def _load(spec_arg: str) -> tuple[specio.SubstitutionSpec, RectSubstitution]:
 
 
 def _write_out(args, data, binary=False) -> None:
+    """Write data, a str, bytes or an iterable of str written one at a time, to -o or stdout."""
+    chunks = [data] if isinstance(data, (str, bytes)) else data
     if getattr(args, "output", None) is not None:
-        mode = "wb" if binary else "w"
-        with open(args.output, mode) as f:
-            f.write(data)
+        with open(args.output, "wb" if binary else "w") as f:
+            f.writelines(chunks)
     elif binary:
-        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.writelines(chunks)
     else:
-        sys.stdout.write(data)
+        sys.stdout.writelines(chunks)
 
 
 def _perm_to_str(a) -> str:
@@ -171,26 +172,32 @@ def cmd_lang(args) -> int:
         digest = hashlib.sha256(key.encode()).hexdigest()[:16]
         cache_path = Path(args.cache_dir) / f"lang-{digest}.txt"
         # an entry is the stats line and its newline, then the dump; one without
-        # either, or not UTF-8, is rebuilt
+        # either, or not UTF-8, is rebuilt. It is decoded to the end before any
+        # line is served, so a bad entry is never half served
         try:
-            entry = cache_path.read_text(encoding="utf-8")
+            with open(cache_path, encoding="utf-8") as entry:
+                stats = entry.readline()
+                for _ in entry:
+                    pass
+                if stats.startswith("# patterns=") and stats.endswith("\n"):
+                    entry.seek(0)
+                    entry.readline()
+                    _write_out(args, entry)
+                    sys.stderr.write(stats)
+                    return 0
         except (FileNotFoundError, UnicodeDecodeError):
-            entry = ""
-        stats, newline, dump = entry.partition("\n")
-        if stats.startswith("# patterns=") and newline:
-            _write_out(args, dump)
-            print(stats, file=sys.stderr)
-            return 0
+            pass
     lang = patch_language(theta, shape, mode=args.mode)
-    dump = specio.dump_language(lang.shape, lang.patterns)
     stats = f"# patterns={len(lang.patterns)} depth={lang.depth_reached}"
     if cache_path is not None:
         cache_path.parent.mkdir(parents=True, exist_ok=True)
         # a killed run must not leave a torn entry for later runs to serve
         tmp = cache_path.with_suffix(f".{os.getpid()}.tmp")
-        tmp.write_text(stats + "\n" + dump)
+        with open(tmp, "w") as entry:
+            entry.write(stats + "\n")
+            entry.writelines(specio.language_lines(lang.shape, lang.patterns))
         os.replace(tmp, cache_path)
-    _write_out(args, dump)
+    _write_out(args, specio.language_lines(lang.shape, lang.patterns))  # never joined
     print(stats, file=sys.stderr)
     return 0
 

@@ -42,9 +42,13 @@ previous depth's new blocks, and only they can add a window.  `_grow`
 reads depths 1..J off theta^depth of each root and, past J, keeps only
 each depth's new blocks and reads theta^J of each once.  A depth that
 brings no new block adds no window, and depth J + 1 finds windows
-(2 s^J >= n), so growth stops within J + #blocks + 1 depths.  Each read is one gather through a cached index
-plan per (size, extent, shape) from the rules of the cells laid end to
-end; no depth builds theta^k(root) as a pattern.
+(2 s^J >= n), so growth stops within J + #blocks + 1 depths.
+
+Each read of theta(w) is one gather through a plan, cached per (size,
+extent, shape), that lists each column of theta(w) once: the cells of the
+windows that start at one point of axes 0..d-2, over the whole last axis.
+Each window is a slice of it, the cell cap counts the plan's entries, and
+no depth builds theta^k(root) as a pattern.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable
+from typing import Iterable
 
 from . import substitution
 from .errors import CapExceeded, ScopeError, ValidationError
@@ -121,7 +125,7 @@ def _grow(theta: RectSubstitution, extent: Vec, roots: Iterable[bytes], shape: V
     blocks' blocks, so one read gives both.  Each level unions its reads
     into one set as it makes them, and nothing is kept per root or block.
     The cell cap refuses before allocating: theta^j's rules in `power`, a
-    plan in `_window_reader`.
+    plan in `_read`.
     """
     two = (2,) * theta.dim
     top = next(j for j in itertools.count(1)  # J
@@ -144,37 +148,29 @@ def _grow(theta: RectSubstitution, extent: Vec, roots: Iterable[bytes], shape: V
 
 
 def _read(theta: RectSubstitution, extent: Vec, ws: Iterable[bytes], shape: Vec) -> set[bytes]:
-    """The union of the shape-windows of theta(w) over the windows ws of that extent."""
-    return functools.reduce(set.__ior__, map(_window_reader(theta, extent, shape), ws), set())
-
-
-def _window_reader(theta: RectSubstitution, extent: Vec, shape: Vec) -> Callable[[bytes], set[bytes]]:
-    """w -> the distinct shape-windows of theta(w), w the cells of a pattern
-    of that extent: one gather through `_window_plan` from the rules of w's
-    cells laid end to end, its plan refused before it would pass the cap."""
+    """The union of the shape-windows of theta(w) over the windows ws of that extent, each
+    a slice of one gather per w; a plan past the cell cap is refused before it is built."""
     offsets = [e * s - n + 1 for e, s, n in zip(extent, theta.size, shape)]
     if min(offsets) < 1:  # no window fits
-        return lambda w: set()
-    n = math.prod(shape)  # cells per window
-    if (cells := math.prod(offsets) * n) > substitution.DEFAULT_CELL_CAP:
-        raise CapExceeded(f"a language window plan would read {cells} cells")
-    getter = _window_plan(theta.size, extent, shape)
-    rules = [r.cells for r in theta.rules]
-
-    def read(w: bytes) -> set[bytes]:
-        flat = bytes(getter(b"".join(map(rules.__getitem__, w))))
-        return {flat[i : i + n] for i in range(0, len(flat), n)}
-    return read
+        return set()
+    # one column per window start on axes 0..d-2: its cross-section over the whole last axis
+    entries = math.prod(offsets[:-1]) * math.prod(shape[:-1]) * extent[-1] * theta.size[-1]
+    if entries > substitution.DEFAULT_CELL_CAP:
+        raise CapExceeded(f"a language window plan would read {entries} cells")
+    getter, starts = _window_plan(theta.size, extent, shape)
+    rules, n = [r.cells for r in theta.rules], math.prod(shape)
+    flats = (bytes(getter(b"".join(map(rules.__getitem__, w)))) for w in ws)
+    return {flat[i : i + n] for flat in flats for i in starts}
 
 
 @functools.lru_cache(maxsize=64)
-def _window_plan(size: Vec, q: Vec, shape: Vec) -> itemgetter:
-    """The getter that reads every shape-window of theta(w), w of extent q,
-    out of `b"".join(rules[a] for a in w)`; at least one window fits.
-
-    Cell m * s + k of theta(w) is cell k of the rule of w's cell m: entry
-    flat(m) * prod(s) + flat(k) of that concatenation.  The windows follow
-    one another in the getter's output, each in cell order.
+def _window_plan(size: Vec, q: Vec, shape: Vec) -> tuple[itemgetter, list[int]]:
+    """(getter, starts): the getter reads each column of theta(w), w of extent q, in cell
+    order out of `b"".join(rules[a] for a in w)`, and the shape-windows are the slices
+    [i, i + prod(shape)) of its output for i in starts; one fits.  Cell m * s + k of
+    theta(w) is cell k of the rule of w's cell m: entry flat(m) * prod(s) + flat(k).  The
+    last axis is the slowest, so a column's windows are slices at steps of
+    prod(shape[:-1]); in 1-d the one column is theta(w).
     """
     extent = tuple(n * s for n, s in zip(q, size))
     offsets = tuple(e - n + 1 for e, n in zip(extent, shape))
@@ -185,16 +181,18 @@ def _window_plan(size: Vec, q: Vec, shape: Vec) -> itemgetter:
     ]
     # the entry of each cell of theta(w), in cell order (axis 0 fastest)
     entry = [sum(t) for t in itertools.product(*reversed(axes))]
-    origin, width = zero(len(q)), shape[0]
-    runs = _run_starts(extent, origin, shape)
+    origin, column, corners = zero(len(q)), (*shape[:-1], extent[-1]), (*offsets[:-1], 1)
+    runs = _run_starts(extent, origin, column)
     plan = [
         e
-        for base in _run_starts(extent, origin, offsets)
-        for x in range(base, base + offsets[0])
+        for base in _run_starts(extent, origin, corners)
+        for x in range(base, base + corners[0])
         for run in runs
-        for e in entry[x + run : x + run + width]
+        for e in entry[x + run : x + run + column[0]]
     ]
-    return itemgetter(*plan)
+    step, length = math.prod(shape[:-1]), math.prod(column)
+    starts = [c + t for c in range(0, len(plan), length) for t in range(0, offsets[-1] * step, step)]
+    return itemgetter(*plan), starts
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
+from typing import Iterator
 
 from . import substitution
 from .errors import ValidationError
@@ -162,10 +163,14 @@ def bundled_substitution(name: str) -> RectSubstitution:
 # ---------------------------------------------------------------------------
 
 
-def dump_language(shape: tuple[int, ...], patterns) -> str:
+def language_lines(shape: tuple[int, ...], patterns) -> Iterator[str]:
+    """A language dump's lines, each ending in a newline, sorted by raw key, as by their hex."""
     ext = ",".join(str(s) for s in shape)
-    lines = sorted(f"{ext}:{cells.hex()}" for cells in patterns)
-    return "\n".join(lines) + "\n" if lines else ""
+    return (f"{ext}:{cells.hex()}\n" for cells in sorted(patterns))
+
+
+def dump_language(shape: tuple[int, ...], patterns) -> str:
+    return "".join(language_lines(shape, patterns))
 
 
 # ---------------------------------------------------------------------------

@@ -566,6 +566,8 @@ def non_axis_fracture_refuter(
         grid_gcd = math.gcd(*(L * abs(x) for L, x in zip(side, v) if x != 0))
         if span - 2 * threshold + 1 < grid_gcd:
             continue
+        if (cells := math.prod(side)) > substitution.DEFAULT_CELL_CAP:  # before any window is read
+            raise CapExceeded(f"the straddling block has {cells} cells")
         m_minus = sum(min(0, x * (L - 1)) for x, L in zip(v, side))
         m_plus = sum(max(0, x * (L - 1)) for x, L in zip(v, side))
         bounds = (threshold - m_plus, -threshold - m_minus)
@@ -579,8 +581,6 @@ def non_axis_fracture_refuter(
                 hi *= 2
             need = bisect.bisect_left(range(hi + 1), True, window + 1, key=fits)
             return RefuterReport(v, threshold, window, False, None, need)
-        if block.cell_count() > substitution.DEFAULT_CELL_CAP:
-            raise CapExceeded(f"the straddling block has {block.cell_count()} cells")
         first: dict[int, Vec] = {}
         count = [0, 0, 0]  # by half: 1 for <k, v> >= threshold, -1 for <= -threshold
         # the cells of an axis-0 run in one half form an interval of it

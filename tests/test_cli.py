@@ -433,11 +433,36 @@ def test_lang_cache_entry_without_stats_is_rebuilt(tmp_path):
     argv = ("lang", "tm2d", "--shape", "2,2", "--cache-dir", str(tmp_path))
     fresh = run_cli(*argv)
     (entry,) = tmp_path.glob("lang-*.txt")
-    # an entry holding only the dump, one holding only its stats line, and one that is not UTF-8
-    for stale in (fresh[1].encode(), b"# patterns=8 depth=3", b"\xff\xfe# patterns=8\n"):
+    # an entry holding only the dump, one holding only its stats line, and two that are not
+    # UTF-8, the second only past its first dump line: nothing of it is served
+    stale_entries = (fresh[1].encode(), b"# patterns=8 depth=3", b"\xff\xfe# patterns=8\n",
+                     b"# patterns=8 depth=3\n2,2:00000000\n2,2:\xff\n")
+    for stale in stale_entries:
         entry.write_bytes(stale)
         assert run_cli(*argv) == fresh
         assert entry.read_text().startswith("# patterns=")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is a Linux address-space cap")
+def test_lang_cache_hit_serves_its_entry_line_by_line(tmp_path):
+    # a 64 MB entry is served within 128 MB of address space; read whole, it
+    # was held twice, as bytes and as text, and its dump once more
+    argv = ["lang", "tm1d", "--shape", "3", "--cache-dir", str(tmp_path / "cache"), "-o", str(tmp_path / "out")]
+    assert run_cli(*argv)[0] == 0
+    (entry,) = (tmp_path / "cache").glob("lang-*.txt")
+    line = "3:" + "ab" * 4095 + "\n"
+    with entry.open("w") as f:
+        f.write("# patterns=8192 depth=1\n")
+        f.writelines([line] * 8192)
+    src = os.path.dirname(os.path.dirname(specio.__file__))
+    code = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**27, 2**27)); "
+        "from subsym.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    out = subprocess.run([sys.executable, "-c", code, *argv], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=60)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "", "# patterns=8192 depth=1\n")
+    assert (tmp_path / "out").read_text() == line * 8192
 
 
 def test_lang_cache_key_uses_parsed_shape(tmp_path):
@@ -496,6 +521,14 @@ def test_fracture_refuter_cli_window_too_small():
     assert (code, out, err) == (1, "inconclusive: window too small, need 16\n", "")
     assert run_cli("fracture", "tm2d", "--refute", "1,1", "--window", "15")[0] == 1
     assert run_cli("fracture", "tm2d", "--refute", "1,1", "--window", "16")[0] == 0
+
+
+def test_fracture_refuter_refuses_a_block_past_the_cap_before_naming_a_window():
+    # the level's block side is known before the search, so no window, however
+    # small or large, gets a verdict on a block the cap refuses
+    for window in ("1", "1024"):
+        code, out, err = run_cli("fracture", "tm3d", "--refute", "1,1,1", "--threshold", "600", "--window", window)
+        assert (code, out, err) == (2, "", "error: the straddling block has 1073741824 cells\n"), window
 
 
 def test_fracture_refuter_solves_for_its_block_on_a_large_window():

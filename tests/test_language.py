@@ -13,8 +13,8 @@ from subsym import language, substitution
 from subsym.errors import CapExceeded, ScopeError
 from subsym.language import (
     _grow,
+    _read,
     _roots,
-    _window_reader,
     patch_language,
     periodicity_scan,
     seed_admissible_minimal,
@@ -200,9 +200,11 @@ def cover_power(size, shape):
 
 def plan_cells(size, extent, shape):
     """The entries of the plan that reads every shape-window of theta(w),
-    theta of that size and w of that extent: 0 when no window fits."""
+    theta of that size and w of that extent, one column per window start on
+    axes 0..d-2 over the whole last axis: 0 when no window fits."""
     offsets = [e * s - n + 1 for e, s, n in zip(extent, size, shape)]
-    return math.prod(offsets) * math.prod(shape) if min(offsets) > 0 else 0
+    column = math.prod(shape[:-1]) * extent[-1] * size[-1]
+    return math.prod(offsets[:-1]) * column if min(offsets) > 0 else 0
 
 
 def growth_steps(theta, extent, shape, depth):
@@ -256,13 +258,13 @@ def outcome(grow, *args):
 def spy_plans(monkeypatch):
     """Record the (size, extent, shape) of every gather plan `_grow` reads through."""
     calls = []
-    real = language._window_reader
+    real = language._read
 
-    def spy(theta, extent, shape):
+    def spy(theta, extent, ws, shape):
         calls.append((theta.size, extent, shape))
-        return real(theta, extent, shape)
+        return real(theta, extent, ws, shape)
 
-    monkeypatch.setattr(language, "_window_reader", spy)
+    monkeypatch.setattr(language, "_read", spy)
     return calls
 
 
@@ -287,7 +289,9 @@ def test_grow_cap_fires_at_the_oracle_depth(name, shape, monkeypatch):
     # the cap refuses before allocating: theta^j's rules in `power`, and a
     # plan whose entries pass it before the plan is built.  Growth fails at
     # the first allocation of the cap oracle `growth_steps` that passes the
-    # cap, on the levels it reaches uncapped, and is unchanged below that
+    # cap, on the levels it reaches uncapped, and is unchanged below that.
+    # In 1-d a plan is theta^j(w) itself, 2 s^j cells at most, and theta^j's
+    # rules, which hold as many or more, are built first: only power refuses
     theta = bundled_substitution(name)
     refused = {"power": 0, "plan": 0, None: 0}
     for extent, roots in root_sets(theta).values():
@@ -305,24 +309,21 @@ def test_grow_cap_fires_at_the_oracle_depth(name, shape, monkeypatch):
                 kind, want = "plan", ("CapExceeded", f"a language window plan would read {fired[1]} cells")
             assert outcome(_grow, theta, extent, roots, shape) == want, cap
             refused[kind] += 1
-    assert refused["power"] and refused["plan"] and refused[None]
+    assert refused["power"] and bool(refused["plan"]) == (theta.dim > 1) and refused[None]
 
 
 def test_grow_reads_each_block_once(monkeypatch):
     # no (theta^j, extent, shape, w) is read twice: roots of extent 2x...x2
     # (the full-mode seeds) are blocks of depth J, and with shape 2x...x2
     # (J = 1) one read gives a level's windows and its new blocks
-    counts, real = collections.Counter(), language._window_reader
+    counts, real = collections.Counter(), language._read
 
-    def spy(theta_j, extent, sh):
-        read = real(theta_j, extent, sh)
+    def spy(theta_j, extent, ws, sh):
+        ws = list(ws)
+        counts.update((theta_j.size, extent, sh, w) for w in ws)
+        return real(theta_j, extent, ws, sh)
 
-        def counted(w):
-            counts[theta_j.size, extent, sh, w] += 1
-            return read(w)
-        return counted
-
-    monkeypatch.setattr(language, "_window_reader", spy)
+    monkeypatch.setattr(language, "_read", spy)
     # (windows, depth) as the whole patches give them, and the reads made
     for name, mode, shape, grown, reads in [
         ("tm3d", "full", (2, 2, 2), (256, 2), 256),
@@ -335,6 +336,18 @@ def test_grow_reads_each_block_once(monkeypatch):
         seen, depth = _grow(theta, *_roots(theta, mode), shape)
         assert (len(seen), depth) == grown, name
         assert set(counts.values()) == {1} and sum(counts.values()) == reads, (name, counts.most_common(3))
+
+
+def test_a_large_full_language_reads_its_columns_within_a_small_cap(tm2d, monkeypatch):
+    # theta^5 of a 2x2 seed has 33 columns of 32 x 64 cells, 67584 plan
+    # entries, where one entry per cell of each of its 33^2 windows of
+    # 32 x 32 would be 1115136
+    want = patch_language(tm2d, (32, 32), "full")
+    monkeypatch.setattr(substitution, "DEFAULT_CELL_CAP", 2**18)
+    assert patch_language(tm2d, (32, 32), "full") == want
+    monkeypatch.setattr(substitution, "DEFAULT_CELL_CAP", 67583)
+    with pytest.raises(CapExceeded, match="a language window plan would read 67584 cells"):
+        patch_language(tm2d, (32, 32), "full")
 
 
 def test_grow_past_the_whole_patch_cap_matches_the_window_closure(r18_spec):
@@ -398,7 +411,7 @@ def test_window_image_matches_oracle(d, n, seed, data):
     shape = tuple(data.draw(st.integers(1, 4)) for _ in range(d))
     q = tuple(data.draw(st.integers(1, 3)) for _ in range(d))
     w = bytes(rng.randrange(n) for _ in range(math.prod(q)))
-    assert _window_reader(theta, q, shape)(w) == window_image_oracle(theta, q, w, shape)[0]
+    assert _read(theta, q, [w], shape) == window_image_oracle(theta, q, w, shape)[0]
 
 
 @pytest.mark.parametrize("size, q, shape", [
@@ -415,9 +428,12 @@ def test_window_image_matches_oracle_on_every_window(size, q, shape):
                   for _ in range(3))
     theta = RectSubstitution(Alphabet(("a", "b", "c")), size, rules)
     for theta_j in (theta, power(theta, 2)):
-        read = _window_reader(theta_j, q, shape)
-        for w in sorted({bytes(rng.randrange(3) for _ in range(math.prod(q))) for _ in range(40)}):
-            assert read(w) == window_image_oracle(theta_j, q, w, shape)[0], w
+        ws = sorted({bytes(rng.randrange(3) for _ in range(math.prod(q))) for _ in range(40)})
+        for w in ws:
+            assert _read(theta_j, q, [w], shape) == window_image_oracle(theta_j, q, w, shape)[0], w
+        # one read of many windows is the union of their images
+        images = (window_image_oracle(theta_j, q, w, shape)[0] for w in ws)
+        assert _read(theta_j, q, ws, shape) == set().union(*images)
 
 
 @settings(max_examples=50, deadline=None)

@@ -167,7 +167,7 @@ def test_every_materialization_reads_the_one_cell_cap(tm2d, monkeypatch):
         (60, CapExceeded, lambda: apply(tm2d, Pattern((0, 0), (3, 5), bytes(15)))),
         (128, CapExceeded, lambda: power(tm2d, 3)),
         (72, CapExceeded, lambda: x.window(Rect((-3, -2), (4, 6)))),
-        (36, CapExceeded, lambda: patch_language(tm2d, (2, 2))),  # theta of a 2x2 block
+        (24, CapExceeded, lambda: patch_language(tm2d, (2, 2))),  # theta of a 2x2 block: 3 columns of 8
         (24, ValidationError, lambda: ppm_image((2, 3), bytes(6), 2)),
     ]
     for n, refusal, call in calls:

@@ -961,10 +961,10 @@ def test_sym_falls_back_on_a_language_past_the_whole_patch_cap(r18_spec, tmp_pat
     assert lines[8] == "psi_image_order=1 split=yes"
 
 
-@pytest.mark.parametrize("cap, stops", [(2**16, False), (36, False), (35, True), (15, True)])
+@pytest.mark.parametrize("cap, stops", [(2**16, False), (24, False), (23, True), (15, True)])
 def test_fallback_growth_ends_at_the_cap_not_at_its_depth_bound(cap, stops, r18_spec, monkeypatch):
-    # theta's rules take 16 cells and its largest plan reads 36, the 9
-    # windows of theta of a 2x2 block; any cap the growth stays within lets
+    # theta's rules take 16 cells and its largest plan reads 24, the 3
+    # columns of theta of a 2x2 block; any cap the growth stays within lets
     # it stabilize at depth 18, however far past the cap's bit length
     theta = build_substitution(parse_spec(json.dumps(r18_spec)))
     swap = SignedPerm((1, 0), (0, 0))
